@@ -220,9 +220,17 @@ def config_hash(cfg: ExperimentConfig) -> str:
     return hash_echo(cfg.echo)
 
 
+# Keys that only choose how the paths are split over batches and processes.
+# rows.csv is byte-identical for every value of them, so the hash, which names
+# the result, leaves them out; the echo still records them.
+_UNHASHED_KEYS = frozenset({"estimator.batch_size", "run.workers"})
+
+
 def hash_echo(echo: dict[str, str]) -> str:
-    """sha256 over the canonical 'key = value' lines, sorted by key."""
-    blob = "\n".join(f"{k} = {echo[k]}" for k in sorted(echo)) + "\n"
+    """sha256 over the canonical 'key = value' lines, sorted by key, of every
+    key except the batch and worker counts."""
+    blob = "\n".join(f"{k} = {echo[k]}" for k in sorted(echo)
+                     if k not in _UNHASHED_KEYS) + "\n"
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 

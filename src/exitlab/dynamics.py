@@ -131,13 +131,21 @@ class BoxDomain:
 
     def outside(self, Y: np.ndarray) -> np.ndarray:
         """Strictly outside the closed box; works on (d,) or (m, d)."""
-        Y = np.asarray(Y, dtype=float)
-        return np.any((Y < self.lower) | (Y > self.upper), axis=-1)
+        return self._beyond_a_side(Y, np.less, np.greater)
 
     def not_strictly_inside(self, Y: np.ndarray) -> np.ndarray:
         """On the boundary or outside; exit time is 0 for such starts."""
+        return self._beyond_a_side(Y, np.less_equal, np.greater_equal)
+
+    def _beyond_a_side(self, Y, below, above) -> np.ndarray:
+        # One coordinate at a time: on the path engine's (m, d) views each
+        # column is contiguous, and no reduction runs over a length-d axis.
         Y = np.asarray(Y, dtype=float)
-        return np.any((Y <= self.lower) | (Y >= self.upper), axis=-1)
+        hit = below(Y[..., 0], self.lower[0]) | above(Y[..., 0], self.upper[0])
+        for j in range(1, self.d):
+            hit |= below(Y[..., j], self.lower[j])
+            hit |= above(Y[..., j], self.upper[j])
+        return hit
 
     def clearance(self, Y: np.ndarray) -> np.ndarray:
         """Signed distance-like quantity: negative inside, 0 on the boundary."""

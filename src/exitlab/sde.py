@@ -7,6 +7,24 @@ grid, never on batch shape, worker count, or what other paths do.  The block
 size is a module constant, not a tunable: a continuation run resumes a
 path's stream at the block boundary where the previous phase stopped, and
 changing the constant would silently change continuations.
+
+Layout: ``simulate_batch`` holds only the paths still alive, as one
+C-contiguous ``(d, A)`` array whose column ``i`` is the state of path
+``ids[i]``.  On a step where paths exit, the state, the ids and the block
+columns of the rest are compacted with ``ndarray.take``; no step gathers
+from or scatters into a batch-sized array, and ``steps_used`` is set from
+each path's exit step.  A block's constant-noise increments are drawn per
+path, mixed with ``xi @ sig0.T`` a few paths at a time, and stored
+step-major ``(kb, d, A)``, so a step reads one contiguous ``(d, A)`` slab.
+
+None of this changes an output byte.  Each path draws from its own stream in
+the same order.  numpy's stacked ``matmul`` multiplies each path's
+``(kb, n)`` block on its own, so grouping paths differently leaves the
+product unchanged.  Every later operation acts on each path on its own, in
+the same order on the same operands.  Model and box calls take ``(A, d)``
+views of the state.  ``SmoothDomain.outside`` and a state-dependent
+``sigma_batch`` get row-major copies instead: their built-in forms sum over
+the coordinates, and numpy rounds such a sum by memory layout from d = 9 on.
 """
 
 from __future__ import annotations
@@ -19,6 +37,10 @@ import numpy as np
 from .dynamics import BoxDomain, ConjugateFieldModel, NoiseModel, SmoothDomain
 
 BLOCK_STEPS = 512
+# Paths whose noise block is drawn, mixed and turned step-major together:
+# the two path-major buffers of a 64-path group (1 MB at 512 steps and
+# d = n = 2) stay in L2 while they are transposed.
+_MIX_PATHS = 64
 
 
 @dataclass(frozen=True)
@@ -97,6 +119,26 @@ def _initial_outside(model: ConjugateFieldModel, domain, X0: np.ndarray) -> np.n
     return domain.outside(X0)
 
 
+def _draw(gens: list, ids: np.ndarray, count: int) -> np.ndarray:
+    """Next `count` normals from the stream of each listed path, one row each."""
+    xi = np.empty((ids.size, count))
+    for r, i in enumerate(ids):
+        gens[i].standard_normal(out=xi[r])
+    return xi
+
+
+def _step_major_noise(gens: list, ids: np.ndarray, kb: int,
+                      sig0: np.ndarray) -> np.ndarray:
+    """The next kb constant-noise increments xi @ sig0.T, laid out (kb, d, A)."""
+    d, n = sig0.shape
+    dW = np.empty((kb, d, ids.size))
+    for a in range(0, ids.size, _MIX_PATHS):
+        sub = ids[a:a + _MIX_PATHS]
+        xi = _draw(gens, sub, kb * n).reshape(sub.size, kb, n)
+        dW[:, :, a:a + sub.size] = (xi @ sig0.T).transpose(1, 2, 0)
+    return dW
+
+
 def simulate_batch(model: ConjugateFieldModel, noise: NoiseModel, domain,
                    X0: np.ndarray, epsilon: float, stop_time: float,
                    dt: float, gens: list, want_final: bool = False) -> dict:
@@ -104,8 +146,10 @@ def simulate_batch(model: ConjugateFieldModel, noise: NoiseModel, domain,
 
     X0 is (m, d); gens holds one Generator per row, consumed in order.
     domain may be None to disable exit detection (pure propagation).
-    Returns arrays keyed exited/tau/steps/exit_state/exit_y/clamped and,
-    if requested, final_state for rows still running at stop_time.
+    Returns arrays keyed exited/tau/steps_used/exit_state/exit_y/clamped
+    and, if requested, final_state for rows still running at stop_time.
+    steps_used is 0 for starts outside the domain, the 1-based step of the
+    exit for paths that leave, and the number of grid steps for the rest.
     """
     X0 = np.atleast_2d(np.asarray(X0, dtype=float))
     m, d = X0.shape
@@ -115,81 +159,85 @@ def simulate_batch(model: ConjugateFieldModel, noise: NoiseModel, domain,
     if stop_time < 0.0 or not math.isfinite(stop_time):
         raise ValueError("stop_time must be finite and >= 0")
 
+    n_steps = int(math.ceil(stop_time / dt - 1e-12)) if stop_time > 0.0 else 0
     exited = np.zeros(m, dtype=bool)
     tau = np.full(m, np.nan)
-    steps_used = np.zeros(m, dtype=np.int64)
+    steps_used = np.full(m, n_steps, dtype=np.int64)
     exit_state = np.full((m, d), np.nan)
     exit_y = np.full((m, d), np.nan)
     clamped = np.zeros(m, dtype=bool)
     final_state = np.full((m, d), np.nan) if want_final else None
 
     detect = domain is not None
-    X = X0.copy()
+    box = isinstance(domain, BoxDomain)
+    ids = np.arange(m)
     if detect:
         out0 = _initial_outside(model, domain, X0)
         if out0.any():
             exited[out0] = True
             tau[out0] = 0.0
+            steps_used[out0] = 0
             exit_state[out0] = X0[out0]
             exit_y[out0] = model.push_batch(X0[out0])
-    alive = np.flatnonzero(~exited)
+            ids = np.flatnonzero(~out0)
+    # Alive paths only, coordinate-major: X[:, i] is the state of path ids[i].
+    X = np.ascontiguousarray(X0[ids].T)
 
-    n_steps = int(math.ceil(stop_time / dt - 1e-12)) if stop_time > 0.0 else 0
     sig0 = noise.sigma0
     const_noise = noise.constant
     k = 0
-    while alive.size and k < n_steps:
+    while ids.size and k < n_steps:
         kb = min(BLOCK_STEPS, n_steps - k)
-        if epsilon > 0.0:
-            xi = np.empty((alive.size, kb * n_noise))
-            for r, idx in enumerate(alive):
-                xi[r] = gens[idx].standard_normal(kb * n_noise)
-            xi = xi.reshape(alive.size, kb, n_noise)
-            mixed = xi @ sig0.T if const_noise else None
-        else:
-            xi = mixed = None
-        act = np.arange(alive.size)
+        n_alive = ids.size
+        dW = xi = None  # drop the last block's noise before drawing the next
+        if epsilon > 0.0 and const_noise:
+            dW = _step_major_noise(gens, ids, kb, sig0)
+        elif epsilon > 0.0:
+            xi = _draw(gens, ids, kb * n_noise).reshape(n_alive, kb, n_noise)
+        # block column of each alive path, for reading this block's noise
+        cols = np.arange(n_alive)
         for j in range(kb):
             last = (k + j + 1) == n_steps
             h = stop_time - (n_steps - 1) * dt if last else dt
             t_next = stop_time if last else (k + j + 1) * dt
-            rows = alive[act]
-            x = X[rows]
+            x = X.T
             b = model.drift_batch(x)
             x = x + b * h
-            if epsilon > 0.0:
-                if const_noise:
-                    x = x + (epsilon * math.sqrt(h)) * mixed[act, j, :]
-                else:
-                    sig = noise.sigma_batch(X[rows])
-                    x = x + (epsilon * math.sqrt(h)) * np.einsum(
-                        "rdn,rn->rd", sig, xi[act, j, :])
+            if dW is not None:
+                w = dW[j] if cols.size == n_alive else dW[j].take(cols, axis=1)
+                x = x + (epsilon * math.sqrt(h)) * w.T
+            elif xi is not None:
+                sig = noise.sigma_batch(np.ascontiguousarray(X.T))
+                x = x + (epsilon * math.sqrt(h)) * np.einsum(
+                    "rdn,rn->rd", sig, xi[cols, j, :])
             x, over = model.clamp(x)
             if over.any():
-                clamped[rows[over]] = True
-            X[rows] = x
-            steps_used[rows] += 1
+                clamped[ids[over]] = True
+            X = x.T
             if detect:
-                if isinstance(domain, BoxDomain):
+                if box:
                     y = model.push_batch(x)
                     out = domain.outside(y)
                 else:
                     y = None
-                    out = domain.outside(x)
+                    out = domain.outside(np.ascontiguousarray(x))
                 if out.any():
-                    hit = rows[out]
+                    hit = ids[out]
                     exited[hit] = True
                     tau[hit] = t_next
+                    steps_used[hit] = k + j + 1
                     exit_state[hit] = x[out]
                     exit_y[hit] = y[out] if y is not None else model.push_batch(x[out])
-                    act = act[~out]
-                    if act.size == 0:
+                    keep = np.flatnonzero(~out)
+                    ids = ids.take(keep)
+                    cols = cols.take(keep)
+                    X = X.take(keep, axis=1)
+                    if ids.size == 0:
                         break
-        alive = alive[act] if act.size else np.empty(0, dtype=np.int64)
         k += kb
 
-    if want_final and alive.size:
-        final_state[alive] = X[alive]
+    if want_final and ids.size:
+        final_state[ids] = X.T
     result = {
         "exited": exited, "tau": tau, "steps_used": steps_used,
         "exit_state": exit_state, "exit_y": exit_y, "clamped": clamped,

@@ -41,6 +41,9 @@ from exitlab import (
 )
 from exitlab.harness import rows_csv_text
 
+# about 7 minutes; a quick local run can use -m "not slow"
+pytestmark = pytest.mark.slow
+
 GLOBAL_SEED = 20260815
 
 S1 = Spectrum([1.0])

@@ -50,6 +50,12 @@ def _cfg(text):
     return parse_config(text)
 
 
+def _strip_wall(rows_csv: str) -> str:
+    """rows.csv text without its last column, wall_seconds."""
+    lines = rows_csv.splitlines()
+    return "\n".join(lines[:1] + [",".join(ln.split(",")[:-1]) for ln in lines[1:]])
+
+
 @pytest.fixture(scope="module")
 def small_record():
     return run_estimate(_cfg(SMALL_RUN))
@@ -312,17 +318,17 @@ class TestOutputs:
 
     def test_determinism_modulo_wall(self, small_record):
         again = run_estimate(_cfg(SMALL_RUN))
+        assert _strip_wall(rows_csv_text(small_record)) == _strip_wall(
+            rows_csv_text(again))
 
-        def strip(text):
-            out = []
-            for k, line in enumerate(text.splitlines()):
-                if k == 0:
-                    out.append(line)
-                else:
-                    out.append(",".join(line.split(",")[:-1]))
-            return "\n".join(out)
-
-        assert strip(rows_csv_text(small_record)) == strip(rows_csv_text(again))
+    def test_batching_and_workers_keep_hash_and_rows(self, small_record):
+        other = run_estimate(_cfg(
+            SMALL_RUN + "estimator.batch_size = 96\nrun.workers = 2\n"))
+        assert other.config_echo["estimator.batch_size"] == "96"
+        assert other.config_echo["run.workers"] == "2"
+        assert other.config_hash == small_record.config_hash
+        assert _strip_wall(rows_csv_text(other)) == _strip_wall(
+            rows_csv_text(small_record))
 
     def test_summary_hash_matches_rehash(self, small_record):
         record = small_record

@@ -11,6 +11,7 @@ from exitlab import (
     NoiseModel,
     PathConfig,
     RngStream,
+    SmoothDomain,
     Spectrum,
     draw_increments,
     finite_time_covariance,
@@ -27,6 +28,7 @@ ID1 = ConjugateFieldModel.identity(S1)
 ID2 = ConjugateFieldModel.identity(S2)
 N1 = NoiseModel.constant_matrix(np.array([[1.0]]))
 BOX1 = BoxDomain([-1.0], [1.0])
+RESULT_KEYS = ("exited", "tau", "steps_used", "exit_state", "exit_y", "clamped")
 
 
 def _ks_distance(samples, std):
@@ -170,7 +172,7 @@ class TestSimulateBatch:
                                 PathConfig(dt=1e-3), RngStream(11, pid))
             assert res["exited"][pid] == (not obs.survived)
             if not obs.survived:
-                assert res["tau"][pid] == pytest.approx(obs.tau, abs=1e-12)
+                assert res["tau"][pid] == obs.tau
 
     def test_stop_time_extension_preserves_early_exits(self):
         # pure streams: an exit before the shorter horizon must be identical
@@ -204,6 +206,132 @@ class TestSimulateBatch:
                              [make_generator(1, p) for p in range(3)])
         assert res["exited"].all()
         assert np.allclose(res["tau"], math.log(1.0 / 0.4), atol=2e-3)
+
+
+def _run_ids(model, noise, domain, X0, eps, stop, seed, ids, want_final):
+    """simulate_batch on the rows `ids` of X0, each on its own path stream."""
+    gens = [make_generator(seed, int(p)) for p in ids]
+    return simulate_batch(model, noise, domain, X0[ids], eps, stop, 1e-3,
+                          gens, want_final=want_final)
+
+
+def _box_starts(d, n, rng):
+    # interior starts plus one on the boundary and one outside: tau = 0
+    X0 = rng.uniform(-0.1, 0.1, (n, d))
+    X0[1, 0] = 0.5
+    X0[4, -1] = -0.9
+    return X0
+
+
+_RNG = np.random.default_rng(5)
+_BOX2 = BoxDomain([-0.5, -0.5], [0.5, 0.5])
+_QUAD2 = ConjugateFieldModel.component_quadratic(S2, [1.0, -0.5],
+                                                 validity_radius=0.2)
+_STOP = (BLOCK_STEPS + 37) * 1e-3 + 4.4e-4  # not a multiple of the block
+BATCH_CASES = {
+    "box": (ID2, NoiseModel.constant_matrix([[1.0, 0.0], [1.0, 1.0]]),
+            _BOX2, _box_starts(2, 24, _RNG), 0.3, 0.9),
+    "ball": (ID2, NoiseModel.constant_matrix(np.eye(2)), SmoothDomain.ball(0.5),
+             _box_starts(2, 24, _RNG), 0.3, 0.9),
+    "no_domain": (ID2, NoiseModel.constant_matrix([[1.0, 0.3, 0.2], [0.1, 1.0, 0.4]]),
+                  None, _box_starts(2, 16, _RNG), 0.3, _STOP),
+    # the upper sides lie past the validity radius: paths there get clamped
+    "quadratic_clamp": (_QUAD2, NoiseModel.constant_matrix(np.eye(2)),
+                        BoxDomain([-0.15, -0.15], [0.3, 0.3]),
+                        np.zeros((24, 2)), 0.3, 0.9),
+    "state_scaled": (ID2, NoiseModel.state_scaled(np.eye(2), 0.5), _BOX2,
+                     _box_starts(2, 24, _RNG), 0.3, _STOP),
+    "epsilon_zero": (ID1, N1, BOX1, np.linspace(-1.2, 0.9, 12)[:, None],
+                     0.0, 2.0),
+}
+
+
+class TestBatchInvariance:
+    """A path's result depends only on (seed, path id), bit for bit."""
+
+    @pytest.mark.parametrize("want_final", [False, True])
+    @pytest.mark.parametrize("case", sorted(BATCH_CASES))
+    def test_batch_singletons_and_shuffled_split_agree(self, case, want_final):
+        model, noise, domain, X0, eps, stop = BATCH_CASES[case]
+        m = X0.shape[0]
+        whole = _run_ids(model, noise, domain, X0, eps, stop, 17,
+                         np.arange(m), want_final)
+        keys = RESULT_KEYS + (("final_state",) if want_final else ())
+        singles = {k: np.empty_like(whole[k]) for k in keys}
+        for p in range(m):
+            one = _run_ids(model, noise, domain, X0, eps, stop, 17,
+                           np.array([p]), want_final)
+            for k in keys:
+                singles[k][p] = one[k][0]
+        perm = np.random.default_rng(m).permutation(m)
+        split = {k: np.empty_like(whole[k]) for k in keys}
+        for part in np.split(perm, [3, m // 2]):
+            res = _run_ids(model, noise, domain, X0, eps, stop, 17, part,
+                           want_final)
+            for k in keys:
+                split[k][part] = res[k]
+        for k in keys:
+            np.testing.assert_array_equal(singles[k], whole[k], err_msg=k)
+            np.testing.assert_array_equal(split[k], whole[k], err_msg=k)
+
+    def test_cases_reach_their_branches(self):
+        def run(case):
+            model, noise, domain, X0, eps, stop = BATCH_CASES[case]
+            return _run_ids(model, noise, domain, X0, eps, stop, 17,
+                            np.arange(X0.shape[0]), True)
+
+        for case in ("box", "ball", "state_scaled", "epsilon_zero"):
+            res = run(case)
+            assert (res["tau"] == 0.0).any(), case
+            assert (res["tau"] > 0.0).any(), case
+        res = run("quadratic_clamp")
+        assert (res["clamped"] & res["exited"]).any()
+        assert (res["clamped"] & ~res["exited"]).any()
+        res = run("no_domain")
+        assert not res["exited"].any()
+        assert np.isfinite(res["final_state"]).all()
+
+
+class TestStepBookkeeping:
+    def test_deterministic_exits_outside_starts_and_survivors(self):
+        # eps = 0 with lambda = 1: x_k = x0 (1 + dt)^k.  The third start is
+        # just short of the edge after n - 1 steps and crosses it on the
+        # final half step.
+        dt, n = 1e-3, 600
+        stop = (n - 1) * dt + 0.5 * dt
+        x_last = 1.0 / ((1.0 + dt) ** (n - 1) * (1.0 + 0.25 * dt))
+        X0 = np.array([[1.0], [-1.5], [x_last], [0.7], [0.1]])
+        res = simulate_batch(ID1, N1, BOX1, X0, 0.0, stop, dt,
+                             [make_generator(1, p) for p in range(5)])
+        np.testing.assert_array_equal(
+            res["exited"], [True, True, True, True, False])
+        assert res["steps_used"][0] == 0 and res["steps_used"][1] == 0
+        assert res["tau"][2] == stop
+        assert res["steps_used"][2] == n
+        assert 0.0 < res["tau"][3] < stop
+        assert res["steps_used"][3] == round(res["tau"][3] / dt)
+        assert res["steps_used"][4] == n
+        assert math.isnan(res["tau"][4])
+
+    def test_noisy_steps_match_exit_step(self):
+        dt = 1e-3
+        stop = 1.2345
+        n = math.ceil(stop / dt)
+        X0 = _box_starts(2, 200, np.random.default_rng(2))
+        res = simulate_batch(ID2, NoiseModel.constant_matrix(np.eye(2)), _BOX2,
+                             X0, 0.3, stop, dt,
+                             [make_generator(3, p) for p in range(200)])
+        ex = res["exited"]
+        assert ex.any() and not ex.all()
+        at0 = ex & (res["tau"] == 0.0)
+        assert at0.sum() == 2
+        np.testing.assert_array_equal(res["steps_used"][at0], 0)
+        mid = ex & (res["tau"] > 0.0) & (res["tau"] < stop)
+        np.testing.assert_array_equal(
+            res["steps_used"][mid], np.round(res["tau"][mid] / dt))
+        np.testing.assert_array_equal(
+            res["steps_used"][ex & (res["tau"] == stop)], n)
+        np.testing.assert_array_equal(res["steps_used"][~ex], n)
 
 
 class TestRescaledFluctuation:
