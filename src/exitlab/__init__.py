@@ -28,7 +28,6 @@ from .exponents import (
     classify_admissible,
     critical_index,
     tail_exponent,
-    tail_exponent_from_ratio,
     threshold_time,
 )
 from .dynamics import (
@@ -52,17 +51,7 @@ from .gaussian import (
     survival_prefactor,
     survival_prefactor_mc,
 )
-from .sde import (
-    BLOCK_STEPS,
-    ExitObservation,
-    PathConfig,
-    RngStream,
-    draw_increments,
-    rescaled_fluctuation_samples,
-    simulate_batch,
-    simulate_path,
-    simulate_rescaled_fluctuation,
-)
+from .sde import BLOCK_STEPS, PathConfig, simulate_batch
 from .estimator import (
     AdjustedTailResult,
     DensityDiagnostic,
@@ -72,6 +61,7 @@ from .estimator import (
     adjusted_tail_estimate,
     density_diagnostic,
     direct_tail_estimate,
+    rescaled_fluctuation_samples,
     rescaled_prefactor,
     slope_regression,
     splitting_tail_estimate,
@@ -90,22 +80,20 @@ from .harness import (
 __all__ = [
     "BLOCK_STEPS", "AdjustedTailResult", "BoxDomain", "CSV_COLUMNS",
     "ConjugateFieldModel", "DegenerateFit", "DensityDiagnostic",
-    "ExitObservation", "ExitlabError", "ExperimentConfig",
-    "InclusionViolated", "InitialScaleSpec", "LimitCovariance", "NoExit",
-    "NoiseModel", "OutsideValidity", "ParseError", "PathConfig",
-    "PrefactorPrediction", "RankDeficient", "RngStream", "RunRecord",
-    "RunRow", "SlopeFit", "SmoothDomain", "Spectrum", "SpectrumInvalid",
-    "SplittingPlan", "StepTooLarge", "TailEstimate", "ThresholdSpec",
-    "ValidationError", "adjusted_tail_estimate", "build_config",
-    "classify_admissible", "config_hash", "critical_index",
-    "density_diagnostic", "direct_tail_estimate", "draw_increments",
-    "emit_outputs", "finite_time_covariance", "flow", "flow_exit_time",
-    "flow_exit_times_batch", "gaussian_density", "limit_covariance",
-    "load_rows", "parse_config", "prefactor_bounds",
+    "ExitlabError", "ExperimentConfig", "InclusionViolated",
+    "InitialScaleSpec", "LimitCovariance", "NoExit", "NoiseModel",
+    "OutsideValidity", "ParseError", "PathConfig", "PrefactorPrediction",
+    "RankDeficient", "RunRecord", "RunRow", "SlopeFit", "SmoothDomain",
+    "Spectrum", "SpectrumInvalid", "SplittingPlan", "StepTooLarge",
+    "TailEstimate", "ThresholdSpec", "ValidationError",
+    "adjusted_tail_estimate", "build_config", "classify_admissible",
+    "config_hash", "critical_index", "density_diagnostic",
+    "direct_tail_estimate", "emit_outputs", "finite_time_covariance", "flow",
+    "flow_exit_time", "flow_exit_times_batch", "gaussian_density",
+    "limit_covariance", "load_rows", "parse_config", "prefactor_bounds",
     "rescaled_fluctuation_samples", "rescaled_prefactor", "run_estimate",
-    "run_predict", "simulate_batch", "simulate_path",
-    "simulate_rescaled_fluctuation", "slope_regression",
+    "run_predict", "simulate_batch", "slope_regression",
     "splitting_tail_estimate", "survival_prefactor", "survival_prefactor_mc",
-    "tail_exponent", "tail_exponent_from_ratio", "threshold_time",
-    "transversality_check", "travel_time_bounds",
+    "tail_exponent", "threshold_time", "transversality_check",
+    "travel_time_bounds",
 ]

@@ -22,7 +22,7 @@ from .dynamics import (
 )
 from .errors import DegenerateFit, NoExit
 from .exponents import ThresholdSpec
-from .sde import PathConfig, default_full_exit_cap, make_generator, simulate_batch
+from .sde import PathConfig, make_generator, simulate_batch
 
 DEFAULT_BATCH_SIZE = 16384
 
@@ -83,17 +83,18 @@ _ACTIVE_JOB = None
 
 
 def _run_job_batch(b: int):
-    return b, _ACTIVE_JOB.run_batch(b)
+    return b, _ACTIVE_JOB(b)
 
 
 def _map_batches(job, n_batches: int, workers: int) -> list:
-    """Run job.run_batch for every batch index, in-order results.
+    """Run job(b) for every batch index b, in-order results.
 
     Batches are keyed by global index, so fanning out over any number of
     fork workers reduces to the same ordered list a serial loop produces.
+    Workers inherit job through the fork; only batch indices are pickled.
     """
     if workers <= 1 or n_batches <= 1:
-        return [job.run_batch(b) for b in range(n_batches)]
+        return [job(b) for b in range(n_batches)]
     global _ACTIVE_JOB
     _ACTIVE_JOB = job
     try:
@@ -105,37 +106,17 @@ def _map_batches(job, n_batches: int, workers: int) -> list:
     return [gathered[b] for b in range(n_batches)]
 
 
-def _batch_bounds(n: int, batch_size: int, b: int) -> tuple[int, int]:
-    start = b * batch_size
-    return start, min(start + batch_size, n)
+def _run_paths(run, n: int, batch_size: int, workers: int) -> list:
+    """run(start, stop) on each batch_size slice of path ids [0, n), in order."""
+    def job(b: int):
+        start = b * batch_size
+        return run(start, min(start + batch_size, n))
+    return _map_batches(job, -(-n // batch_size), workers)
 
 
-class _DirectJob:
-    """Survival counting for one (x0, epsilon) at a fixed threshold."""
-
-    def __init__(self, model, noise, domain, x0, epsilon, stop_time, dt,
-                 seed, n_paths, batch_size, id_base=0):
-        self.model = model
-        self.noise = noise
-        self.domain = domain
-        self.x0 = np.asarray(x0, dtype=float)
-        self.epsilon = epsilon
-        self.stop_time = stop_time
-        self.dt = dt
-        self.seed = seed
-        self.n_paths = n_paths
-        self.batch_size = batch_size
-        self.id_base = id_base
-
-    def run_batch(self, b: int):
-        start, stop = _batch_bounds(self.n_paths, self.batch_size, b)
-        gens = [make_generator(self.seed, self.id_base + pid)
-                for pid in range(start, stop)]
-        X0 = np.broadcast_to(self.x0, (stop - start, self.x0.size))
-        res = simulate_batch(self.model, self.noise, self.domain, X0,
-                             self.epsilon, self.stop_time, self.dt, gens)
-        return (int(res["exited"].sum()), int(res["steps_used"].sum()),
-                int(res["clamped"].sum()))
+def _tally(res: dict) -> tuple[int, int]:
+    """(path-steps, clamped paths) of one simulate_batch result."""
+    return int(res["steps_used"].sum()), int(res["clamped"].sum())
 
 
 def direct_tail_estimate(model: ConjugateFieldModel, noise: NoiseModel,
@@ -151,15 +132,18 @@ def direct_tail_estimate(model: ConjugateFieldModel, noise: NoiseModel,
     """
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
-    x = np.atleast_1d(np.asarray(x, dtype=float))
+    x0 = epsilon * np.atleast_1d(np.asarray(x, dtype=float))
     t0 = threshold_spec.time(epsilon)
-    job = _DirectJob(model, noise, domain, epsilon * x, epsilon, t0,
-                     config.dt, seed, n_paths, batch_size)
-    n_batches = -(-n_paths // batch_size)
-    parts = _map_batches(job, n_batches, workers)
-    n_exited = sum(p[0] for p in parts)
-    steps = sum(p[1] for p in parts)
-    clamps = sum(p[2] for p in parts)
+
+    def run(start, stop):
+        gens = [make_generator(seed, pid) for pid in range(start, stop)]
+        res = simulate_batch(model, noise, domain,
+                             np.broadcast_to(x0, (stop - start, x0.size)),
+                             epsilon, t0, config.dt, gens)
+        return (int(res["exited"].sum()), *_tally(res))
+
+    parts = _run_paths(run, n_paths, batch_size, workers)
+    n_exited, steps, clamps = (sum(col) for col in zip(*parts))
     est = _binomial_estimate(n_paths - n_exited, n_paths, "direct")
     est.path_steps = steps
     est.n_clamped = clamps
@@ -204,35 +188,6 @@ class SplittingPlan:
         return cls(level_times=times, budget=budget)
 
 
-class _SplitLevelJob:
-    """One splitting level: advance the resampled states by the level span."""
-
-    def __init__(self, model, noise, domain, states, epsilon, duration, dt,
-                 seed, level, batch_size):
-        self.model = model
-        self.noise = noise
-        self.domain = domain
-        self.states = states
-        self.epsilon = epsilon
-        self.duration = duration
-        self.dt = dt
-        self.seed = seed
-        self.level = level
-        self.batch_size = batch_size
-
-    def run_batch(self, b: int):
-        start, stop = _batch_bounds(self.states.shape[0], self.batch_size, b)
-        base = self.level << _LEVEL_SHIFT
-        gens = [make_generator(self.seed, base | slot)
-                for slot in range(start, stop)]
-        res = simulate_batch(self.model, self.noise, self.domain,
-                             self.states[start:stop], self.epsilon,
-                             self.duration, self.dt, gens, want_final=True)
-        alive = ~res["exited"]
-        return (res["final_state"][alive], int(res["steps_used"].sum()),
-                int(res["clamped"].sum()))
-
-
 def splitting_tail_estimate(model: ConjugateFieldModel, noise: NoiseModel,
                             domain, x, epsilon: float,
                             threshold_spec: ThresholdSpec, plan: SplittingPlan,
@@ -262,11 +217,17 @@ def splitting_tail_estimate(model: ConjugateFieldModel, noise: NoiseModel,
     n_surv = budget
     for level, t_level in enumerate(times, start=1):
         duration = t_level - prev_t
-        job = _SplitLevelJob(model, noise, domain, states, epsilon, duration,
-                             config.dt, seed, level, batch_size)
-        n_batches = -(-budget // batch_size)
-        parts = _map_batches(job, n_batches, workers)
-        surv_states = np.vstack([p[0] for p in parts]) if parts else np.empty((0, d))
+        base = level << _LEVEL_SHIFT
+
+        def run(start, stop):
+            gens = [make_generator(seed, base | slot) for slot in range(start, stop)]
+            res = simulate_batch(model, noise, domain, states[start:stop],
+                                 epsilon, duration, config.dt, gens,
+                                 want_final=True)
+            return (res["final_state"][~res["exited"]], *_tally(res))
+
+        parts = _run_paths(run, budget, batch_size, workers)
+        surv_states = np.vstack([p[0] for p in parts])
         steps += sum(p[1] for p in parts)
         clamps += sum(p[2] for p in parts)
         n_surv = surv_states.shape[0]
@@ -309,54 +270,14 @@ class AdjustedTailResult:
     enclosing: TailEstimate
 
 
-class _AdjustedJob:
-    """Full exits from the box, deterministic travel times, continuation."""
-
-    def __init__(self, model, noise, box, big_domain, x0, epsilon, t_cap,
-                 threshold, dt, seed, n_paths, batch_size):
-        self.model = model
-        self.noise = noise
-        self.box = box
-        self.big_domain = big_domain
-        self.x0 = np.asarray(x0, dtype=float)
-        self.epsilon = epsilon
-        self.t_cap = t_cap
-        self.threshold = threshold
-        self.dt = dt
-        self.seed = seed
-        self.n_paths = n_paths
-        self.batch_size = batch_size
-
-    def run_batch(self, b: int):
-        start, stop = _batch_bounds(self.n_paths, self.batch_size, b)
-        gens = [make_generator(self.seed, pid) for pid in range(start, stop)]
-        X0 = np.broadcast_to(self.x0, (stop - start, self.x0.size))
-        res1 = simulate_batch(self.model, self.noise, self.box, X0,
-                              self.epsilon, self.t_cap, self.dt, gens)
-        steps = int(res1["steps_used"].sum())
-        clamps = int(res1["clamped"].sum())
-        capped = int((~res1["exited"]).sum())
-        ex = np.flatnonzero(res1["exited"])
-        n_adj = n_big = capped  # capped paths certainly outlast the threshold
-        if ex.size:
-            states = res1["exit_state"][ex]
-            tau1 = res1["tau"][ex]
-            travel = flow_exit_times_batch(self.model, self.big_domain,
-                                           states, dt=self.dt)
-            if np.any(np.isnan(travel)):
-                raise NoExit("a box exit state failed to leave the enclosing domain")
-            res2 = simulate_batch(self.model, self.noise, self.big_domain,
-                                  states, self.epsilon, self.t_cap, self.dt,
-                                  [gens[i] for i in ex])
-            steps += int(res2["steps_used"].sum())
-            clamps += int(res2["clamped"].sum())
-            capped2 = ~res2["exited"]
-            capped += int(capped2.sum())
-            tau_big = tau1 + res2["tau"]
-            # capped continuations certainly outlast the threshold as well
-            n_adj += int(np.sum(capped2 | (tau_big - travel > self.threshold)))
-            n_big += int(np.sum(capped2 | (tau_big > self.threshold)))
-        return n_adj, n_big, steps, clamps, capped
+def default_full_exit_cap(model: ConjugateFieldModel, epsilon: float,
+                          dt: float) -> float:
+    """Generous horizon for full-exit runs: escape from scale eps takes about
+    log(1/eps)/lambda_d, padded by a factor that makes caps astronomically
+    unlikely for healthy configurations."""
+    lam_min = model.spectrum.smallest
+    base = math.log(1.0 / epsilon) if 0.0 < epsilon < 1.0 else 1.0
+    return max(10.0 * (base + 5.0) / lam_min, 100.0 * dt)
 
 
 def adjusted_tail_estimate(model: ConjugateFieldModel, noise: NoiseModel,
@@ -377,20 +298,41 @@ def adjusted_tail_estimate(model: ConjugateFieldModel, noise: NoiseModel,
     """
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
-    x = np.atleast_1d(np.asarray(x, dtype=float))
+    x0 = epsilon * np.atleast_1d(np.asarray(x, dtype=float))
     t0 = threshold_spec.time(epsilon)
     t_cap = config.t_cap if config.t_cap > 0.0 else default_full_exit_cap(
         model, epsilon, config.dt)
     t_cap = max(t_cap, 1.5 * t0)
-    job = _AdjustedJob(model, noise, box, big_domain, epsilon * x, epsilon,
-                       t_cap, t0, config.dt, seed, n_paths, batch_size)
-    n_batches = -(-n_paths // batch_size)
-    parts = _map_batches(job, n_batches, workers)
-    n_adj = sum(p[0] for p in parts)
-    n_big = sum(p[1] for p in parts)
-    steps = sum(p[2] for p in parts)
-    clamps = sum(p[3] for p in parts)
-    capped = sum(p[4] for p in parts)
+
+    def run(start, stop):
+        gens = [make_generator(seed, pid) for pid in range(start, stop)]
+        res1 = simulate_batch(model, noise, box,
+                              np.broadcast_to(x0, (stop - start, x0.size)),
+                              epsilon, t_cap, config.dt, gens)
+        steps, clamps = _tally(res1)
+        capped = int((~res1["exited"]).sum())
+        ex = np.flatnonzero(res1["exited"])
+        n_adj = n_big = capped  # capped paths certainly outlast the threshold
+        if ex.size:
+            states = res1["exit_state"][ex]
+            travel = flow_exit_times_batch(model, big_domain, states, dt=config.dt)
+            if np.any(np.isnan(travel)):
+                raise NoExit("a box exit state failed to leave the enclosing domain")
+            res2 = simulate_batch(model, noise, big_domain, states, epsilon,
+                                  t_cap, config.dt, [gens[i] for i in ex])
+            steps2, clamps2 = _tally(res2)
+            steps += steps2
+            clamps += clamps2
+            capped2 = ~res2["exited"]
+            capped += int(capped2.sum())
+            tau_big = res1["tau"][ex] + res2["tau"]
+            # capped continuations certainly outlast the threshold as well
+            n_adj += int(np.sum(capped2 | (tau_big - travel > t0)))
+            n_big += int(np.sum(capped2 | (tau_big > t0)))
+        return n_adj, n_big, steps, clamps, capped
+
+    parts = _run_paths(run, n_paths, batch_size, workers)
+    n_adj, n_big, steps, clamps, capped = (sum(col) for col in zip(*parts))
     adjusted = _binomial_estimate(n_adj, n_paths, "adjusted")
     adjusted.path_steps = steps
     adjusted.n_clamped = clamps
@@ -462,6 +404,42 @@ def slope_regression(points) -> SlopeFit:
 # density diagnostics
 
 
+def rescaled_fluctuation_samples(model: ConjugateFieldModel, noise: NoiseModel,
+                                 y0, epsilon: float, T: float,
+                                 config: PathConfig, seed: int,
+                                 n_samples: int,
+                                 batch_size: int = DEFAULT_BATCH_SIZE
+                                 ) -> np.ndarray:
+    """Deviations of pushed-forward states from the deterministic ray.
+
+    Path id p starts at f_inv(eps * y0), runs to time T without exit
+    detection, and gives row p of exp(-lambda T) f(X_T)/eps - y0.  For the
+    identity model with constant noise the rows are exactly Gaussian with the
+    finite-time covariance.  T = 0 or eps = 0 returns exact zeros.
+    """
+    y0 = np.atleast_1d(np.asarray(y0, dtype=float))
+    d = model.spectrum.d
+    if y0.shape != (d,):
+        raise ValueError(f"y0 must have shape ({d},)")
+    if T < 0.0 or not math.isfinite(T):
+        raise ValueError("T must be finite and >= 0")
+    if n_samples < 1:
+        raise ValueError("n_samples must be >= 1")
+    if T == 0.0 or epsilon == 0.0:
+        return np.zeros((n_samples, d))
+    x0 = model.pull(epsilon * y0)
+    damp = np.exp(-model.spectrum.as_array() * T)
+
+    def run(start, stop):
+        gens = [make_generator(seed, pid) for pid in range(start, stop)]
+        res = simulate_batch(model, noise, None,
+                             np.broadcast_to(x0, (stop - start, d)), epsilon,
+                             T, config.dt, gens, want_final=True)
+        return damp * model.push_batch(res["final_state"]) / epsilon - y0
+
+    return np.vstack(_run_paths(run, n_samples, batch_size, workers=1))
+
+
 @dataclass
 class DensityDiagnostic:
     """Histogram-vs-reference comparison on a fixed grid."""
@@ -483,9 +461,10 @@ def density_diagnostic(samples: np.ndarray, C_ref: np.ndarray,
                        halfwidth_sigmas: float = 6.0) -> DensityDiagnostic:
     """Compare a sample cloud against a centered Gaussian reference.
 
-    d = 1 and d = 2 compare joint histograms on a grid spanning
-    halfwidth_sigmas marginal standard deviations; higher dimensions compare
-    the coordinate marginals and report the worst coordinate.  sup_diff and
+    d = 2 compares the joint histogram on a grid spanning halfwidth_sigmas
+    marginal standard deviations; other dimensions compare the coordinate
+    marginals and report the worst coordinate, and d = 1 returns its one
+    marginal as plain 1-d arrays.  sup_diff and
     l1_diff are the sup and integrated absolute differences; mass records the
     sample fraction landing on the grid (should be 1 up to tail spill).
     """
@@ -499,19 +478,6 @@ def density_diagnostic(samples: np.ndarray, C_ref: np.ndarray,
     if grid_points < 8:
         raise ValueError("grid_points must be >= 8")
     sd = np.sqrt(np.diag(C_ref))
-    if d == 1:
-        r = halfwidth_sigmas * sd[0]
-        edges = np.linspace(-r, r, grid_points + 1)
-        emp, _ = np.histogram(samples[:, 0], bins=edges, density=False)
-        dx = edges[1] - edges[0]
-        mass = float(emp.sum()) / n
-        emp = emp / (n * dx)
-        centers = 0.5 * (edges[:-1] + edges[1:])
-        ref = _normal_pdf(centers, float(C_ref[0, 0]))
-        diff = np.abs(emp - ref)
-        return DensityDiagnostic(grid=centers, empirical=emp, reference=ref,
-                                 sup_diff=float(diff.max()),
-                                 l1_diff=float(np.sum(diff) * dx), mass=mass)
     if d == 2:
         rx = halfwidth_sigmas * sd[0]
         ry = halfwidth_sigmas * sd[1]
@@ -532,7 +498,7 @@ def density_diagnostic(samples: np.ndarray, C_ref: np.ndarray,
         return DensityDiagnostic(grid=(cx, cy), empirical=emp, reference=ref,
                                  sup_diff=float(diff.max()),
                                  l1_diff=float(np.sum(diff) * area), mass=mass)
-    # d >= 3: marginals, worst coordinate governs
+    # marginals, worst coordinate governs
     sup = l1 = 0.0
     mass = 1.0
     grids = []
@@ -553,6 +519,8 @@ def density_diagnostic(samples: np.ndarray, C_ref: np.ndarray,
         grids.append(centers)
         emps.append(emp)
         refs.append(ref)
-    return DensityDiagnostic(grid=grids, empirical=np.array(emps),
-                             reference=np.array(refs), sup_diff=sup,
-                             l1_diff=l1, mass=mass)
+    grid, emp, ref = grids, np.array(emps), np.array(refs)
+    if d == 1:
+        grid, emp, ref = grids[0], emp[0], ref[0]
+    return DensityDiagnostic(grid=grid, empirical=emp, reference=ref,
+                             sup_diff=sup, l1_diff=l1, mass=mass)

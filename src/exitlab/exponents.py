@@ -92,11 +92,6 @@ class ThresholdSpec:
             self.alpha, self.r0, self.r_coeff, self.r_exponent, epsilon
         )
 
-    @property
-    def r_limit(self) -> float:
-        """Limit of the offset r(eps) as eps -> 0."""
-        return self.r0
-
 
 @dataclass(frozen=True)
 class InitialScaleSpec:
@@ -165,17 +160,6 @@ def tail_exponent(spectrum: Spectrum, alpha: float) -> float:
         if _boundary_cmp(alpha, lam) > 0:
             total += lam * alpha - 1.0
     return total
-
-
-def tail_exponent_from_ratio(spectrum: Spectrum, h: float) -> float:
-    """Exponent parametrized by ``h = alpha * lambda_1`` instead of alpha.
-
-    Delegates to :func:`tail_exponent` at ``alpha = h / lambda_1`` so the
-    reparametrization identity holds exactly, not just to rounding.
-    """
-    if not (math.isfinite(float(h)) and h >= 0.0):
-        raise ValueError("h must be finite and >= 0")
-    return tail_exponent(spectrum, h / spectrum.leading)
 
 
 def threshold_time(

@@ -15,7 +15,7 @@ import json
 import math
 import platform
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -33,6 +33,7 @@ from .estimator import (
     adjusted_tail_estimate,
     density_diagnostic,
     direct_tail_estimate,
+    rescaled_fluctuation_samples,
     rescaled_prefactor,
     slope_regression,
     splitting_tail_estimate,
@@ -44,7 +45,7 @@ from .gaussian import (
     prefactor_bounds,
     survival_prefactor,
 )
-from .sde import PathConfig, rescaled_fluctuation_samples
+from .sde import PathConfig
 
 CSV_COLUMNS = (
     "epsilon", "x", "alpha", "beta", "p_hat", "stderr", "n_paths",
@@ -133,29 +134,59 @@ def _theory_columns(cfg, c0, beta, x_eff, t_minus, t_plus):
     return psi.value, lo.value, hi.value
 
 
-def run_predict(cfg: ExperimentConfig) -> RunRecord:
-    """Theory-only rows: exponent, prefactor, and travel-time bracket."""
+def _sweep(cfg: ExperimentConfig, estimate=None) -> RunRecord:
+    """One row per (epsilon, start point): theory columns, plus the Monte
+    Carlo columns from estimate(x_eff, epsilon) when it is given."""
     c0 = limit_covariance(cfg.noise.sigma0, cfg.model.spectrum)
     beta = tail_exponent(cfg.model.spectrum, cfg.threshold.alpha)
     t_minus, t_plus = _travel_times(cfg)
     rows: list[RunRow] = []
+
+    def record(warnings=(), partial=False) -> RunRecord:
+        return RunRecord(
+            mode="predict" if estimate is None else "estimate",
+            config_echo=cfg.echo, config_hash=config_hash(cfg), rows=rows,
+            slope_fits=(), warnings=list(cfg.warnings) + list(warnings),
+            environment=_environment_stamp(), travel_times=(t_minus, t_plus),
+            partial=partial)
+
     for epsilon in cfg.epsilons:
         for pi, point in enumerate(cfg.points):
             start = time.perf_counter()
             x_eff = _theory_point(cfg, point, epsilon)
             psi, phi_minus, phi_plus = _theory_columns(
                 cfg, c0, beta, x_eff, t_minus, t_plus)
+            est = None
+            rescaled = rescaled_se = None
+            if estimate is not None:
+                try:
+                    est = estimate(x_eff, epsilon)
+                except ExitlabError as exc:
+                    # completed cells stay usable: hang them on the error so
+                    # the caller can still emit them
+                    exc.partial_record = record([
+                        f"partial run: failed at epsilon={epsilon!r} "
+                        f"point {pi}: {exc}"], partial=True)
+                    raise
+                rescaled, rescaled_se = rescaled_prefactor(est, epsilon, beta)
             rows.append(RunRow(
                 epsilon=epsilon, x=tuple(x_eff.tolist()),
-                alpha=cfg.threshold.alpha, beta=beta, p_hat=None, stderr=None,
-                n_paths=None, n_survived=None, rescaled=None,
-                rescaled_stderr=None, psi=psi, phi_minus=phi_minus,
-                phi_plus=phi_plus, method="predict", dt=cfg.dt, seed=cfg.seed,
-                wall_seconds=time.perf_counter() - start, point_index=pi))
-    return RunRecord(
-        mode="predict", config_echo=cfg.echo, config_hash=config_hash(cfg),
-        rows=rows, slope_fits=(), warnings=list(cfg.warnings),
-        environment=_environment_stamp(), travel_times=(t_minus, t_plus))
+                alpha=cfg.threshold.alpha, beta=beta,
+                p_hat=getattr(est, "p_hat", None),
+                stderr=getattr(est, "stderr", None),
+                n_paths=getattr(est, "n_paths", None),
+                n_survived=getattr(est, "n_survived", None),
+                rescaled=rescaled, rescaled_stderr=rescaled_se, psi=psi,
+                phi_minus=phi_minus, phi_plus=phi_plus,
+                method=getattr(est, "method", "predict"), dt=cfg.dt,
+                seed=cfg.seed, wall_seconds=time.perf_counter() - start,
+                point_index=pi, estimate=est))
+    return record()
+
+
+def run_predict(cfg: ExperimentConfig) -> RunRecord:
+    """Theory-only rows: exponent, prefactor, and travel-time bracket."""
+    return _sweep(cfg)
 
 
 def _estimate_one(cfg: ExperimentConfig, x_eff: np.ndarray, epsilon: float,
@@ -184,53 +215,18 @@ def run_estimate(cfg: ExperimentConfig, seed: int | None = None,
     """Monte Carlo sweep over epsilons and start points per the config."""
     if seed is not None or workers is not None:
         cfg = cfg.with_overrides(seed=seed, workers=workers)
-    c0 = limit_covariance(cfg.noise.sigma0, cfg.model.spectrum)
-    beta = tail_exponent(cfg.model.spectrum, cfg.threshold.alpha)
-    t_minus, t_plus = _travel_times(cfg)
-    mode = "full_exit" if cfg.method == "adjusted" else "tail_indicator"
-    path_config = PathConfig(dt=cfg.dt, t_cap=cfg.t_cap, mode=mode)
-    rows: list[RunRow] = []
-    for epsilon in cfg.epsilons:
-        for pi, point in enumerate(cfg.points):
-            start = time.perf_counter()
-            x_eff = _theory_point(cfg, point, epsilon)
-            psi, phi_minus, phi_plus = _theory_columns(
-                cfg, c0, beta, x_eff, t_minus, t_plus)
-            try:
-                est = _estimate_one(cfg, x_eff, epsilon, path_config)
-            except ExitlabError as exc:
-                # completed cells stay usable: hang them on the error so the
-                # caller can still emit them
-                exc.partial_record = RunRecord(
-                    mode="estimate", config_echo=cfg.echo,
-                    config_hash=config_hash(cfg), rows=rows, slope_fits=(),
-                    warnings=list(cfg.warnings) + [
-                        f"partial run: failed at epsilon={epsilon!r} "
-                        f"point {pi}: {exc}"],
-                    environment=_environment_stamp(),
-                    travel_times=(t_minus, t_plus), partial=True)
-                raise
-            rescaled, rescaled_se = rescaled_prefactor(est, epsilon, beta)
-            rows.append(RunRow(
-                epsilon=epsilon, x=tuple(x_eff.tolist()),
-                alpha=cfg.threshold.alpha, beta=beta, p_hat=est.p_hat,
-                stderr=est.stderr, n_paths=est.n_paths,
-                n_survived=est.n_survived, rescaled=rescaled,
-                rescaled_stderr=rescaled_se, psi=psi, phi_minus=phi_minus,
-                phi_plus=phi_plus, method=est.method, dt=cfg.dt, seed=cfg.seed,
-                wall_seconds=time.perf_counter() - start, point_index=pi,
-                estimate=est))
+    path_config = PathConfig(dt=cfg.dt, t_cap=cfg.t_cap)
+    record = _sweep(cfg, lambda x_eff, epsilon: _estimate_one(
+        cfg, x_eff, epsilon, path_config))
     fits: list[SlopeFit | None] = []
     for pi in range(len(cfg.points)):
-        pts = [(r.epsilon, r.estimate) for r in rows if r.point_index == pi]
+        pts = [(r.epsilon, r.estimate) for r in record.rows if r.point_index == pi]
         try:
             fits.append(slope_regression(pts))
         except DegenerateFit:
             fits.append(None)
-    return RunRecord(
-        mode="estimate", config_echo=cfg.echo, config_hash=config_hash(cfg),
-        rows=rows, slope_fits=tuple(fits), warnings=list(cfg.warnings),
-        environment=_environment_stamp(), travel_times=(t_minus, t_plus))
+    record.slope_fits = tuple(fits)
+    return record
 
 
 # ---------------------------------------------------------------------------
@@ -406,7 +402,7 @@ def run_density_report(cfg: ExperimentConfig,
     """Fluctuation samples at the diagnostic horizon vs the finite-time law."""
     if seed is not None:
         cfg = cfg.with_overrides(seed=seed)
-    path_config = PathConfig(dt=cfg.dt, mode="tail_indicator")
+    path_config = PathConfig(dt=cfg.dt)
     samples = rescaled_fluctuation_samples(
         cfg.model, cfg.noise, cfg.diagnostic_point, cfg.diagnostic_epsilon,
         cfg.diagnostic_time, path_config, cfg.seed, cfg.diagnostic_n_samples,

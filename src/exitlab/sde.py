@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import BoxDomain, ConjugateFieldModel, NoiseModel, SmoothDomain
+from .dynamics import BoxDomain, ConjugateFieldModel, NoiseModel
 
 BLOCK_STEPS = 512
 # Paths whose noise block is drawn, mixed and turned step-major together:
@@ -45,15 +45,10 @@ _MIX_PATHS = 64
 
 @dataclass(frozen=True)
 class PathConfig:
-    """Step size and stopping mode for simulated paths.
-
-    mode "tail_indicator" runs to the threshold time and reports survival;
-    mode "full_exit" runs until the path leaves the domain or hits t_cap.
-    """
+    """Step size of simulated paths and the time cap of full-exit runs."""
 
     dt: float = 1e-3
     t_cap: float = 0.0
-    mode: str = "tail_indicator"
 
     def __post_init__(self):
         if not (0.0 < self.dt <= 1e-2):
@@ -62,54 +57,12 @@ class PathConfig:
             raise ValueError("t_cap must be finite and >= 0 (0 means derived)")
         if 0.0 < self.t_cap < self.dt:
             raise ValueError("t_cap below dt cannot take a single step")
-        if self.mode not in ("tail_indicator", "full_exit"):
-            raise ValueError("mode must be 'tail_indicator' or 'full_exit'")
-
-
-@dataclass
-class RngStream:
-    """Counter-based stream identified by (seed, path_id)."""
-
-    seed: int
-    path_id: int
-
-    def __post_init__(self):
-        self._gen = None
-
-    @property
-    def generator(self) -> np.random.Generator:
-        if self._gen is None:
-            self._gen = make_generator(self.seed, self.path_id)
-        return self._gen
-
-    def draw(self, count: int) -> np.ndarray:
-        return self.generator.standard_normal(count)
 
 
 def make_generator(seed: int, path_id: int) -> np.random.Generator:
     key = np.array([np.uint64(seed & 0xFFFFFFFFFFFFFFFF),
                     np.uint64(path_id & 0xFFFFFFFFFFFFFFFF)], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
-
-
-def draw_increments(stream: RngStream, count: int) -> np.ndarray:
-    """Next `count` standard normals of the stream, consuming it."""
-    if count < 0:
-        raise ValueError("count must be >= 0")
-    return stream.draw(int(count))
-
-
-@dataclass
-class ExitObservation:
-    """Outcome of one simulated path."""
-
-    survived: bool
-    tau: float | None
-    exit_state: np.ndarray | None
-    exit_y: np.ndarray | None
-    steps_used: int
-    clamped: bool = False
-    capped: bool = False
 
 
 def _initial_outside(model: ConjugateFieldModel, domain, X0: np.ndarray) -> np.ndarray:
@@ -245,102 +198,3 @@ def simulate_batch(model: ConjugateFieldModel, noise: NoiseModel, domain,
     if want_final:
         result["final_state"] = final_state
     return result
-
-
-def _single_result(res: dict, capped: bool) -> ExitObservation:
-    if res["exited"][0]:
-        return ExitObservation(
-            survived=False, tau=float(res["tau"][0]),
-            exit_state=res["exit_state"][0].copy(),
-            exit_y=res["exit_y"][0].copy(),
-            steps_used=int(res["steps_used"][0]),
-            clamped=bool(res["clamped"][0]), capped=False)
-    return ExitObservation(
-        survived=True, tau=None, exit_state=None, exit_y=None,
-        steps_used=int(res["steps_used"][0]),
-        clamped=bool(res["clamped"][0]), capped=capped)
-
-
-def default_full_exit_cap(model: ConjugateFieldModel, epsilon: float,
-                          dt: float) -> float:
-    """Generous horizon for full-exit runs: escape from scale eps takes about
-    log(1/eps)/lambda_d, padded by a factor that makes caps astronomically
-    unlikely for healthy configurations."""
-    lam_min = model.spectrum.smallest
-    base = math.log(1.0 / epsilon) if 0.0 < epsilon < 1.0 else 1.0
-    return max(10.0 * (base + 5.0) / lam_min, 100.0 * dt)
-
-
-def simulate_path(model: ConjugateFieldModel, noise: NoiseModel, domain,
-                  x0, epsilon: float, threshold: float, config: PathConfig,
-                  stream: RngStream) -> ExitObservation:
-    """One path from x0; survival means no exit before the threshold.
-
-    In "tail_indicator" mode the path stops at the threshold time.  In
-    "full_exit" mode it runs until it leaves the domain or reaches
-    config.t_cap, in which case it comes back flagged capped.
-    """
-    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    if config.mode == "tail_indicator":
-        if threshold < 0.0 or not math.isfinite(threshold):
-            raise ValueError("threshold must be finite and >= 0")
-        stop = threshold
-    else:
-        stop = config.t_cap if config.t_cap > 0.0 else default_full_exit_cap(
-            model, epsilon, config.dt)
-    res = simulate_batch(model, noise, domain, x0[None, :], epsilon, stop,
-                         config.dt, [stream.generator])
-    return _single_result(res, capped=config.mode == "full_exit")
-
-
-def simulate_rescaled_fluctuation(model: ConjugateFieldModel, noise: NoiseModel,
-                                  y0, epsilon: float, T: float,
-                                  config: PathConfig, stream: RngStream
-                                  ) -> np.ndarray:
-    """Deviation of the pushed-forward state from the deterministic ray.
-
-    Starts at f_inv(eps * y0), runs to time T without exit detection, and
-    returns exp(-lambda T) f(X_T)/eps - y0.  For the identity model with
-    constant noise this is exactly Gaussian with the finite-time covariance.
-    T = 0 or eps = 0 returns exact zeros.
-    """
-    y0 = np.atleast_1d(np.asarray(y0, dtype=float))
-    if T < 0.0 or not math.isfinite(T):
-        raise ValueError("T must be finite and >= 0")
-    d = model.spectrum.d
-    if y0.shape != (d,):
-        raise ValueError(f"y0 must have shape ({d},)")
-    if T == 0.0 or epsilon == 0.0:
-        return np.zeros(d)
-    x0 = model.pull(epsilon * y0)
-    res = simulate_batch(model, noise, None, x0[None, :], epsilon, T,
-                         config.dt, [stream.generator], want_final=True)
-    xT = res["final_state"][0]
-    lam = model.spectrum.as_array()
-    return np.exp(-lam * T) * model.push(xT) / epsilon - y0
-
-
-def rescaled_fluctuation_samples(model: ConjugateFieldModel, noise: NoiseModel,
-                                 y0, epsilon: float, T: float,
-                                 config: PathConfig, seed: int,
-                                 n_samples: int, batch_size: int = 16384
-                                 ) -> np.ndarray:
-    """n_samples independent fluctuation draws, one path id per sample."""
-    y0 = np.atleast_1d(np.asarray(y0, dtype=float))
-    d = model.spectrum.d
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
-    if T == 0.0 or epsilon == 0.0:
-        return np.zeros((n_samples, d))
-    x0 = model.pull(epsilon * y0)
-    lam = model.spectrum.as_array()
-    out = np.empty((n_samples, d))
-    damp = np.exp(-lam * T)
-    for start in range(0, n_samples, batch_size):
-        stop = min(start + batch_size, n_samples)
-        gens = [make_generator(seed, pid) for pid in range(start, stop)]
-        X0 = np.broadcast_to(x0, (stop - start, d))
-        res = simulate_batch(model, noise, None, X0, epsilon, T, config.dt,
-                             gens, want_final=True)
-        out[start:stop] = damp * model.push_batch(res["final_state"]) / epsilon - y0
-    return out

@@ -85,7 +85,7 @@ def _rescaled(est, epsilon: float, beta: float) -> tuple[float, float]:
 @pytest.fixture(scope="module")
 def bench():
     """Criterion-2 benchmark runs, reused by criteria 8 and 9."""
-    config = PathConfig(dt=5e-4, mode="tail_indicator")
+    config = PathConfig(dt=5e-4)
     runs = {}
     start = time.perf_counter()
     for eps in (0.2, 0.05):
@@ -167,7 +167,7 @@ def test_criterion_2_linear_benchmark_prefactor(bench):
 
 
 def test_criterion_3_slope_across_epsilons():
-    config = PathConfig(dt=1e-3, mode="tail_indicator")
+    config = PathConfig(dt=1e-3)
     start = time.perf_counter()
     points = []
     for eps in (0.2, 0.1, 0.05, 0.025):
@@ -197,7 +197,7 @@ def test_criterion_4_anisotropic_2d_prefactor():
     start = time.perf_counter()
     est = direct_tail_estimate(model, noise, box, np.zeros(2), 0.05,
                                threshold, 200_000,
-                               PathConfig(dt=1e-3, mode="tail_indicator"),
+                               PathConfig(dt=1e-3),
                                GLOBAL_SEED)
     elapsed = time.perf_counter() - start
     resc, se = _rescaled(est, 0.05, beta)
@@ -235,8 +235,7 @@ def test_criterion_5_quadratic_conjugacy():
     c0 = limit_covariance(np.array([[1.0]]), spect)
     psi = survival_prefactor(spect, c0, box, 0.0, 1.5, np.zeros(1)).value
     est = direct_tail_estimate(model, noise, box, np.zeros(1), 0.05, TH15,
-                               100_000, PathConfig(dt=1e-3,
-                                                   mode="tail_indicator"),
+                               100_000, PathConfig(dt=1e-3),
                                GLOBAL_SEED)
     resc, se = _rescaled(est, 0.05, 0.5)
     rel = abs(resc - psi) / psi
@@ -255,7 +254,7 @@ def test_criterion_6_travel_time_adjusted_bracket():
                              0.0, 1.5, np.zeros(1)).value
     assert psi == pytest.approx(1.0 / math.sqrt(math.pi), rel=1e-12)
 
-    config = PathConfig(dt=1e-3, mode="full_exit")
+    config = PathConfig(dt=1e-3)
     result = adjusted_tail_estimate(M1, N1, box, big, np.zeros(1), 0.05, TH15,
                                     20_000, config, GLOBAL_SEED)
     resc, se = _rescaled(result.adjusted, 0.05, 0.5)
@@ -266,7 +265,7 @@ def test_criterion_6_travel_time_adjusted_bracket():
                               box, 0.0, 1.5, np.zeros(1), t_minus, t_plus)
     raw = direct_tail_estimate(M1, N1, BoxDomain([-1.0], [1.0]), np.zeros(1),
                                0.05, TH15, 20_000,
-                               PathConfig(dt=1e-3, mode="tail_indicator"),
+                               PathConfig(dt=1e-3),
                                GLOBAL_SEED)
     band = 3.0 * raw.stderr
     scale = 0.05 ** 0.5
@@ -290,7 +289,7 @@ def test_criterion_7_fluctuation_law_and_covariance_decay():
     n = 20_000
     samples = rescaled_fluctuation_samples(
         model, noise, np.zeros(2), 0.05, T,
-        PathConfig(dt=1e-3, mode="tail_indicator"), GLOBAL_SEED, n)
+        PathConfig(dt=1e-3), GLOBAL_SEED, n)
     c_t = finite_time_covariance(sigma, spect, T)
     emp = samples.T @ samples / n
     cov_pulls = np.empty((2, 2))
@@ -352,8 +351,7 @@ run.seed = 20260815
 
     plan = SplittingPlan.uniform(TH15.time(0.05), 20_000)
     split = splitting_tail_estimate(M1, N1, BOX1, np.zeros(1), 0.05, TH15,
-                                    plan, PathConfig(dt=5e-4,
-                                                     mode="tail_indicator"),
+                                    plan, PathConfig(dt=5e-4),
                                     GLOBAL_SEED + 8)
     direct = bench[0.05]
     comb = math.hypot(split.stderr, direct.stderr)
@@ -371,8 +369,7 @@ def test_criterion_9_step_size_robustness(bench):
     coarse = bench[0.05]
     start = time.perf_counter()
     fine = direct_tail_estimate(M1, N1, BOX1, np.zeros(1), 0.05, TH15,
-                                200_000, PathConfig(dt=2.5e-4,
-                                                    mode="tail_indicator"),
+                                200_000, PathConfig(dt=2.5e-4),
                                 GLOBAL_SEED + 9)
     elapsed = time.perf_counter() - start
     comb = math.hypot(coarse.stderr, fine.stderr)

@@ -236,7 +236,7 @@ class TestAdjusted:
         # t_cap barely beyond T0 leaves slow paths unfinished; they are
         # survivors by construction and must be flagged
         ts = ThresholdSpec(alpha=0.0, r0=2.0)
-        cfg = PathConfig(dt=1e-3, t_cap=3.0, mode="full_exit")
+        cfg = PathConfig(dt=1e-3, t_cap=3.0)
         res = adjusted_tail_estimate(ID1, N1, BoxDomain([-0.5], [0.5]),
                                      SmoothDomain.ball(1.0), np.zeros(1), 0.05,
                                      ts, n_paths=500, config=cfg, seed=11)
@@ -341,6 +341,23 @@ class TestDensityDiagnostic:
         diag = density_diagnostic(samples, C, grid_points=41)
         assert diag.mass == pytest.approx(1.0, abs=1e-3)
         assert diag.l1_diff <= 0.05
+
+    def test_one_dimension_is_its_single_marginal(self):
+        # d = 1 reports plain 1-d arrays, equal to coordinate 0 of a d = 3
+        # marginal comparison; d = 3 reports the worst coordinate
+        rng = np.random.default_rng(8)
+        C = np.diag([1.0, 0.5, 0.25])
+        samples = rng.standard_normal((10**4, 3)) * np.sqrt(np.diag(C))
+        one = density_diagnostic(samples[:, :1], C[:1, :1], grid_points=41)
+        three = density_diagnostic(samples, C, grid_points=41)
+        assert one.grid.shape == one.empirical.shape == one.reference.shape == (41,)
+        assert three.empirical.shape == three.reference.shape == (3, 41)
+        np.testing.assert_array_equal(one.grid, three.grid[0])
+        np.testing.assert_array_equal(one.empirical, three.empirical[0])
+        np.testing.assert_array_equal(one.reference, three.reference[0])
+        assert three.sup_diff >= one.sup_diff
+        assert three.l1_diff >= one.l1_diff
+        assert three.mass <= one.mass
 
     def test_requires_enough_samples(self):
         with pytest.raises(ValueError):

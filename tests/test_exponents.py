@@ -13,7 +13,6 @@ from exitlab import (
     classify_admissible,
     critical_index,
     tail_exponent,
-    tail_exponent_from_ratio,
     threshold_time,
 )
 from exitlab.exponents import is_boundary_case
@@ -144,18 +143,6 @@ class TestTailExponent:
             assert right - left == pytest.approx(lam, rel=1e-6)
 
 
-class TestRatioForm:
-    def test_spec_values(self):
-        assert tail_exponent_from_ratio(Spectrum([1.0]), 1.5) == 0.5
-        assert tail_exponent_from_ratio(Spectrum([2.0, 1.0]), 1.5) == 0.5
-        assert tail_exponent_from_ratio(Spectrum([2.0, 1.0]), 3.0) == 2.5
-
-    @given(spectra(), st.floats(min_value=0.0, max_value=40.0))
-    @settings(max_examples=200)
-    def test_exact_delegation(self, s, h):
-        assert tail_exponent_from_ratio(s, h) == tail_exponent(s, h / s.leading)
-
-
 class TestThresholdTime:
     def test_spec_values(self):
         assert threshold_time(1.0, 0.0, 0.0, 1.0, math.exp(-1.0)) == pytest.approx(
@@ -176,7 +163,6 @@ class TestThresholdTime:
     def test_spec_object_agrees(self):
         ts = ThresholdSpec(alpha=1.5, r0=0.3, r_coeff=1.0, r_exponent=0.5)
         assert ts.time(0.01) == threshold_time(1.5, 0.3, 1.0, 0.5, 0.01)
-        assert ts.r_limit == 0.3
 
     def test_threshold_spec_validation(self):
         with pytest.raises(ValueError):

@@ -10,15 +10,11 @@ from exitlab import (
     ConjugateFieldModel,
     NoiseModel,
     PathConfig,
-    RngStream,
     SmoothDomain,
     Spectrum,
-    draw_increments,
     finite_time_covariance,
     rescaled_fluctuation_samples,
     simulate_batch,
-    simulate_path,
-    simulate_rescaled_fluctuation,
 )
 from exitlab.sde import make_generator
 
@@ -47,8 +43,6 @@ class TestPathConfig:
             PathConfig(dt=0.02)
         with pytest.raises(ValueError):
             PathConfig(dt=1e-3, t_cap=-1.0)
-        with pytest.raises(ValueError):
-            PathConfig(dt=1e-3, mode="bogus")
         # t_cap below dt is contradictory when set
         with pytest.raises(ValueError):
             PathConfig(dt=1e-2, t_cap=1e-3)
@@ -56,74 +50,79 @@ class TestPathConfig:
 
 class TestIncrements:
     def test_reproducible(self):
-        a = draw_increments(RngStream(42, 9), 64)
-        b = draw_increments(RngStream(42, 9), 64)
+        a = make_generator(42, 9).standard_normal(64)
+        b = make_generator(42, 9).standard_normal(64)
         np.testing.assert_array_equal(a, b)
 
     def test_prefix_stable(self):
-        whole = draw_increments(RngStream(5, 1), 700)
-        s = RngStream(5, 1)
-        head = draw_increments(s, 300)
-        tail = draw_increments(s, 400)
+        # continuations rely on it: a stream read in pieces, the way the
+        # engine fills its blocks, gives the same numbers as one read
+        whole = make_generator(5, 1).standard_normal(700)
+        gen = make_generator(5, 1)
+        head = gen.standard_normal(300)
+        tail = np.empty(400)
+        gen.standard_normal(out=tail)
         np.testing.assert_array_equal(whole, np.concatenate([head, tail]))
 
     def test_moments(self):
-        z = draw_increments(RngStream(123, 0), 10**6)
+        z = make_generator(123, 0).standard_normal(10**6)
         assert abs(z.mean()) <= 4.0 / 1000.0
         assert 0.99 <= z.var() <= 1.01
 
     def test_streams_uncorrelated(self):
-        a = draw_increments(RngStream(123, 1), 10**6)
-        b = draw_increments(RngStream(123, 2), 10**6)
+        a = make_generator(123, 1).standard_normal(10**6)
+        b = make_generator(123, 2).standard_normal(10**6)
         rho = np.corrcoef(a, b)[0, 1]
         assert abs(rho) <= 4.0 / 1000.0
 
     def test_distinct_seeds_differ(self):
-        a = draw_increments(RngStream(1, 0), 8)
-        b = draw_increments(RngStream(2, 0), 8)
+        a = make_generator(1, 0).standard_normal(8)
+        b = make_generator(2, 0).standard_normal(8)
         assert not np.array_equal(a, b)
 
 
+def _one_path(x0, epsilon, stop_time, seed, pid):
+    """simulate_batch on a single 1-d path in BOX1; row 0 of each result."""
+    res = simulate_batch(ID1, N1, BOX1, np.array([[x0]]), epsilon,
+                         stop_time, 1e-3, [make_generator(seed, pid)])
+    return {key: res[key][0] for key in RESULT_KEYS}
+
+
 class TestSimulatePath:
+    """Outcomes of single paths, run through simulate_batch."""
+
     def test_zero_noise_exit_time(self):
-        cfg = PathConfig(dt=1e-3)
-        obs = simulate_path(ID1, N1, BOX1, np.array([0.5]), 0.0, 5.0, cfg,
-                            RngStream(0, 0))
-        assert not obs.survived
-        assert obs.tau == pytest.approx(math.log(2.0), abs=2e-3)
+        obs = _one_path(0.5, 0.0, 5.0, 0, 0)
+        assert obs["exited"]
+        assert obs["tau"] == pytest.approx(math.log(2.0), abs=2e-3)
 
     def test_boundary_start(self):
-        obs = simulate_path(ID1, N1, BOX1, np.array([1.0]), 0.1, 5.0,
-                            PathConfig(dt=1e-3), RngStream(0, 1))
-        assert not obs.survived
-        assert obs.tau == 0.0
+        obs = _one_path(1.0, 0.1, 5.0, 0, 1)
+        assert obs["exited"]
+        assert obs["tau"] == 0.0
+        assert obs["steps_used"] == 0
 
     def test_survival_when_threshold_zero(self):
-        obs = simulate_path(ID1, N1, BOX1, np.array([0.5]), 0.1, 0.0,
-                            PathConfig(dt=1e-3), RngStream(0, 2))
-        assert obs.survived
-        assert obs.steps_used == 0
+        obs = _one_path(0.5, 0.1, 0.0, 0, 2)
+        assert not obs["exited"]
+        assert obs["steps_used"] == 0
 
     def test_exit_coordinate_outside(self):
         # every non-survivor must show an exit coordinate at or beyond the edge
         box = BoxDomain([-0.4, -0.6], [0.5, 0.6])
         nm = NoiseModel.constant_matrix(np.eye(2))
-        cfg = PathConfig(dt=1e-3)
-        n_exited = 0
-        for pid in range(200):
-            obs = simulate_path(ID2, nm, box, np.array([0.1, 0.1]), 0.3, 2.0,
-                                cfg, RngStream(77, pid))
-            if obs.survived:
-                continue
-            n_exited += 1
-            assert obs.tau <= 2.0
-            at_edge = (obs.exit_y <= box.lower + 1e-12) | (
-                obs.exit_y >= box.upper - 1e-12)
+        dt = 1e-3
+        res = simulate_batch(ID2, nm, box, np.full((200, 2), 0.1), 0.3, 2.0,
+                             dt, [make_generator(77, pid) for pid in range(200)])
+        ex = np.flatnonzero(res["exited"])
+        assert ex.size > 100
+        for i in ex:
+            tau, exit_y = res["tau"][i], res["exit_y"][i]
+            assert tau <= 2.0
+            at_edge = (exit_y <= box.lower + 1e-12) | (exit_y >= box.upper - 1e-12)
             assert at_edge.any()
             # tau lies on the step grid
-            assert obs.tau / cfg.dt == pytest.approx(round(obs.tau / cfg.dt),
-                                                     abs=1e-6)
-        assert n_exited > 100
+            assert tau / dt == pytest.approx(round(tau / dt), abs=1e-6)
 
     def test_ornstein_uhlenbeck_law_at_t1(self):
         # identity model: e^{-t} X_t / eps - x0 is exactly N(0, C_t)
@@ -154,26 +153,16 @@ class TestSimulatePath:
         assert np.mean(sup > eps ** 0.4) <= 0.01
 
     def test_capped_full_exit_flagged(self):
-        cfg = PathConfig(dt=1e-3, t_cap=0.05, mode="full_exit")
-        obs = simulate_path(ID1, N1, BOX1, np.array([0.01]), 0.01, 0.0, cfg,
-                            RngStream(3, 5))
-        assert obs.capped
-        assert obs.survived
+        # a full-exit run that reaches its cap inside the box comes back
+        # unexited with every step used; the adjusted estimator counts such
+        # paths as capped survivors
+        obs = _one_path(0.01, 0.01, 0.05, 3, 5)
+        assert not obs["exited"]
+        assert math.isnan(obs["tau"])
+        assert obs["steps_used"] == 50
 
 
 class TestSimulateBatch:
-    def test_matches_single_paths(self):
-        box = BoxDomain([-0.8], [0.8])
-        X0 = np.full((6, 1), 0.2)
-        gens = [make_generator(11, pid) for pid in range(6)]
-        res = simulate_batch(ID1, N1, box, X0, 0.2, 3.0, 1e-3, gens)
-        for pid in range(6):
-            obs = simulate_path(ID1, N1, box, np.array([0.2]), 0.2, 3.0,
-                                PathConfig(dt=1e-3), RngStream(11, pid))
-            assert res["exited"][pid] == (not obs.survived)
-            if not obs.survived:
-                assert res["tau"][pid] == obs.tau
-
     def test_stop_time_extension_preserves_early_exits(self):
         # pure streams: an exit before the shorter horizon must be identical
         # when the horizon is extended
@@ -336,14 +325,32 @@ class TestStepBookkeeping:
 
 class TestRescaledFluctuation:
     def test_time_zero_is_exact_zero(self):
-        u = simulate_rescaled_fluctuation(ID1, N1, np.array([0.5]), 0.1, 0.0,
-                                          PathConfig(dt=1e-3), RngStream(0, 0))
-        np.testing.assert_array_equal(u, np.zeros(1))
+        U = rescaled_fluctuation_samples(ID1, N1, np.array([0.5]), 0.1, 0.0,
+                                         PathConfig(dt=1e-3), seed=0,
+                                         n_samples=3)
+        np.testing.assert_array_equal(U, np.zeros((3, 1)))
 
     def test_epsilon_zero_is_exact_zero_for_linear(self):
-        u = simulate_rescaled_fluctuation(ID1, N1, np.array([0.5]), 0.0, 1.0,
-                                          PathConfig(dt=1e-3), RngStream(0, 0))
-        np.testing.assert_allclose(u, np.zeros(1), atol=1e-12)
+        U = rescaled_fluctuation_samples(ID1, N1, np.array([0.5]), 0.0, 1.0,
+                                         PathConfig(dt=1e-3), seed=0,
+                                         n_samples=3)
+        np.testing.assert_array_equal(U, np.zeros((3, 1)))
+
+    @pytest.mark.parametrize("epsilon", [0.0, 0.1])
+    def test_rejects_y0_of_wrong_shape(self, epsilon):
+        nm = NoiseModel.constant_matrix(np.eye(2))
+        with pytest.raises(ValueError, match=r"y0 must have shape \(2,\)"):
+            rescaled_fluctuation_samples(ID2, nm, np.array([0.5]), epsilon,
+                                         1.0, PathConfig(dt=1e-3), seed=0,
+                                         n_samples=4)
+
+    @pytest.mark.parametrize("T", [-1.0, math.inf, math.nan])
+    def test_rejects_bad_horizon(self, T):
+        # checked before the eps = 0 shortcut, which would return zeros
+        with pytest.raises(ValueError, match="T must be finite and >= 0"):
+            rescaled_fluctuation_samples(ID1, N1, np.array([0.5]), 0.0, T,
+                                         PathConfig(dt=1e-3), seed=0,
+                                         n_samples=4)
 
     def test_covariance_matches_finite_time(self):
         sigma = np.array([[1.0, 0.0], [1.0, 1.0]])
