@@ -477,10 +477,14 @@ def _rk4_block(model: ConjugateFieldModel, X: np.ndarray, h) -> np.ndarray:
     """One classical Runge-Kutta step for every row of X.
 
     h may be a scalar or a per-row array (used when refining crossings).
+    An infinite validity radius has nothing to clamp, so clamp is skipped.
     """
+    clamps = math.isfinite(model.validity_radius)
+
     def rhs(Z):
-        Zc, _ = model.clamp(Z)
-        return model.drift_batch(Zc)
+        if clamps:
+            Z, _ = model.clamp(Z)
+        return model.drift_batch(Z)
 
     h = np.asarray(h, dtype=float)
     if h.ndim == 1:
@@ -536,6 +540,17 @@ def flow_exit_times_batch(model: ConjugateFieldModel, domain, X0: np.ndarray,
     Rows starting on the boundary or outside get exit time 0.  Crossings are
     bracketed on the step grid and refined by bisection on the step fraction
     to far below dt^2.  Rows that never exit before t_cap come back as nan.
+
+    The grid loop holds only the rows still inside, row-major, and drops the
+    crossed ones on the steps where some cross.  Each crossing is recorded
+    as (row, step k, state at the start of step k), and after the loop all
+    of them are bisected together: one stack of starts, each row halving its
+    own step fraction, so a call makes _BISECT_ITERS partial steps however
+    many grid steps see crossings.  This cannot change a byte of tau.  The
+    RK4 step, drift, clamp and domain clearance each act on every row on
+    its own, so a row's operands do not depend on which rows share its
+    batch, and the stacks stay C-contiguous, since numpy rounds a sum over
+    coordinates by memory layout from d = 9 on.
     """
     X0 = np.atleast_2d(np.asarray(X0, dtype=float))
     if dt <= 0.0:
@@ -546,33 +561,40 @@ def flow_exit_times_batch(model: ConjugateFieldModel, domain, X0: np.ndarray,
     tau = np.full(m, np.nan)
     c0 = _domain_clearance(model, domain, X0)
     tau[c0 >= 0.0] = 0.0
-    active = np.flatnonzero(c0 < 0.0)
-    X = X0.copy()
+    # Rows still inside only: X[i] is the state of row ids[i].
+    ids = np.flatnonzero(c0 < 0.0)
+    X = X0[ids]
+    bounded = math.isfinite(model.validity_radius)
+    rows, steps, starts = [], [], []
     n_steps = int(math.ceil(t_cap / dt - 1e-12))
     for k in range(n_steps):
-        if active.size == 0:
+        if ids.size == 0:
             break
-        prev = X[active]
-        if np.max(np.abs(prev)) > model.validity_radius:
+        if bounded and np.max(np.abs(X)) > model.validity_radius:
             raise OutsideValidity("trajectory left the validity region")
-        nxt = _rk4_block(model, prev, dt)
-        c = _domain_clearance(model, domain, nxt)
-        crossed = c > 0.0
+        nxt = _rk4_block(model, X, dt)
+        crossed = _domain_clearance(model, domain, nxt) > 0.0
         if crossed.any():
-            rows = active[crossed]
-            start = prev[crossed]
-            lo = np.zeros(rows.size)
-            hi = np.ones(rows.size)
-            for _ in range(_BISECT_ITERS):
-                mid = 0.5 * (lo + hi)
-                # one partial step per row with its own fraction of dt
-                trial = _rk4_block(model, start, mid * dt)
-                outside = _domain_clearance(model, domain, trial) > 0.0
-                hi[outside] = mid[outside]
-                lo[~outside] = mid[~outside]
-            tau[rows] = k * dt + 0.5 * (lo + hi) * dt
-        X[active] = nxt
-        active = active[~crossed]
+            rows.append(ids[crossed])
+            steps.append(np.full(rows[-1].size, k))
+            starts.append(X[crossed])
+            keep = np.flatnonzero(~crossed)
+            ids = ids.take(keep)
+            nxt = nxt.take(keep, axis=0)
+        X = nxt
+    if rows:
+        rows = np.concatenate(rows)
+        start = np.vstack(starts)
+        lo = np.zeros(rows.size)
+        hi = np.ones(rows.size)
+        for _ in range(_BISECT_ITERS):
+            mid = 0.5 * (lo + hi)
+            # one partial step per row with its own fraction of dt
+            trial = _rk4_block(model, start, mid * dt)
+            outside = _domain_clearance(model, domain, trial) > 0.0
+            hi[outside] = mid[outside]
+            lo[~outside] = mid[~outside]
+        tau[rows] = np.concatenate(steps) * dt + 0.5 * (lo + hi) * dt
     return tau
 
 

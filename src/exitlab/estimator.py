@@ -408,14 +408,16 @@ def rescaled_fluctuation_samples(model: ConjugateFieldModel, noise: NoiseModel,
                                  y0, epsilon: float, T: float,
                                  config: PathConfig, seed: int,
                                  n_samples: int,
-                                 batch_size: int = DEFAULT_BATCH_SIZE
-                                 ) -> np.ndarray:
+                                 batch_size: int = DEFAULT_BATCH_SIZE,
+                                 workers: int = 1) -> np.ndarray:
     """Deviations of pushed-forward states from the deterministic ray.
 
     Path id p starts at f_inv(eps * y0), runs to time T without exit
     detection, and gives row p of exp(-lambda T) f(X_T)/eps - y0.  For the
     identity model with constant noise the rows are exactly Gaussian with the
-    finite-time covariance.  T = 0 or eps = 0 returns exact zeros.
+    finite-time covariance.  T = 0 or eps = 0 returns exact zeros.  The
+    batch_size slices run on up to `workers` fork workers; neither changes
+    a sample.
     """
     y0 = np.atleast_1d(np.asarray(y0, dtype=float))
     d = model.spectrum.d
@@ -437,7 +439,7 @@ def rescaled_fluctuation_samples(model: ConjugateFieldModel, noise: NoiseModel,
                              T, config.dt, gens, want_final=True)
         return damp * model.push_batch(res["final_state"]) / epsilon - y0
 
-    return np.vstack(_run_paths(run, n_samples, batch_size, workers=1))
+    return np.vstack(_run_paths(run, n_samples, batch_size, workers))
 
 
 @dataclass

@@ -406,7 +406,7 @@ def run_density_report(cfg: ExperimentConfig,
     samples = rescaled_fluctuation_samples(
         cfg.model, cfg.noise, cfg.diagnostic_point, cfg.diagnostic_epsilon,
         cfg.diagnostic_time, path_config, cfg.seed, cfg.diagnostic_n_samples,
-        batch_size=cfg.batch_size)
+        batch_size=cfg.batch_size, workers=cfg.workers)
     reference = finite_time_covariance(cfg.noise.sigma0, cfg.model.spectrum,
                                        cfg.diagnostic_time)
     return density_diagnostic(samples, reference,

@@ -138,6 +138,7 @@ def simulate_batch(model: ConjugateFieldModel, noise: NoiseModel, domain,
 
     sig0 = noise.sigma0
     const_noise = noise.constant
+    clamps = math.isfinite(model.validity_radius)  # nothing to clamp at inf
     k = 0
     while ids.size and k < n_steps:
         kb = min(BLOCK_STEPS, n_steps - k)
@@ -163,9 +164,10 @@ def simulate_batch(model: ConjugateFieldModel, noise: NoiseModel, domain,
                 sig = noise.sigma_batch(np.ascontiguousarray(X.T))
                 x = x + (epsilon * math.sqrt(h)) * np.einsum(
                     "rdn,rn->rd", sig, xi[cols, j, :])
-            x, over = model.clamp(x)
-            if over.any():
-                clamped[ids[over]] = True
+            if clamps:
+                x, over = model.clamp(x)
+                if over.any():
+                    clamped[ids[over]] = True
             X = x.T
             if detect:
                 if box:

@@ -22,6 +22,7 @@ from exitlab import (
     transversality_check,
     travel_time_bounds,
 )
+from exitlab.dynamics import _BISECT_ITERS
 
 S1 = Spectrum([1.0])
 S2 = Spectrum([1.0, 0.5])
@@ -321,6 +322,96 @@ class TestFlowExitTime:
         taus = flow_exit_times_batch(ID1, BoxDomain([-10.0], [10.0]),
                                      np.array([[0.5]]), t_cap=0.1)
         assert np.isnan(taus[0])
+
+
+def _flow_starts():
+    rng = np.random.default_rng(11)
+    face = ID2.pull_batch(BoxDomain([-1.0, -1.0], [1.0, 1.0]).face_points(16))
+    d9 = rng.uniform(-0.5, 0.5, (12, 9))
+    quad = rng.uniform(0.05, 0.09, (16, 2)) * rng.choice([-1.0, 1.0], (16, 2))
+    quad[3] = [0.2, 0.0]  # y = f(x) beyond the box side: tau = 0
+    ellipse = rng.uniform(-0.6, 0.6, (16, 2))
+    ellipse[5] = [1.0, 0.0]  # on the boundary: tau = 0
+    return {
+        # face points of a box cross on many steps; mirrored pairs share one
+        "identity_ball": (ID2, SmoothDomain.ball(2.0),
+                          np.vstack([face, [[2.0, 0.0], [0.0, -2.5]]]), None),
+        # finite validity radius: every RK4 stage goes through clamp
+        "quadratic_box": (ConjugateFieldModel.component_quadratic(S2, [1.0, -0.5]),
+                          BoxDomain([-0.15, -0.1], [0.15, 0.1]), quad, None),
+        # a sum over 9 coordinates rounds by memory layout
+        "d9_ellipsoid": (ConjugateFieldModel.identity(
+                             Spectrum(list(np.linspace(3.0, 1.0, 9)))),
+                         SmoothDomain.ellipsoid(np.linspace(1.0, 1.5, 9)),
+                         d9, None),
+        "non_vectorized": (ID2, SmoothDomain(
+                               lambda x: float(x[0] ** 2 + 2.0 * x[1] ** 2 - 1.0),
+                               name="row-wise ellipse"),
+                           ellipse, None),
+        # the small starts are still inside at t_cap: nan
+        "t_cap_nan": (ID2, SmoothDomain.ball(2.0),
+                      np.vstack([face[::4], 0.01 * face[::4]]), 1.5),
+    }
+
+
+FLOW_CASES = _flow_starts()
+
+
+def _flow_taus(case, rows):
+    model, domain, X0, t_cap = FLOW_CASES[case]
+    return flow_exit_times_batch(model, domain, X0[rows], t_cap=t_cap)
+
+
+class TestFlowExitBatchInvariance:
+    """A row's flow exit time does not depend on the rows batched with it."""
+
+    @pytest.mark.parametrize("case", sorted(FLOW_CASES))
+    def test_batch_singletons_and_shuffled_agree(self, case):
+        m = FLOW_CASES[case][2].shape[0]
+        whole = _flow_taus(case, np.arange(m))
+        singles = np.concatenate([_flow_taus(case, np.array([i]))
+                                  for i in range(m)])
+        perm = np.random.default_rng(m).permutation(m)
+        shuffled = np.empty(m)
+        shuffled[perm] = _flow_taus(case, perm)
+        assert singles.tobytes() == whole.tobytes()
+        assert shuffled.tobytes() == whole.tobytes()
+
+    def test_cases_reach_their_branches(self):
+        dt = 1e-3
+        tau = _flow_taus("identity_ball", np.arange(66))
+        assert (tau == 0.0).sum() == 2
+        steps = np.floor(tau[tau > 0.0] / dt)
+        _, per_step = np.unique(steps, return_counts=True)
+        assert per_step.size > 10 and per_step.max() >= 2
+        for case in ("quadratic_box", "non_vectorized"):
+            tau = _flow_taus(case, np.arange(16))
+            assert (tau == 0.0).sum() == 1 and (tau > 0.0).sum() == 15, case
+        assert math.isfinite(FLOW_CASES["quadratic_box"][0].validity_radius)
+        assert (_flow_taus("d9_ellipsoid", np.arange(12)) > 0.0).all()
+        tau = _flow_taus("t_cap_nan", np.arange(32))
+        assert np.isnan(tau[16:]).all() and np.isfinite(tau[:16]).all()
+
+    def test_drift_calls_do_not_grow_with_crossing_steps(self):
+        # one batched bisection: at most 4 drift calls per grid step plus 4
+        # per halving, however many grid steps see crossings
+        calls = [0]
+        lam = S2.as_array()
+
+        def drift_batch(X):
+            calls[0] += 1
+            return X * lam
+
+        model = ConjugateFieldModel(
+            S2, f=lambda x: x, f_inv=lambda y: y, df=lambda x: np.eye(2),
+            f_batch=lambda X: X, f_inv_batch=lambda Y: Y,
+            drift_batch=drift_batch, check=False)
+        dt = 1e-3
+        X0 = BoxDomain([-1.0, -1.0], [1.0, 1.0]).face_points(64)
+        tau = flow_exit_times_batch(model, SmoothDomain.ball(2.0), X0, dt=dt)
+        grid_steps = int(np.max(tau) // dt) + 1
+        assert np.unique(np.floor(tau / dt)).size > 50
+        assert calls[0] <= 4 * (grid_steps + _BISECT_ITERS)
 
 
 class TestTravelTimeBounds:

@@ -402,3 +402,22 @@ class TestReports:
         diag = run_density_report(cfg)
         assert diag.l1_diff < 0.05
         assert diag.mass == pytest.approx(1.0, abs=5e-3)
+
+    def test_density_report_samples_on_run_workers(self, monkeypatch):
+        from exitlab import harness
+
+        seen = []
+        sampler = harness.rescaled_fluctuation_samples
+
+        def spy(*args, **kwargs):
+            seen.append(kwargs.get("workers"))
+            return sampler(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "rescaled_fluctuation_samples", spy)
+        text = (MINIMAL + "diagnostic.time = 0.2\n" + "diagnostic.epsilon = 0.1\n"
+                + "estimator.batch_size = 5000\n")  # 10000 samples, 2 batches
+        serial = run_density_report(_cfg(text))
+        fanned = run_density_report(_cfg(text + "run.workers = 2\n"))
+        assert seen == [1, 2]
+        assert fanned.empirical.tobytes() == serial.empirical.tobytes()
+        assert fanned.sup_diff == serial.sup_diff

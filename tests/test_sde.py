@@ -13,6 +13,7 @@ from exitlab import (
     SmoothDomain,
     Spectrum,
     finite_time_covariance,
+    flow_exit_times_batch,
     rescaled_fluctuation_samples,
     simulate_batch,
 )
@@ -281,6 +282,51 @@ class TestBatchInvariance:
         assert np.isfinite(res["final_state"]).all()
 
 
+class TestClampSkip:
+    """An infinite validity radius never reaches clamp; a finite one does."""
+
+    def test_identity_model_never_reaches_clamp(self, monkeypatch):
+        model, noise, domain, X0, eps, stop = BATCH_CASES["box"]
+        rows = np.arange(X0.shape[0])
+        before = _run_ids(model, noise, domain, X0, eps, stop, 17, rows, True)
+        tau_before = flow_exit_times_batch(model, SmoothDomain.ball(1.0), X0)
+
+        def refuse(self, X):
+            raise AssertionError("clamp called on an unbounded model")
+
+        monkeypatch.setattr(ConjugateFieldModel, "clamp", refuse)
+        after = _run_ids(model, noise, domain, X0, eps, stop, 17, rows, True)
+        tau_after = flow_exit_times_batch(model, SmoothDomain.ball(1.0), X0)
+        for k in RESULT_KEYS + ("final_state",):
+            assert after[k].tobytes() == before[k].tobytes(), k
+        assert tau_after.tobytes() == tau_before.tobytes()
+
+    def test_quadratic_model_still_clamps_and_flags(self, monkeypatch):
+        # Each path alone: it is flagged exactly when clamp reported a row
+        # over the radius on one of its steps, and clamp runs every step.
+        model, noise, domain, X0, eps, stop = BATCH_CASES["quadratic_clamp"]
+        m = X0.shape[0]
+        whole = _run_ids(model, noise, domain, X0, eps, stop, 17,
+                         np.arange(m), False)
+        original = ConjugateFieldModel.clamp
+        seen = {"calls": 0, "over": False}
+
+        def recording(self, X):
+            Xc, over = original(self, X)
+            seen["calls"] += 1
+            seen["over"] |= bool(over.any())
+            return Xc, over
+
+        monkeypatch.setattr(ConjugateFieldModel, "clamp", recording)
+        for p in range(m):
+            seen.update(calls=0, over=False)
+            one = _run_ids(model, noise, domain, X0, eps, stop, 17,
+                           np.array([p]), False)
+            assert seen["calls"] == one["steps_used"][0]
+            assert one["clamped"][0] == seen["over"] == whole["clamped"][p]
+        assert whole["clamped"].any() and not whole["clamped"].all()
+
+
 class TestStepBookkeeping:
     def test_deterministic_exits_outside_starts_and_survivors(self):
         # eps = 0 with lambda = 1: x_k = x0 (1 + dt)^k.  The third start is
@@ -343,6 +389,16 @@ class TestRescaledFluctuation:
             rescaled_fluctuation_samples(ID2, nm, np.array([0.5]), epsilon,
                                          1.0, PathConfig(dt=1e-3), seed=0,
                                          n_samples=4)
+
+    def test_workers_do_not_change_samples(self):
+        nm = NoiseModel.constant_matrix(np.eye(2))
+        args = (ID2, nm, np.array([0.5, -0.3]), 0.1, 0.5, PathConfig(dt=1e-3))
+        one = rescaled_fluctuation_samples(*args, seed=5, n_samples=300,
+                                           batch_size=100, workers=1)
+        two = rescaled_fluctuation_samples(*args, seed=5, n_samples=300,
+                                           batch_size=100, workers=2)
+        assert one.shape == (300, 2)
+        assert one.tobytes() == two.tobytes()
 
     @pytest.mark.parametrize("T", [-1.0, math.inf, math.nan])
     def test_rejects_bad_horizon(self, T):
