@@ -1,8 +1,8 @@
 """Command line interface.
 
 Subcommands: validate, predict, estimate, sweep (alias of estimate), flow,
-diagnose.  Exit codes: 0 success, 1 config parse/validation failure,
-2 runtime failure.
+diagnose.  Exit codes: 0 success, 1 when the config cannot be read, parsed
+or validated, 2 on a runtime failure or a command-line usage error.
 """
 
 from __future__ import annotations
@@ -121,9 +121,6 @@ def main(argv=None) -> int:
             for kind, path in sorted(paths.items()):
                 print(f"wrote {kind}: {path}")
         return 0
-    except (ParseError, ValidationError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
     except ExitlabError as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         partial = getattr(exc, "partial_record", None)

@@ -16,14 +16,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import BoxDomain, ConjugateFieldModel, NoiseModel, SmoothDomain
-from .errors import (
-    ExitlabError,
-    OutsideValidity,
-    ParseError,
-    ValidationError,
+from .dynamics import (
+    BoxDomain,
+    ConjugateFieldModel,
+    NoiseModel,
+    SmoothDomain,
+    transversality_check,
 )
+from .errors import ExitlabError, OutsideValidity, ParseError, ValidationError
+from .estimator import MIN_DENSITY_SAMPLES
 from .exponents import InitialScaleSpec, Spectrum, ThresholdSpec, classify_admissible
+from .sde import PathConfig
 
 # key -> (type tag, default); None default means unset
 _SCHEMA: dict[str, tuple[str, object]] = {
@@ -45,7 +48,7 @@ _SCHEMA: dict[str, tuple[str, object]] = {
     "threshold.r0": ("float", 0.0),
     "threshold.r_coeff": ("float", 0.0),
     "threshold.r_exponent": ("float", 1.0),
-    "initial.points": ("points", "0"),
+    "initial.points": ("points", ((0.0,),)),
     "initial.coords": ("enum:x,y", "x"),
     "initial.kappa": ("float", 1.0),
     "initial.rho": ("float", 0.0),
@@ -59,7 +62,7 @@ _SCHEMA: dict[str, tuple[str, object]] = {
     "estimator.level_step": ("float", 1.0),
     "diagnostic.time": ("float", 1.0),
     "diagnostic.n_samples": ("int", 10_000),
-    "diagnostic.point": ("points", "0"),
+    "diagnostic.point": ("points", ((0.0,),)),
     "diagnostic.epsilon": ("float", None),
     "diagnostic.grid_points": ("int", 161),
     "diagnostic.halfwidth": ("float", 6.0),
@@ -114,8 +117,6 @@ def _parse_scalar(text: str, kind: str, line_no: int, key: str):
                 f"expected one of {options}, got {text!r}", line_no, key)
         return text
     if kind == "str":
-        if not text:
-            raise ParseError("expected a value", line_no, key)
         return text
     raise AssertionError(f"unknown schema kind {kind}")
 
@@ -142,11 +143,7 @@ def _parse_text(text: str) -> dict[str, object]:
 def _fmt_value(v) -> str:
     if v is None:
         return ""
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, float):
-        return repr(v)
-    if isinstance(v, int):
+    if isinstance(v, (int, float)):
         return repr(v)
     if isinstance(v, str):
         return v
@@ -157,18 +154,27 @@ def _fmt_value(v) -> str:
     raise AssertionError(f"unformattable config value {v!r}")
 
 
-def _smooth_domain_from_spec(spec: str, key: str) -> SmoothDomain:
+def _smooth_domain(spec: str) -> SmoothDomain:
     name, _, args = spec.partition(":")
+    if name == "ball":
+        return SmoothDomain.ball(float(args))
+    if name == "ellipsoid":
+        return SmoothDomain.ellipsoid([float(a) for a in args.split(",")])
+    raise ValueError(
+        f"unknown domain kind {name!r} (expected ball:R or ellipsoid:a,b,...)")
+
+
+def _transversality_warning(model: ConjugateFieldModel, domain: SmoothDomain,
+                            key: str) -> str | None:
     try:
-        if name == "ball":
-            return SmoothDomain.ball(float(args))
-        if name == "ellipsoid":
-            axes = tuple(float(a) for a in args.split(","))
-            return SmoothDomain.ellipsoid(axes)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValidationError(f"{key}: bad domain spec {spec!r}: {exc}") from None
-    raise ValidationError(
-        f"{key}: unknown domain kind {name!r} (expected ball:R or ellipsoid:a,b,...)")
+        report = transversality_check(model, domain, n_samples=16)
+    except OutsideValidity:
+        return (f"{key}: transversality not verifiable, boundary leaves the "
+                f"model validity region")
+    if report.ok:
+        return None
+    return (f"{key}: drift is not strictly outward on the boundary "
+            f"(min inner product {report.min_inner_product!r})")
 
 
 @dataclass
@@ -189,8 +195,7 @@ class ExperimentConfig:
     epsilons: tuple[float, ...]
     method: str
     n_paths: int
-    dt: float
-    t_cap: float
+    path: PathConfig
     batch_size: int
     budget: int
     level_step: float
@@ -234,10 +239,14 @@ def hash_echo(echo: dict[str, str]) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
-def _require(raw: dict[str, object], mode_keys=_REQUIRED):
-    for key in mode_keys:
-        if raw.get(key) is None:
-            raise ValidationError(f"missing required key {key}")
+def _built(key: str, make, *args, **kwargs):
+    """make(*args, **kwargs), with the ValueError or ExitlabError by which an
+    object's own constructor rejects its arguments raised as a
+    ValidationError naming the config key."""
+    try:
+        return make(*args, **kwargs)
+    except (ValueError, ExitlabError) as exc:
+        raise ValidationError(f"{key}: {exc}") from None
 
 
 def _as_vector(values, d: int, key: str) -> np.ndarray:
@@ -247,6 +256,13 @@ def _as_vector(values, d: int, key: str) -> np.ndarray:
     if arr.shape == (d,):
         return arr.astype(float)
     raise ValidationError(f"{key} must have 1 or {d} entries, got {arr.size}")
+
+
+def _point(values, d: int, key: str) -> np.ndarray:
+    x = _as_vector(values, d, key)
+    if not np.all(np.isfinite(x)):
+        raise ValidationError(f"{key} must be finite")
+    return x
 
 
 def _build_sigma(raw: dict[str, object], d: int) -> np.ndarray:
@@ -268,66 +284,55 @@ def _build_sigma(raw: dict[str, object], d: int) -> np.ndarray:
         f"noise.sigma must have 1, {d} (diagonal) or d*cols entries, got {arr.size}")
 
 
+_SMOOTH_KEYS = ("domain.inner", "domain.outer", "domain.big")
+
+
 def build_config(raw: dict[str, object]) -> ExperimentConfig:
-    """Typed dict -> validated objects.  Raises ValidationError on invariants."""
+    """Typed dict -> validated objects.  Raises ValidationError on invariants.
+
+    Each object checks its own arguments; build_config builds it through
+    _built, so the object's error comes back naming the key.  Only keys that
+    no object owns at parse time are checked here.
+    """
     for key in raw:
         if key not in _SCHEMA:
             raise ParseError("unknown key", key=key)
-    _require(raw)
+    for key in _REQUIRED:
+        if raw.get(key) is None:
+            raise ValidationError(f"missing required key {key}")
 
     def get(key):
         value = raw.get(key)
         return _SCHEMA[key][1] if value is None else value
 
-    try:
-        spectrum = Spectrum(raw["model.lambdas"])
-    except ExitlabError as exc:
-        raise ValidationError(f"model.lambdas: {exc}") from None
+    spectrum = _built("model.lambdas", Spectrum, raw["model.lambdas"])
     d = spectrum.d
 
-    variant = get("model.variant")
+    coeff = raw.get("model.quad_coeff")
     radius = raw.get("model.validity_radius")
-    if radius is not None and not float(radius) > 0.0:
-        raise ValidationError("model.validity_radius must be positive")
-    try:
-        if variant == "identity":
-            if raw.get("model.quad_coeff") is not None:
-                raise ValidationError("model.quad_coeff is only valid for component_quadratic")
-            model = ConjugateFieldModel.identity(spectrum)
-            if radius is not None:
-                model.validity_radius = float(radius)
-        else:
-            coeff = raw.get("model.quad_coeff")
-            if coeff is None:
-                raise ValidationError("model.quad_coeff is required for component_quadratic")
-            model = ConjugateFieldModel.component_quadratic(
-                spectrum, _as_vector(coeff, d, "model.quad_coeff"),
-                validity_radius=None if radius is None else float(radius))
-    except ValidationError:
-        raise
-    except ValueError as exc:
-        raise ValidationError(f"model: {exc}") from None
+    if get("model.variant") == "identity":
+        if coeff is not None:
+            raise ValidationError("model.quad_coeff is only valid for component_quadratic")
+        model = ConjugateFieldModel.identity(spectrum)
+        if radius is not None:
+            _built("model.validity_radius", setattr, model, "validity_radius", radius)
+    else:
+        if coeff is None:
+            raise ValidationError("model.quad_coeff is required for component_quadratic")
+        model = _built("model", ConjugateFieldModel.component_quadratic, spectrum,
+                       _as_vector(coeff, d, "model.quad_coeff"),
+                       validity_radius=radius)
 
-    try:
-        sigma0 = _build_sigma(raw, d)
-        if get("noise.form") == "state_scaled":
-            noise = NoiseModel.state_scaled(sigma0, float(get("noise.gamma")))
-        else:
-            noise = NoiseModel.constant_matrix(sigma0)
-    except ValidationError:
-        raise
-    except ExitlabError as exc:
-        raise ValidationError(f"noise.sigma: {exc}") from None
+    sigma0 = _build_sigma(raw, d)
+    if get("noise.form") == "state_scaled":
+        noise = _built("noise", NoiseModel.state_scaled, sigma0, get("noise.gamma"))
+    else:
+        noise = _built("noise", NoiseModel.constant_matrix, sigma0)
 
-    try:
-        lower = _as_vector(raw["domain.lower"], d, "domain.lower")
-        upper = _as_vector(raw["domain.upper"], d, "domain.upper")
-        cap = raw.get("domain.l0_cap")
-        box = BoxDomain(lower, upper, l0_cap=None if cap is None else float(cap))
-    except ValidationError:
-        raise
-    except ValueError as exc:
-        raise ValidationError(f"domain: {exc}") from None
+    box = _built("domain", BoxDomain,
+                 _as_vector(raw["domain.lower"], d, "domain.lower"),
+                 _as_vector(raw["domain.upper"], d, "domain.upper"),
+                 l0_cap=raw.get("domain.l0_cap"))
     corners = np.array([[lo, hi] for lo, hi in zip(box.lower, box.upper)])
     corner_pts = np.stack(np.meshgrid(*corners, indexing="ij"), axis=-1).reshape(-1, d)
     pulled = model.pull_batch(corner_pts)
@@ -335,25 +340,18 @@ def build_config(raw: dict[str, object]) -> ExperimentConfig:
         raise ValidationError(
             "domain must pull back inside the model validity region")
 
-    inner = outer = big = None
-    if raw.get("domain.inner") is not None:
-        inner = _smooth_domain_from_spec(raw["domain.inner"], "domain.inner")
-    if raw.get("domain.outer") is not None:
-        outer = _smooth_domain_from_spec(raw["domain.outer"], "domain.outer")
+    inner, outer, big = (
+        None if raw.get(key) is None else _built(key, _smooth_domain, raw[key])
+        for key in _SMOOTH_KEYS)
     if (inner is None) != (outer is None):
         raise ValidationError("domain.inner and domain.outer must be given together")
-    if raw.get("domain.big") is not None:
-        big = _smooth_domain_from_spec(raw["domain.big"], "domain.big")
 
-    try:
-        threshold = ThresholdSpec(
-            alpha=float(raw["threshold.alpha"]), r0=float(get("threshold.r0")),
-            r_coeff=float(get("threshold.r_coeff")),
-            r_exponent=float(get("threshold.r_exponent")))
-        scale = InitialScaleSpec(kappa=float(get("initial.kappa")),
-                                 rho=float(get("initial.rho")))
-    except ValueError as exc:
-        raise ValidationError(f"threshold/initial: {exc}") from None
+    threshold = _built(
+        "threshold", ThresholdSpec, alpha=float(raw["threshold.alpha"]),
+        r0=float(get("threshold.r0")), r_coeff=float(get("threshold.r_coeff")),
+        r_exponent=float(get("threshold.r_exponent")))
+    scale = _built("initial", InitialScaleSpec, kappa=float(get("initial.kappa")),
+                   rho=float(get("initial.rho")))
 
     eps = tuple(float(e) for e in raw["sweep.epsilons"])
     if any(not (0.0 < e < 1.0) for e in eps):
@@ -361,7 +359,7 @@ def build_config(raw: dict[str, object]) -> ExperimentConfig:
     if any(b >= a for a, b in zip(eps, eps[1:])):
         raise ValidationError("sweep.epsilons must be strictly decreasing")
 
-    points = tuple(_as_vector(p, d, "initial.points") for p in get("initial.points"))
+    points = tuple(_point(p, d, "initial.points") for p in get("initial.points"))
     coords = get("initial.coords")
 
     method = get("estimator.method")
@@ -370,12 +368,8 @@ def build_config(raw: dict[str, object]) -> ExperimentConfig:
     n_paths = int(get("estimator.n_paths"))
     if n_paths < 1:
         raise ValidationError("estimator.n_paths must be >= 1")
-    dt = float(get("estimator.dt"))
-    if not (0.0 < dt <= 1e-2):
-        raise ValidationError("estimator.dt must lie in (0, 0.01]")
-    t_cap = float(get("estimator.t_cap"))
-    if t_cap < 0.0:
-        raise ValidationError("estimator.t_cap must be >= 0 (0 derives a cap)")
+    path = _built("estimator", PathConfig, dt=float(get("estimator.dt")),
+                  t_cap=float(get("estimator.t_cap")))
     batch_size = int(get("estimator.batch_size"))
     if batch_size < 1:
         raise ValidationError("estimator.batch_size must be >= 1")
@@ -383,7 +377,7 @@ def build_config(raw: dict[str, object]) -> ExperimentConfig:
     if budget < 100:
         raise ValidationError("estimator.budget must be at least 100")
     level_step = float(get("estimator.level_step"))
-    if level_step <= 0.0:
+    if not level_step > 0.0:
         raise ValidationError("estimator.level_step must be positive")
     seed = int(get("run.seed"))
     if seed < 0:
@@ -397,58 +391,38 @@ def build_config(raw: dict[str, object]) -> ExperimentConfig:
     if not (0.0 < diag_eps < 1.0):
         raise ValidationError("diagnostic.epsilon must lie in (0, 1)")
     diag_time = float(get("diagnostic.time"))
-    if diag_time < 0.0:
-        raise ValidationError("diagnostic.time must be >= 0")
+    if not 0.0 <= diag_time < math.inf:
+        raise ValidationError("diagnostic.time must be finite and >= 0")
     diag_n = int(get("diagnostic.n_samples"))
-    if diag_n < 2:
-        raise ValidationError("diagnostic.n_samples must be >= 2")
-    diag_point = _as_vector(get("diagnostic.point")[0], d, "diagnostic.point")
+    if diag_n < MIN_DENSITY_SAMPLES:
+        raise ValidationError(
+            f"diagnostic.n_samples must be >= {MIN_DENSITY_SAMPLES}")
+    diag_point = _point(get("diagnostic.point")[0], d, "diagnostic.point")
     diag_grid = int(get("diagnostic.grid_points"))
     if diag_grid < 8:
         raise ValidationError("diagnostic.grid_points must be >= 8")
     diag_half = float(get("diagnostic.halfwidth"))
-    if diag_half <= 0.0:
-        raise ValidationError("diagnostic.halfwidth must be positive")
+    if not 0.0 < diag_half < math.inf:
+        raise ValidationError("diagnostic.halfwidth must be finite and positive")
 
     warnings: list[str] = []
     if not classify_admissible(scale, spectrum, threshold.alpha):
         warnings.append(
             f"initial scale kappa={scale.kappa!r} rho={scale.rho!r} grows too "
             f"fast for alpha={threshold.alpha!r}: prediction not guaranteed")
-    for dom, key in ((inner, "domain.inner"), (outer, "domain.outer"),
-                     (big, "domain.big")):
-        if dom is None:
-            continue
-        from .dynamics import transversality_check
-        try:
-            report = transversality_check(model, dom, n_samples=16)
-        except OutsideValidity:
-            warnings.append(
-                f"{key}: transversality not verifiable, boundary leaves the "
-                f"model validity region")
-            continue
-        if not report.ok:
-            warnings.append(
-                f"{key}: drift is not strictly outward on the boundary "
-                f"(min inner product {report.min_inner_product!r})")
+    for key, dom in zip(_SMOOTH_KEYS, (inner, outer, big)):
+        if dom is not None:
+            warning = _built(key, _transversality_warning, model, dom, key)
+            if warning is not None:
+                warnings.append(warning)
 
-    echo: dict[str, str] = {}
-    for key, (kind, default) in _SCHEMA.items():
-        value = raw.get(key)
-        if value is None:
-            value = default
-        if key == "diagnostic.epsilon" and value is None:
-            value = diag_eps
-        if isinstance(value, str) and kind in ("points", "floatlist"):
-            # string defaults like "0" must render in the parsed form so the
-            # echo reparses to the same hash
-            value = _parse_scalar(value, kind, 0, key)
-        echo[key] = _fmt_value(value)
+    echo = {key: _fmt_value(get(key)) for key in _SCHEMA}
+    echo["diagnostic.epsilon"] = _fmt_value(diag_eps)
 
     return ExperimentConfig(
         echo=echo, model=model, noise=noise, box=box, inner=inner, outer=outer,
         big=big, threshold=threshold, scale=scale, points=points, coords=coords,
-        epsilons=eps, method=method, n_paths=n_paths, dt=dt, t_cap=t_cap,
+        epsilons=eps, method=method, n_paths=n_paths, path=path,
         batch_size=batch_size, budget=budget, level_step=level_step,
         diagnostic_time=diag_time, diagnostic_n_samples=diag_n,
         diagnostic_point=diag_point, diagnostic_epsilon=diag_eps,

@@ -83,6 +83,8 @@ class NoiseModel:
         """sigma(x) = base * (1 + gamma * |x|^2); smooth, equals base at 0."""
         base = np.atleast_2d(np.asarray(base, dtype=float))
         gamma = float(gamma)
+        if not math.isfinite(gamma):
+            raise ValueError("gamma must be finite")
 
         def fn(x):
             return base * (1.0 + gamma * float(np.dot(x, x)))
@@ -238,8 +240,8 @@ class SmoothDomain:
     @classmethod
     def ball(cls, radius: float) -> "SmoothDomain":
         radius = float(radius)
-        if radius <= 0.0:
-            raise ValueError("radius must be positive")
+        if not 0.0 < radius < math.inf:
+            raise ValueError("radius must be finite and positive")
 
         def g(x):
             x = np.asarray(x, dtype=float)
@@ -251,8 +253,8 @@ class SmoothDomain:
     @classmethod
     def ellipsoid(cls, semi_axes) -> "SmoothDomain":
         a = np.atleast_1d(np.asarray(semi_axes, dtype=float))
-        if np.any(a <= 0.0):
-            raise ValueError("semi-axes must be positive")
+        if not np.all((a > 0.0) & (a < math.inf)):
+            raise ValueError("semi-axes must be finite and positive")
         inv2 = 1.0 / (a * a)
 
         def g(x):
@@ -306,9 +308,7 @@ class ConjugateFieldModel:
         self._f = f
         self._f_inv = f_inv
         self._df = df
-        self.validity_radius = float(validity_radius)
-        if not self.validity_radius > 0.0:
-            raise ValueError("validity_radius must be positive")
+        self.validity_radius = validity_radius
         self.variant = variant
         self._f_batch = f_batch
         self._f_inv_batch = f_inv_batch
@@ -316,6 +316,17 @@ class ConjugateFieldModel:
         self._lam = spectrum.as_array()
         if check:
             self._self_check()
+
+    @property
+    def validity_radius(self) -> float:
+        return self._validity_radius
+
+    @validity_radius.setter
+    def validity_radius(self, radius: float):
+        radius = float(radius)
+        if not radius > 0.0:
+            raise ValueError("validity_radius must be positive")
+        self._validity_radius = radius
 
     # point API ---------------------------------------------------------
     def push(self, x) -> np.ndarray:

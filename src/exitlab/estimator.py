@@ -26,6 +26,10 @@ from .sde import PathConfig, make_generator, simulate_batch
 
 DEFAULT_BATCH_SIZE = 16384
 
+# Fewest fluctuation samples density_diagnostic compares against its
+# reference; the config's diagnostic.n_samples floor reads the same constant.
+MIN_DENSITY_SAMPLES = 10_000
+
 # Path-id namespaces.  Direct and adjusted runs use ids [0, n); splitting
 # level k uses ids (k << 44) | slot; resampling draws from a salted key so
 # survivor selection never shares a stream with any path.
@@ -181,7 +185,7 @@ class SplittingPlan:
         """Levels of roughly level_step length covering (0, threshold]."""
         if threshold <= 0.0:
             raise ValueError("threshold must be positive")
-        if level_step <= 0.0:
+        if not level_step > 0.0:
             raise ValueError("level_step must be positive")
         m = max(1, int(math.ceil(threshold / level_step - 1e-12)))
         times = tuple(threshold * (j + 1) / m for j in range(m))
@@ -471,14 +475,17 @@ def density_diagnostic(samples: np.ndarray, C_ref: np.ndarray,
     sample fraction landing on the grid (should be 1 up to tail spill).
     """
     samples = np.atleast_2d(np.asarray(samples, dtype=float))
-    if samples.ndim != 2 or samples.shape[0] < 10_000:
-        raise ValueError("samples must be (n, d) with n >= 10000")
+    if samples.ndim != 2 or samples.shape[0] < MIN_DENSITY_SAMPLES:
+        raise ValueError(
+            f"samples must be (n, d) with n >= {MIN_DENSITY_SAMPLES}")
     n, d = samples.shape
     C_ref = np.atleast_2d(np.asarray(C_ref, dtype=float))
     if C_ref.shape != (d, d):
         raise ValueError("reference covariance does not match sample dimension")
     if grid_points < 8:
         raise ValueError("grid_points must be >= 8")
+    if not 0.0 < halfwidth_sigmas < math.inf:
+        raise ValueError("halfwidth_sigmas must be finite and positive")
     sd = np.sqrt(np.diag(C_ref))
     if d == 2:
         rx = halfwidth_sigmas * sd[0]

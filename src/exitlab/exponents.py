@@ -84,6 +84,8 @@ class ThresholdSpec:
             raise ValueError("alpha must be finite and >= 0")
         if not math.isfinite(self.r0):
             raise ValueError("r0 must be finite")
+        if not (math.isfinite(self.r_coeff) and math.isfinite(self.r_exponent)):
+            raise ValueError("r_coeff and r_exponent must be finite")
         if self.r_coeff != 0.0 and self.r_exponent <= 0.0:
             raise ValueError("r_exponent must be positive when r_coeff is nonzero")
 

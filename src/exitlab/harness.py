@@ -45,7 +45,6 @@ from .gaussian import (
     prefactor_bounds,
     survival_prefactor,
 )
-from .sde import PathConfig
 
 CSV_COLUMNS = (
     "epsilon", "x", "alpha", "beta", "p_hat", "stderr", "n_paths",
@@ -122,7 +121,7 @@ def _travel_times(cfg: ExperimentConfig) -> tuple[float, float]:
     if cfg.inner is None or cfg.outer is None:
         return 0.0, 0.0
     return travel_time_bounds(cfg.model, cfg.box, cfg.inner, cfg.outer,
-                              n_boundary_samples=64, dt=cfg.dt)
+                              n_boundary_samples=64, dt=cfg.path.dt)
 
 
 def _theory_columns(cfg, c0, beta, x_eff, t_minus, t_plus):
@@ -178,7 +177,7 @@ def _sweep(cfg: ExperimentConfig, estimate=None) -> RunRecord:
                 n_survived=getattr(est, "n_survived", None),
                 rescaled=rescaled, rescaled_stderr=rescaled_se, psi=psi,
                 phi_minus=phi_minus, phi_plus=phi_plus,
-                method=getattr(est, "method", "predict"), dt=cfg.dt,
+                method=getattr(est, "method", "predict"), dt=cfg.path.dt,
                 seed=cfg.seed, wall_seconds=time.perf_counter() - start,
                 point_index=pi, estimate=est))
     return record()
@@ -189,35 +188,30 @@ def run_predict(cfg: ExperimentConfig) -> RunRecord:
     return _sweep(cfg)
 
 
-def _estimate_one(cfg: ExperimentConfig, x_eff: np.ndarray, epsilon: float,
-                  path_config: PathConfig) -> TailEstimate:
+def _estimate_one(cfg: ExperimentConfig, x_eff: np.ndarray,
+                  epsilon: float) -> TailEstimate:
     if cfg.method == "direct":
         return direct_tail_estimate(
             cfg.model, cfg.noise, cfg.box, x_eff, epsilon, cfg.threshold,
-            cfg.n_paths, path_config, cfg.seed, workers=cfg.workers,
+            cfg.n_paths, cfg.path, cfg.seed, workers=cfg.workers,
             batch_size=cfg.batch_size)
     if cfg.method == "splitting":
         plan = SplittingPlan.uniform(cfg.threshold.time(epsilon), cfg.budget,
                                      level_step=cfg.level_step)
         return splitting_tail_estimate(
             cfg.model, cfg.noise, cfg.box, x_eff, epsilon, cfg.threshold,
-            plan, path_config, cfg.seed, workers=cfg.workers,
+            plan, cfg.path, cfg.seed, workers=cfg.workers,
             batch_size=cfg.batch_size)
     result = adjusted_tail_estimate(
         cfg.model, cfg.noise, cfg.box, cfg.big, x_eff, epsilon, cfg.threshold,
-        cfg.n_paths, path_config, cfg.seed, workers=cfg.workers,
+        cfg.n_paths, cfg.path, cfg.seed, workers=cfg.workers,
         batch_size=cfg.batch_size)
     return result.adjusted
 
 
-def run_estimate(cfg: ExperimentConfig, seed: int | None = None,
-                 workers: int | None = None) -> RunRecord:
+def run_estimate(cfg: ExperimentConfig) -> RunRecord:
     """Monte Carlo sweep over epsilons and start points per the config."""
-    if seed is not None or workers is not None:
-        cfg = cfg.with_overrides(seed=seed, workers=workers)
-    path_config = PathConfig(dt=cfg.dt, t_cap=cfg.t_cap)
-    record = _sweep(cfg, lambda x_eff, epsilon: _estimate_one(
-        cfg, x_eff, epsilon, path_config))
+    record = _sweep(cfg, lambda x_eff, epsilon: _estimate_one(cfg, x_eff, epsilon))
     fits: list[SlopeFit | None] = []
     for pi in range(len(cfg.points)):
         pts = [(r.epsilon, r.estimate) for r in record.rows if r.point_index == pi]
@@ -381,7 +375,7 @@ def run_flow_report(cfg: ExperimentConfig) -> dict:
                          "exit_time": None,
                          "note": "origin is a fixed point; no exit"}
             else:
-                tau = flow_exit_time(cfg.model, cfg.box, x0, dt=cfg.dt)
+                tau = flow_exit_time(cfg.model, cfg.box, x0, dt=cfg.path.dt)
                 entry = {"epsilon": epsilon, "point_index": pi,
                          "exit_time": tau}
             report["points"].append(entry)
@@ -397,15 +391,11 @@ def run_flow_report(cfg: ExperimentConfig) -> dict:
     return report
 
 
-def run_density_report(cfg: ExperimentConfig,
-                       seed: int | None = None) -> DensityDiagnostic:
+def run_density_report(cfg: ExperimentConfig) -> DensityDiagnostic:
     """Fluctuation samples at the diagnostic horizon vs the finite-time law."""
-    if seed is not None:
-        cfg = cfg.with_overrides(seed=seed)
-    path_config = PathConfig(dt=cfg.dt)
     samples = rescaled_fluctuation_samples(
         cfg.model, cfg.noise, cfg.diagnostic_point, cfg.diagnostic_epsilon,
-        cfg.diagnostic_time, path_config, cfg.seed, cfg.diagnostic_n_samples,
+        cfg.diagnostic_time, cfg.path, cfg.seed, cfg.diagnostic_n_samples,
         batch_size=cfg.batch_size, workers=cfg.workers)
     reference = finite_time_covariance(cfg.noise.sigma0, cfg.model.spectrum,
                                        cfg.diagnostic_time)

@@ -111,6 +111,8 @@ def simulate_batch(model: ConjugateFieldModel, noise: NoiseModel, domain,
         raise ValueError("epsilon must lie in [0, 1)")
     if stop_time < 0.0 or not math.isfinite(stop_time):
         raise ValueError("stop_time must be finite and >= 0")
+    if not 0.0 < dt < math.inf:
+        raise ValueError("dt must be finite and > 0")
 
     n_steps = int(math.ceil(stop_time / dt - 1e-12)) if stop_time > 0.0 else 0
     exited = np.zeros(m, dtype=bool)

@@ -342,7 +342,7 @@ run.seed = 20260815
 """)
     texts = []
     for workers in (1, 4, 16):
-        record = run_estimate(cfg, workers=workers)
+        record = run_estimate(cfg.with_overrides(workers=workers))
         lines = rows_csv_text(record).splitlines()
         # drop the wall_seconds column, the one legitimate nondeterminism
         texts.append("\n".join([lines[0]]

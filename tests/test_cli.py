@@ -66,6 +66,41 @@ class TestExitCodes:
         assert "runtime error" in capsys.readouterr().err
 
 
+# Configs that a run would reject: every command must refuse them at parse
+# time, with exit code 1 and no traceback, before any path is simulated.
+REJECTED = [
+    "estimator.t_cap = 0.0005",
+    "estimator.t_cap = nan",
+    "estimator.t_cap = inf",
+    "estimator.level_step = nan",
+    "diagnostic.n_samples = 500",
+    "noise.sigma = nan",
+    "domain.big = ball:nan",
+    "noise.form = state_scaled\nnoise.gamma = nan",
+    "diagnostic.halfwidth = nan",
+    "domain.inner = ball:inf\ndomain.outer = ball:2.0",
+    "domain.inner = ball:1.5\ndomain.outer = ball:inf",
+    "initial.points = nan",
+    "diagnostic.time = nan",
+]
+
+
+@pytest.mark.parametrize("command", ["validate", "estimate", "diagnose"])
+@pytest.mark.parametrize("lines", REJECTED, ids=[ln.replace("\n", " ")
+                                                  for ln in REJECTED])
+def test_rejected_config_is_a_config_error(config_file, capsys, monkeypatch,
+                                           lines, command):
+    def no_paths(*args, **kwargs):
+        raise AssertionError("a path was simulated")
+
+    monkeypatch.setattr("exitlab.estimator.simulate_batch", no_paths)
+    code = main([command, "--config", config_file(GOOD + lines + "\n")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("config error:")
+    assert "Traceback" not in err
+
+
 class TestPredict:
     def test_stdout_rows(self, config_file, capsys):
         assert main(["predict", "--config", config_file(GOOD)]) == 0
@@ -133,11 +168,11 @@ class TestEstimate:
         real = hz._estimate_one
         seen = []
 
-        def flaky(cfg, x_eff, epsilon, path_config):
+        def flaky(cfg, x_eff, epsilon):
             if len(seen) == 2:
                 raise NoExit("boom")
             seen.append(epsilon)
-            return real(cfg, x_eff, epsilon, path_config)
+            return real(cfg, x_eff, epsilon)
 
         monkeypatch.setattr(hz, "_estimate_one", flaky)
         out_dir = tmp_path / "out"

@@ -57,6 +57,11 @@ class TestNoiseModel:
         x = np.array([1.0, 1.0])
         np.testing.assert_allclose(nm.sigma(x), 2.0 * np.eye(2))
 
+    @pytest.mark.parametrize("gamma", [math.nan, math.inf])
+    def test_state_scaled_rejects_non_finite_gamma(self, gamma):
+        with pytest.raises(ValueError, match="gamma"):
+            NoiseModel.state_scaled(np.eye(2), gamma)
+
     def test_state_scaled_batch_matches_rows(self):
         nm = NoiseModel.state_scaled(np.array([[1.0, 0.3], [0.0, 1.0]]), 0.25)
         X = np.array([[0.1, -0.2], [0.0, 0.0], [0.5, 0.4]])
@@ -121,6 +126,13 @@ class TestSmoothDomain:
         with pytest.raises(ValueError):
             SmoothDomain.ellipsoid([1.0, -1.0])
 
+    @pytest.mark.parametrize("size", [math.nan, math.inf, 0.0])
+    def test_non_finite_or_zero_sizes_rejected(self, size):
+        with pytest.raises(ValueError, match="finite and positive"):
+            SmoothDomain.ball(size)
+        with pytest.raises(ValueError, match="finite and positive"):
+            SmoothDomain.ellipsoid([1.0, size])
+
     def test_boundary_point_on_ray(self):
         ball = SmoothDomain.ball(2.0)
         p = ball.boundary_point(np.array([3.0, 4.0]))
@@ -156,6 +168,15 @@ class TestConjugateFieldModel:
             ConjugateFieldModel.component_quadratic(S1, [1.0], validity_radius=0.5)
         m = ConjugateFieldModel.component_quadratic(S1, [1.0], validity_radius=0.4)
         assert m.validity_radius == 0.4
+
+    @pytest.mark.parametrize("radius", [math.nan, 0.0, -1.0])
+    def test_validity_radius_assignment_checked(self, radius):
+        m = ConjugateFieldModel.identity(S1)
+        with pytest.raises(ValueError, match="validity_radius"):
+            m.validity_radius = radius
+        assert m.validity_radius == math.inf
+        m.validity_radius = 2.0
+        assert m.validity_radius == 2.0
 
     def test_roundtrip(self):
         m = ConjugateFieldModel.component_quadratic(S2, [1.0, -0.5])

@@ -23,6 +23,7 @@ from exitlab import (
     slope_regression,
     splitting_tail_estimate,
 )
+from exitlab.estimator import MIN_DENSITY_SAMPLES
 
 S1 = Spectrum([1.0])
 ID1 = ConjugateFieldModel.identity(S1)
@@ -362,3 +363,13 @@ class TestDensityDiagnostic:
     def test_requires_enough_samples(self):
         with pytest.raises(ValueError):
             density_diagnostic(np.zeros((100, 1)), np.array([[1.0]]))
+        with pytest.raises(ValueError):
+            density_diagnostic(np.zeros((MIN_DENSITY_SAMPLES - 1, 1)),
+                               np.array([[1.0]]))
+
+    @pytest.mark.parametrize("halfwidth", [math.nan, math.inf, 0.0, -6.0])
+    def test_rejects_bad_halfwidth(self, halfwidth):
+        samples = np.random.default_rng(3).standard_normal((MIN_DENSITY_SAMPLES, 1))
+        with pytest.raises(ValueError, match="halfwidth_sigmas"):
+            density_diagnostic(samples, np.array([[1.0]]),
+                               halfwidth_sigmas=halfwidth)

@@ -169,6 +169,10 @@ class TestThresholdTime:
             ThresholdSpec(alpha=-0.5)
         with pytest.raises(ValueError):
             ThresholdSpec(alpha=1.0, r_coeff=1.0, r_exponent=0.0)
+        for r_coeff, r_exponent in ((math.nan, 1.0), (math.inf, 1.0),
+                                    (1.0, math.nan), (0.0, math.nan)):
+            with pytest.raises(ValueError, match="finite"):
+                ThresholdSpec(alpha=1.0, r_coeff=r_coeff, r_exponent=r_exponent)
 
 
 class TestAdmissibility:

@@ -64,7 +64,7 @@ def small_record():
 class TestParseConfig:
     def test_minimal_defaults(self):
         cfg = _cfg(MINIMAL)
-        assert cfg.dt == 1e-3
+        assert cfg.path.dt == 1e-3
         assert cfg.n_paths == 10**5
         assert cfg.method == "direct"
         assert cfg.model.spectrum.lambdas == (1.0,)
@@ -182,6 +182,99 @@ class TestParseConfig:
         assert config_hash(cfg2) != config_hash(cfg)
 
 
+# One line per key = value that a run would reject.  Each must fail at parse
+# time, as a ValidationError naming the key, before any path is simulated.
+REJECTED = [
+    ("estimator.t_cap", "estimator.t_cap = 0.0005\n"),
+    ("estimator.t_cap", "estimator.t_cap = nan\n"),
+    ("estimator.t_cap", "estimator.t_cap = inf\n"),
+    ("estimator.level_step", "estimator.level_step = nan\n"),
+    ("diagnostic.n_samples", "diagnostic.n_samples = 500\n"),
+    ("noise.sigma", "noise.sigma = nan\n"),
+    ("noise.gamma", "noise.form = state_scaled\nnoise.gamma = nan\n"),
+    ("domain.inner", "domain.inner = ball:inf\ndomain.outer = ball:2.0\n"),
+    ("domain.outer", "domain.inner = ball:1.5\ndomain.outer = ball:inf\n"),
+    ("domain.big", "domain.big = ball:nan\n"),
+    ("domain.big", "domain.big = ellipsoid:nan\n"),
+    ("domain.big", "domain.big = ellipsoid:2.0,inf\n"),
+    ("domain.big", "domain.big = ellipsoid:1.0,2.0\n"),
+    ("threshold.r_coeff", "threshold.r_coeff = nan\n"),
+    ("initial.points", "initial.points = nan\n"),
+    ("initial.points", "initial.points = 0.5; inf\n"),
+    ("diagnostic.point", "diagnostic.point = nan\n"),
+    ("diagnostic.time", "diagnostic.time = nan\n"),
+    ("diagnostic.time", "diagnostic.time = inf\n"),
+    ("diagnostic.halfwidth", "diagnostic.halfwidth = nan\n"),
+    ("diagnostic.halfwidth", "diagnostic.halfwidth = inf\n"),
+]
+
+
+@pytest.mark.parametrize("key,lines", REJECTED,
+                         ids=[lines.strip() for _, lines in REJECTED])
+def test_rejected_value_names_its_key(key, lines):
+    with pytest.raises(ValidationError) as exc:
+        _cfg(MINIMAL + lines)
+    # an object built from several keys of one section names the section,
+    # and its own message names the field
+    section, field = key.split(".")
+    assert section in str(exc.value) and field in str(exc.value)
+
+
+ALL_KEYS = """
+model.variant = component_quadratic
+model.lambdas = 1.0, 0.5
+model.quad_coeff = 0.5, 0.25
+model.validity_radius = 0.5
+noise.sigma = 1.0, 0.2, 0.0, 0.0, 0.8, 0.1
+noise.cols = 3
+noise.form = state_scaled
+noise.gamma = 0.1
+domain.lower = -0.3, -0.25
+domain.upper = 0.3, 0.35
+domain.l0_cap = 0.4
+domain.inner = ball:0.45
+domain.outer = ellipsoid:0.48,0.49
+domain.big = ball:0.48
+threshold.alpha = 1.2
+threshold.r0 = 0.1
+threshold.r_coeff = 0.5
+threshold.r_exponent = 0.5
+initial.points = 0,0; 0.1,-0.1
+initial.coords = y
+initial.kappa = 1.5
+initial.rho = 0.1
+sweep.epsilons = 0.1, 0.05
+estimator.method = adjusted
+estimator.n_paths = 500
+estimator.dt = 0.002
+estimator.t_cap = 20.0
+estimator.batch_size = 256
+estimator.budget = 500
+estimator.level_step = 0.5
+diagnostic.time = 0.5
+diagnostic.n_samples = 20000
+diagnostic.point = 0.1, 0.2
+diagnostic.epsilon = 0.05
+diagnostic.grid_points = 41
+diagnostic.halfwidth = 5.0
+run.seed = 7
+run.workers = 2
+"""
+
+
+@pytest.mark.parametrize("text,digest", [
+    (MINIMAL, "a5bf5f9ac1dd1b2357e86cbdd7520e2faa55a79981a0a66e66542bcb4e32583d"),
+    (ALL_KEYS, "9ac79862052b7752ce14b07c2b9187552486963856490d294d17c8cc1fd8bbe4"),
+], ids=["minimal", "all_keys"])
+def test_config_hash_is_pinned(text, digest):
+    assert config_hash(_cfg(text)) == digest
+
+
+def test_all_keys_config_sets_every_key():
+    keys = {line.split("=")[0].strip() for line in ALL_KEYS.strip().splitlines()}
+    assert keys == set(_cfg(ALL_KEYS).echo)
+
+
 class TestRunPredict:
     def test_theory_rows(self):
         record = run_predict(_cfg(MINIMAL))
@@ -254,7 +347,7 @@ class TestRunEstimate:
 
     def test_override_seed_changes_outcome_label(self, small_record):
         cfg = _cfg(SMALL_RUN)
-        other = run_estimate(cfg, seed=1234)
+        other = run_estimate(cfg.with_overrides(seed=1234))
         assert other.rows[0].seed == 1234
         assert other.config_hash != small_record.config_hash
 
@@ -272,11 +365,11 @@ class TestRunEstimate:
         real = hz._estimate_one
         seen = []
 
-        def flaky(cfg, x_eff, epsilon, path_config):
+        def flaky(cfg, x_eff, epsilon):
             if len(seen) == 2:
                 raise NoExit("boom")
             seen.append(epsilon)
-            return real(cfg, x_eff, epsilon, path_config)
+            return real(cfg, x_eff, epsilon)
 
         monkeypatch.setattr(hz, "_estimate_one", flaky)
         with pytest.raises(NoExit) as exc:

@@ -190,6 +190,12 @@ class TestSimulateBatch:
         assert not res["exited"].any()
         assert res["steps_used"].max() == BLOCK_STEPS + 37 + 1
 
+    @pytest.mark.parametrize("dt", [0.0, -1e-3, math.nan, math.inf])
+    def test_rejects_bad_dt(self, dt):
+        with pytest.raises(ValueError, match="dt"):
+            simulate_batch(ID1, N1, BOX1, np.full((2, 1), 0.1), 0.1, 1.0, dt,
+                           [make_generator(1, p) for p in range(2)])
+
     def test_epsilon_zero_no_draws(self):
         X0 = np.full((3, 1), 0.4)
         res = simulate_batch(ID1, N1, BOX1, X0, 0.0, 2.0, 1e-3,
