@@ -154,12 +154,15 @@ def _fmt_value(v) -> str:
     raise AssertionError(f"unformattable config value {v!r}")
 
 
-def _smooth_domain(spec: str) -> SmoothDomain:
+def _smooth_domain(spec: str, d: int) -> SmoothDomain:
     name, _, args = spec.partition(":")
     if name == "ball":
         return SmoothDomain.ball(float(args))
     if name == "ellipsoid":
-        return SmoothDomain.ellipsoid([float(a) for a in args.split(",")])
+        axes = [float(a) for a in args.split(",")]
+        if len(axes) not in (1, d):
+            raise ValueError(f"ellipsoid needs 1 or d = {d} semi-axes, got {len(axes)}")
+        return SmoothDomain.ellipsoid(axes)
     raise ValueError(
         f"unknown domain kind {name!r} (expected ball:R or ellipsoid:a,b,...)")
 
@@ -327,7 +330,7 @@ def build_config(raw: dict[str, object]) -> ExperimentConfig:
     if get("noise.form") == "state_scaled":
         noise = _built("noise", NoiseModel.state_scaled, sigma0, get("noise.gamma"))
     else:
-        noise = _built("noise", NoiseModel.constant_matrix, sigma0)
+        noise = _built("noise", NoiseModel, sigma0)
 
     box = _built("domain", BoxDomain,
                  _as_vector(raw["domain.lower"], d, "domain.lower"),
@@ -341,7 +344,7 @@ def build_config(raw: dict[str, object]) -> ExperimentConfig:
             "domain must pull back inside the model validity region")
 
     inner, outer, big = (
-        None if raw.get(key) is None else _built(key, _smooth_domain, raw[key])
+        None if raw.get(key) is None else _built(key, _smooth_domain, raw[key], d)
         for key in _SMOOTH_KEYS)
     if (inner is None) != (outer is None):
         raise ValidationError("domain.inner and domain.outer must be given together")
@@ -358,6 +361,10 @@ def build_config(raw: dict[str, object]) -> ExperimentConfig:
         raise ValidationError("sweep.epsilons must lie strictly inside (0, 1)")
     if any(b >= a for a, b in zip(eps, eps[1:])):
         raise ValidationError("sweep.epsilons must be strictly decreasing")
+    for e in eps:
+        if not threshold.time(e) > 0.0:
+            raise ValidationError(f"threshold: time alpha*log(1/eps) + r0 + r_coeff*"
+                                  f"eps**r_exponent is not positive at eps = {e!r}")
 
     points = tuple(_point(p, d, "initial.points") for p in get("initial.points"))
     coords = get("initial.coords")
@@ -397,7 +404,11 @@ def build_config(raw: dict[str, object]) -> ExperimentConfig:
     if diag_n < MIN_DENSITY_SAMPLES:
         raise ValidationError(
             f"diagnostic.n_samples must be >= {MIN_DENSITY_SAMPLES}")
-    diag_point = _point(get("diagnostic.point")[0], d, "diagnostic.point")
+    diag_points = get("diagnostic.point")
+    if len(diag_points) != 1:
+        raise ValidationError(
+            f"diagnostic.point must be one point, got {len(diag_points)}")
+    diag_point = _point(diag_points[0], d, "diagnostic.point")
     diag_grid = int(get("diagnostic.grid_points"))
     if diag_grid < 8:
         raise ValidationError("diagnostic.grid_points must be >= 8")

@@ -15,7 +15,7 @@ comparison domains for travel-time brackets.
 from __future__ import annotations
 
 import math
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -35,48 +35,53 @@ _BISECT_ITERS = 54
 _FACE_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
+def _stack_call(fn, X: np.ndarray, shape: tuple, contract: str) -> np.ndarray:
+    """fn(X) at construction; a callable written for one point fails here."""
+    try:
+        out = np.asarray(fn(X), dtype=float)
+    except (ValueError, TypeError, IndexError) as exc:
+        raise ValueError(f"{contract}; calling it on a stack of "
+                         f"{X.shape[0]} rows failed: {exc}") from None
+    if out.shape != shape:
+        raise ValueError(f"{contract}; on a stack of {X.shape[0]} rows it "
+                         f"returned shape {out.shape}, expected {shape}")
+    return out
+
+
 class NoiseModel:
     """Diffusion coefficient sigma(x) of shape (d, n), full rank d at 0.
 
-    Either a constant matrix or a named state-dependent family.  ``n >= d``
-    columns drive d state dimensions; rank deficiency at the origin would
-    collapse the limiting covariance and is rejected outright.
+    Either the constant matrix ``sigma0`` or a state-dependent ``sigma_fn``
+    that maps an (m, d) stack of states to the (m, d, n) stack of their
+    sigma(x); ``sigma0`` is then sigma(0).  ``n >= d`` columns drive d state
+    dimensions; rank deficiency at the origin would collapse the limiting
+    covariance and is rejected outright.
     """
 
-    def __init__(self, sigma0, sigma_fn=None, sigma_batch_fn=None, name="constant"):
+    def __init__(self, sigma0, sigma_fn=None):
         sigma0 = np.atleast_2d(np.asarray(sigma0, dtype=float))
         d, n = sigma0.shape
         if not np.all(np.isfinite(sigma0)):
             raise ValueError("sigma entries must be finite")
         if n < d or np.linalg.matrix_rank(sigma0) < d:
             raise RankDeficient(f"sigma(0) must have full rank {d}, got shape {d}x{n}")
+        if sigma_fn is not None:
+            _stack_call(sigma_fn, np.zeros((2, d)), (2, d, n),
+                        f"sigma_fn must map an (m, {d}) stack to (m, {d}, {n})")
         self.sigma0 = sigma0
         self.d = d
         self.n = n
         self._fn = sigma_fn
-        self._batch_fn = sigma_batch_fn
-        self.name = name
 
     @property
     def constant(self) -> bool:
         return self._fn is None
 
-    def sigma(self, x) -> np.ndarray:
-        if self._fn is None:
-            return self.sigma0
-        return np.asarray(self._fn(np.asarray(x, dtype=float)), dtype=float)
-
     def sigma_batch(self, X: np.ndarray) -> np.ndarray:
         """Stack of sigma(x) over rows of X, shape (m, d, n)."""
         if self._fn is None:
             return np.broadcast_to(self.sigma0, (X.shape[0],) + self.sigma0.shape)
-        if self._batch_fn is not None:
-            return np.asarray(self._batch_fn(X), dtype=float)
-        return np.stack([self.sigma(row) for row in X])
-
-    @classmethod
-    def constant_matrix(cls, sigma) -> "NoiseModel":
-        return cls(sigma, name="constant")
+        return np.asarray(self._fn(X), dtype=float)
 
     @classmethod
     def state_scaled(cls, base, gamma: float) -> "NoiseModel":
@@ -86,15 +91,11 @@ class NoiseModel:
         if not math.isfinite(gamma):
             raise ValueError("gamma must be finite")
 
-        def fn(x):
-            return base * (1.0 + gamma * float(np.dot(x, x)))
-
-        def batch_fn(X):
+        def sigma_fn(X):
             fac = 1.0 + gamma * np.sum(X * X, axis=1)
             return base[None, :, :] * fac[:, None, None]
 
-        return cls(base, sigma_fn=fn, sigma_batch_fn=batch_fn,
-                   name=f"state_scaled:{gamma!r}")
+        return cls(base, sigma_fn=sigma_fn)
 
 
 class BoxDomain:
@@ -181,95 +182,108 @@ class BoxDomain:
 class SmoothDomain:
     """Open set ``{x : g(x) < 0}`` containing the origin.
 
-    ``grad`` is only needed for transversality checks.  ``vectorized`` means
-    g accepts an (m, d) array and returns (m,).
+    ``g`` maps an (m, d) stack of points to the (m,) stack of their values,
+    and ``grad``, which only transversality checks need, maps (m, d) to the
+    (m, d) stack of gradients.  Given ``dim``, the constructor checks that
+    g is negative at the origin.
     """
 
     def __init__(self, g: Callable, grad: Callable | None = None,
-                 name: str = "custom", vectorized: bool = False,
-                 dim: int | None = None):
+                 name: str = "custom", dim: int | None = None):
         self._g = g
         self._grad = grad
         self.name = name
-        self._vectorized = vectorized
         if dim is not None:
-            v = self.value(np.zeros(dim))
-            if not v < 0.0:
+            v = self.values(np.zeros((1, dim)))
+            if not v[0] < 0.0:
                 raise ValueError("domain must contain the origin: g(0) < 0")
-
-    def value(self, x) -> float:
-        return float(self._g(np.asarray(x, dtype=float)))
 
     def values(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=float)
-        if self._vectorized:
-            return np.asarray(self._g(X), dtype=float).reshape(X.shape[0])
-        return np.array([self.value(row) for row in X])
+        v = np.asarray(self._g(X), dtype=float)
+        if v.shape != X.shape[:1]:
+            raise ValueError(f"g must map an (m, d) stack to (m,), got {v.shape}")
+        return v
 
     def outside(self, X: np.ndarray) -> np.ndarray:
         """On the boundary or outside (g >= 0); works on (m, d)."""
         return self.values(X) >= 0.0
 
-    def gradient(self, x) -> np.ndarray:
+    def gradient(self, X: np.ndarray) -> np.ndarray:
         if self._grad is None:
             raise ValueError(f"domain {self.name!r} has no gradient")
-        return np.asarray(self._grad(np.asarray(x, dtype=float)), dtype=float)
+        X = np.asarray(X, dtype=float)
+        G = np.asarray(self._grad(X), dtype=float)
+        if G.shape != X.shape:
+            raise ValueError(f"grad must map an (m, d) stack to (m, d), got {G.shape}")
+        return G
 
-    def boundary_point(self, direction: np.ndarray) -> np.ndarray:
-        """Point where the ray from 0 along `direction` crosses {g = 0}."""
-        u = np.asarray(direction, dtype=float)
-        nrm = float(np.linalg.norm(u))
-        if nrm == 0.0:
-            raise ValueError("direction must be nonzero")
-        u = u / nrm
-        lo, hi = 0.0, 1.0
+    def boundary_points(self, directions: np.ndarray) -> np.ndarray:
+        """Where the rays from 0 along the rows of `directions` cross {g = 0}.
+
+        Each ray doubles its reach until it is outside, then bisects 80
+        times; the rays advance together, each on its own bracket.  A row
+        whose ray is still inside after 200 doublings comes back as nan.
+        Raises NoExit when no ray crosses.
+        """
+        U = np.atleast_2d(np.asarray(directions, dtype=float))
+        nrm = np.sqrt(np.vecdot(U, U))
+        if np.any(nrm == 0.0):
+            raise ValueError("directions must be nonzero")
+        U = U / nrm[:, None]
+        lo = np.zeros(U.shape[0])
+        hi = np.ones(U.shape[0])
         for _ in range(200):
-            if self.value(hi * u) >= 0.0:
+            out = self.outside(hi[:, None] * U)
+            if out.all():
                 break
-            lo, hi = hi, 2.0 * hi
-        else:
-            raise NoExit(f"domain {self.name!r} appears unbounded along the ray")
+            lo = np.where(out, lo, hi)
+            hi = np.where(out, hi, 2.0 * hi)
+        if not out.any():
+            raise NoExit(f"domain {self.name!r} appears unbounded along every ray")
+        U, lo, hi = U[out], lo[out], hi[out]
         for _ in range(80):
             mid = 0.5 * (lo + hi)
-            if self.value(mid * u) >= 0.0:
-                hi = mid
-            else:
-                lo = mid
-        return 0.5 * (lo + hi) * u
+            beyond = self.outside(mid[:, None] * U)
+            hi = np.where(beyond, mid, hi)
+            lo = np.where(beyond, lo, mid)
+        P = np.full((out.size, U.shape[1]), np.nan)
+        P[out] = (0.5 * (lo + hi))[:, None] * U
+        return P
 
     @classmethod
     def ball(cls, radius: float) -> "SmoothDomain":
         radius = float(radius)
-        if not 0.0 < radius < math.inf:
-            raise ValueError("radius must be finite and positive")
+        with np.errstate(over="ignore", divide="ignore"):
+            inv2 = 1.0 / np.square(radius)
+        if not (radius > 0.0 and 0.0 < inv2 < math.inf):
+            raise ValueError("radius and 1/radius^2 must be finite and positive")
 
-        def g(x):
-            x = np.asarray(x, dtype=float)
-            return np.sum(x * x, axis=-1) - radius * radius
+        def g(X):
+            return np.sum(X * X, axis=-1) - radius * radius
 
-        return cls(g, grad=lambda x: 2.0 * np.asarray(x, dtype=float),
-                   name=f"ball:{radius!r}", vectorized=True)
+        return cls(g, grad=lambda X: 2.0 * X, name=f"ball:{radius!r}")
 
     @classmethod
     def ellipsoid(cls, semi_axes) -> "SmoothDomain":
         a = np.atleast_1d(np.asarray(semi_axes, dtype=float))
-        if not np.all((a > 0.0) & (a < math.inf)):
-            raise ValueError("semi-axes must be finite and positive")
-        inv2 = 1.0 / (a * a)
+        with np.errstate(over="ignore", divide="ignore"):
+            inv2 = 1.0 / (a * a)
+        if not np.all((a > 0.0) & (inv2 > 0.0) & (inv2 < math.inf)):
+            raise ValueError("semi-axes and 1/semi-axis^2 must be finite and positive")
 
-        def g(x):
-            x = np.asarray(x, dtype=float)
-            return np.sum(x * x * inv2, axis=-1) - 1.0
+        def g(X):
+            return np.sum(X * X * inv2, axis=-1) - 1.0
 
         axes_repr = ",".join(repr(float(v)) for v in a)
-        return cls(g, grad=lambda x: 2.0 * np.asarray(x, dtype=float) * inv2,
-                   name=f"ellipsoid:{axes_repr}", vectorized=True)
+        return cls(g, grad=lambda X: 2.0 * X * inv2,
+                   name=f"ellipsoid:{axes_repr}")
 
 
 def _deterministic_probe_points(d: int, radius: float) -> np.ndarray:
-    """Fixed probe set for construction-time self checks."""
+    """Fixed probe stack for construction-time self checks; row 0 is 0."""
     cap = radius if math.isfinite(radius) else 1.0
-    dirs = [np.zeros(d)]
+    dirs = []
     for j in range(d):
         e = np.zeros(d)
         e[j] = 1.0
@@ -280,11 +294,15 @@ def _deterministic_probe_points(d: int, radius: float) -> np.ndarray:
     for frac in (0.25, 0.5, 0.9):
         for u in dirs:
             pts.append(frac * cap * u)
-    return np.unique(np.asarray(pts), axis=0)
+    return np.vstack([np.zeros((1, d)), np.unique(np.asarray(pts), axis=0)])
 
 
 class ConjugateFieldModel:
     """Drift field defined through a linearizing map.
+
+    Every callable maps a stack of m rows to one stack: ``f`` and ``f_inv``
+    take (m, d) to (m, d), ``df`` takes (m, d) to the (m, d, d) Jacobians,
+    and ``drift`` takes (m, d) to (m, d).
 
     Parameters
     ----------
@@ -292,30 +310,30 @@ class ConjugateFieldModel:
         Eigenvalues of the linearization at 0 (strictly decreasing, positive).
     f, f_inv, df:
         The map, its inverse, and its Jacobian.  Must satisfy f(0) = 0 and
-        Df(0) = I to 1e-10; checked at construction on a probe set, along
+        Df(0) = I to 1e-10; checked at construction on a probe stack, along
         with the inverse round trip and the conjugacy residual
         ``Df(x) b(x) = lambda o f(x)`` (1e-8).
+    drift:
+        Optional closed form of ``b``, checked against
+        ``solve(Df(x), lambda o f(x))`` to 1e-10 on the probe stack.  Without
+        it, ``drift_batch`` solves that stacked system.
     validity_radius:
-        Sup-norm radius within which the map is trusted.  ``drift`` raises
-        OutsideValidity beyond it; batch callers clamp instead and flag.
+        Sup-norm radius within which the map is trusted.  The engines clamp
+        rows into it and flag them; ``transversality_check`` raises
+        OutsideValidity beyond it.
     """
 
-    def __init__(self, spectrum: Spectrum, f, f_inv, df,
-                 validity_radius: float = math.inf, variant: str = "custom",
-                 f_batch=None, f_inv_batch=None, drift_batch=None,
-                 check: bool = True):
+    def __init__(self, spectrum: Spectrum, f, f_inv, df, drift=None,
+                 validity_radius: float = math.inf, variant: str = "custom"):
         self.spectrum = spectrum
         self._f = f
         self._f_inv = f_inv
         self._df = df
+        self._drift = drift
         self.validity_radius = validity_radius
         self.variant = variant
-        self._f_batch = f_batch
-        self._f_inv_batch = f_inv_batch
-        self._drift_batch = drift_batch
         self._lam = spectrum.as_array()
-        if check:
-            self._self_check()
+        self._self_check()
 
     @property
     def validity_radius(self) -> float:
@@ -328,49 +346,21 @@ class ConjugateFieldModel:
             raise ValueError("validity_radius must be positive")
         self._validity_radius = radius
 
-    # point API ---------------------------------------------------------
-    def push(self, x) -> np.ndarray:
-        """y = f(x)."""
-        return np.asarray(self._f(np.asarray(x, dtype=float)), dtype=float)
-
-    def pull(self, y) -> np.ndarray:
-        """x = f^{-1}(y)."""
-        return np.asarray(self._f_inv(np.asarray(y, dtype=float)), dtype=float)
-
-    def jacobian(self, x) -> np.ndarray:
-        return np.asarray(self._df(np.asarray(x, dtype=float)), dtype=float)
-
-    def drift(self, x) -> np.ndarray:
-        """b(x); raises OutsideValidity when |x|_inf exceeds the radius."""
-        x = np.asarray(x, dtype=float)
-        if np.max(np.abs(x)) > self.validity_radius:
-            raise OutsideValidity(
-                f"|x|_inf = {np.max(np.abs(x)):g} exceeds validity radius "
-                f"{self.validity_radius:g}")
-        J = self.jacobian(x)
-        return np.linalg.solve(J, self._lam * self.push(x))
-
-    # batch API -----------------------------------------------------------
-    # Batch methods assume rows already inside the validity region; the
+    # The methods below assume rows already inside the validity region; the
     # stochastic and deterministic engines clamp and flag before calling.
     def push_batch(self, X: np.ndarray) -> np.ndarray:
-        if self._f_batch is not None:
-            return self._f_batch(X)
-        return np.stack([self.push(row) for row in X])
+        """y = f(x) for every row of X."""
+        return self._f(X)
 
     def pull_batch(self, Y: np.ndarray) -> np.ndarray:
-        if self._f_inv_batch is not None:
-            return self._f_inv_batch(Y)
-        return np.stack([self.pull(row) for row in Y])
+        """x = f^{-1}(y) for every row of Y."""
+        return self._f_inv(Y)
 
     def drift_batch(self, X: np.ndarray) -> np.ndarray:
-        if self._drift_batch is not None:
-            return self._drift_batch(X)
-        out = np.empty_like(X)
-        for r, row in enumerate(X):
-            J = self.jacobian(row)
-            out[r] = np.linalg.solve(J, self._lam * self.push(row))
-        return out
+        """b(x) for every row of X."""
+        if self._drift is not None:
+            return self._drift(X)
+        return _solve_rows(self._df(X), self._lam * self._f(X))
 
     def clamp(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Project rows into the validity cube; returns (clamped, was_outside)."""
@@ -385,31 +375,31 @@ class ConjugateFieldModel:
 
     def _self_check(self):
         d = self.spectrum.d
-        pts = _deterministic_probe_points(d, self.validity_radius)
-        y0 = self.push(np.zeros(d))
-        if np.max(np.abs(y0)) > 1e-10:
+        X = _deterministic_probe_points(d, self.validity_radius)
+        rows = (X.shape[0], d)
+        Y = _stack_call(self._f, X, rows, f"f must map an (m, {d}) stack to (m, {d})")
+        J = _stack_call(self._df, X, rows + (d,),
+                        f"df must map an (m, {d}) stack to (m, {d}, {d})")
+        back = _stack_call(self._f_inv, Y, rows,
+                           f"f_inv must map an (m, {d}) stack to (m, {d})")
+        if not np.max(np.abs(Y[0])) <= 1e-10:
             raise ValueError("linearizing map must fix the origin: f(0) = 0")
-        if np.max(np.abs(self.jacobian(np.zeros(d)) - np.eye(d))) > 1e-10:
+        if not np.max(np.abs(J[0] - np.eye(d))) <= 1e-10:
             raise ValueError("linearizing map must have identity Jacobian at 0")
-        for x in pts:
-            y = self.push(x)
-            back = self.pull(y)
-            if np.max(np.abs(back - x)) > 1e-10 * max(1.0, np.max(np.abs(x))):
-                raise ValueError("f_inv does not invert f to 1e-10 on probe points")
-            b = np.linalg.solve(self.jacobian(x), self._lam * y)
-            res = self.jacobian(x) @ b - self._lam * y
-            if np.max(np.abs(res)) > 1e-8 * max(1.0, np.max(np.abs(y))):
-                raise ValueError("conjugacy residual exceeds 1e-8 on probe points")
-        if self._f_batch is not None or self._drift_batch is not None:
-            # vectorized fast paths must agree with the row-wise definitions
-            ref_y = np.stack([self.push(x) for x in pts])
-            if np.max(np.abs(self.push_batch(pts) - ref_y)) > 1e-12:
-                raise ValueError("f_batch disagrees with f on probe points")
-            ref_b = np.stack(
-                [np.linalg.solve(self.jacobian(x), self._lam * self.push(x))
-                 for x in pts])
-            if np.max(np.abs(self.drift_batch(pts) - ref_b)) > 1e-10:
-                raise ValueError("drift_batch disagrees with drift on probe points")
+        scale_x = np.maximum(1.0, np.max(np.abs(X), axis=1))
+        if not np.all(np.max(np.abs(back - X), axis=1) <= 1e-10 * scale_x):
+            raise ValueError("f_inv does not invert f to 1e-10 on probe points")
+        B = _solve_rows(J, self._lam * Y)
+        res = (J @ B[:, :, None])[:, :, 0] - self._lam * Y
+        scale_y = np.maximum(1.0, np.max(np.abs(Y), axis=1))
+        if not np.all(np.max(np.abs(res), axis=1) <= 1e-8 * scale_y):
+            raise ValueError("conjugacy residual exceeds 1e-8 on probe points")
+        if self._drift is not None:
+            b = _stack_call(self._drift, X, rows,
+                            f"drift must map an (m, {d}) stack to (m, {d})")
+            if not np.max(np.abs(b - B)) <= 1e-10:
+                raise ValueError(
+                    "drift disagrees with solve(df, lambda o f) on probe points")
 
     # constructors --------------------------------------------------------
     @classmethod
@@ -419,14 +409,12 @@ class ConjugateFieldModel:
         lam = spectrum.as_array()
         return cls(
             spectrum,
-            f=lambda x: np.array(x, dtype=float),
-            f_inv=lambda y: np.array(y, dtype=float),
-            df=lambda x: np.eye(d),
+            f=lambda X: np.asarray(X, dtype=float),
+            f_inv=lambda Y: np.asarray(Y, dtype=float),
+            df=lambda X: np.broadcast_to(np.eye(d), (X.shape[0], d, d)),
+            drift=lambda X: X * lam,
             validity_radius=math.inf,
             variant="identity",
-            f_batch=lambda X: np.asarray(X, dtype=float),
-            f_inv_batch=lambda Y: np.asarray(Y, dtype=float),
-            drift_batch=lambda X: X * lam,
         )
 
     @classmethod
@@ -457,27 +445,25 @@ class ConjugateFieldModel:
                 f"validity_radius {validity_radius:g} reaches the "
                 f"diffeomorphism bound {diffeo_bound:g} for these coefficients")
 
-        def f(x):
-            return x + c * x * x
-
-        def f_inv(y):
-            disc = np.sqrt(np.maximum(1.0 + 4.0 * c * y, 0.0))
-            return 2.0 * y / (1.0 + disc)
-
-        def df(x):
-            return np.diag(1.0 + 2.0 * c * x)
-
-        def drift_batch(X):
-            return lam * (X + c * X * X) / (1.0 + 2.0 * c * X)
+        def df(X):
+            J = np.zeros(X.shape + (d,))
+            J[:, range(d), range(d)] = 1.0 + 2.0 * c * X
+            return J
 
         return cls(
-            spectrum, f=f, f_inv=f_inv, df=df,
+            spectrum,
+            f=lambda X: X + c * X * X,
+            f_inv=lambda Y: 2.0 * Y / (1.0 + np.sqrt(np.maximum(1.0 + 4.0 * c * Y, 0.0))),
+            df=df,
+            drift=lambda X: lam * (X + c * X * X) / (1.0 + 2.0 * c * X),
             validity_radius=validity_radius,
             variant="component_quadratic",
-            f_batch=lambda X: X + c * X * X,
-            f_inv_batch=lambda Y: 2.0 * Y / (1.0 + np.sqrt(np.maximum(1.0 + 4.0 * c * Y, 0.0))),
-            drift_batch=drift_batch,
         )
+
+
+def _solve_rows(J: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Row i of the result solves J[i] x = B[i]; J is (m, d, d), B is (m, d)."""
+    return np.linalg.solve(J, B[:, :, None])[:, :, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -674,9 +660,10 @@ def transversality_check(model: ConjugateFieldModel, domain: SmoothDomain,
     Samples boundary points along deterministic directions (the 2d axis
     directions first, then seeded random ones) and evaluates <n_hat, b>
     with the outward normal from the domain gradient.  Passing means every
-    sampled inner product is strictly positive.  Directions whose ray never
-    leaves the domain are skipped, so unbounded domains are handled; at
-    least one direction must cross the boundary.
+    sampled inner product is strictly positive; a nan one fails.  Directions
+    whose ray never leaves the domain are skipped, so unbounded domains are
+    handled; at least one direction must cross the boundary.  A boundary
+    point beyond the model's validity radius raises OutsideValidity.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
@@ -691,21 +678,18 @@ def transversality_check(model: ConjugateFieldModel, domain: SmoothDomain,
         norms = np.linalg.norm(extra, axis=1)
         extra = extra[norms > 1e-12] / norms[norms > 1e-12, None]
         dirs = np.vstack([axes, extra])
-    worst = math.inf
-    n_crossed = 0
-    for u in dirs:
-        try:
-            p = domain.boundary_point(u)
-        except NoExit:
-            continue
-        n_crossed += 1
-        grad = domain.gradient(p)
-        gn = float(np.linalg.norm(grad))
-        if gn == 0.0:
-            raise ValueError("domain gradient vanishes on the boundary")
-        ip = float(np.dot(grad / gn, model.drift(p)))
-        worst = min(worst, ip)
-    if n_crossed == 0:
-        raise NoExit(f"no sampled ray crossed the boundary of {domain.name!r}")
+    P = domain.boundary_points(dirs)
+    P = P[~np.isnan(P[:, 0])]  # rays that never leave the domain are skipped
+    r = model.validity_radius
+    if np.max(np.abs(P)) > r:
+        raise OutsideValidity(
+            f"boundary point with |x|_inf = {np.max(np.abs(P)):g} exceeds "
+            f"validity radius {r:g}")
+    G = domain.gradient(P)
+    gn = np.sqrt(np.vecdot(G, G))
+    if np.any(gn == 0.0):
+        raise ValueError("domain gradient vanishes on the boundary")
+    # np.min keeps a nan, and a nan inner product fails the check
+    worst = float(np.min(np.vecdot(G / gn[:, None], model.drift_batch(P))))
     return TransversalityReport(ok=worst > 0.0, min_inner_product=worst,
-                                n_samples=n_crossed)
+                                n_samples=P.shape[0])

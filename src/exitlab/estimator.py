@@ -433,7 +433,7 @@ def rescaled_fluctuation_samples(model: ConjugateFieldModel, noise: NoiseModel,
         raise ValueError("n_samples must be >= 1")
     if T == 0.0 or epsilon == 0.0:
         return np.zeros((n_samples, d))
-    x0 = model.pull(epsilon * y0)
+    x0 = model.pull_batch((epsilon * y0)[None, :])[0]
     damp = np.exp(-model.spectrum.as_array() * T)
 
     def run(start, stop):

@@ -114,7 +114,7 @@ def _theory_point(cfg: ExperimentConfig, point: np.ndarray,
     scaled = cfg.scale.value(epsilon) * point
     if cfg.coords == "x":
         return scaled
-    return cfg.model.pull(epsilon * scaled) / epsilon
+    return cfg.model.pull_batch((epsilon * scaled)[None, :])[0] / epsilon
 
 
 def _travel_times(cfg: ExperimentConfig) -> tuple[float, float]:

@@ -82,6 +82,11 @@ REJECTED = [
     "domain.inner = ball:1.5\ndomain.outer = ball:inf",
     "initial.points = nan",
     "diagnostic.time = nan",
+    "threshold.r0 = -5.0",
+    "diagnostic.point = 0.1; 0.7",
+    "domain.big = ellipsoid:1e-300",
+    "domain.big = ball:1e-200",
+    "domain.big = ellipsoid:1.0,2.0",
 ]
 
 

@@ -41,21 +41,23 @@ def quad_inverse(c, y):
 
 class TestNoiseModel:
     def test_constant_matrix(self):
-        nm = NoiseModel.constant_matrix(np.array([[1.0, 0.5], [0.0, 2.0]]))
+        sigma = [[1.0, 0.5], [0.0, 2.0]]
+        nm = NoiseModel(np.array(sigma))
         assert nm.constant
-        np.testing.assert_array_equal(nm.sigma(np.zeros(2)),
-                                      [[1.0, 0.5], [0.0, 2.0]])
+        batch = nm.sigma_batch(np.zeros((3, 2)))
+        assert batch.shape == (3, 2, 2)
+        np.testing.assert_array_equal(batch, [sigma] * 3)
 
     def test_rank_deficient_rejected(self):
         with pytest.raises(RankDeficient):
-            NoiseModel.constant_matrix(np.array([[1.0, 2.0], [2.0, 4.0]]))
+            NoiseModel(np.array([[1.0, 2.0], [2.0, 4.0]]))
 
     def test_state_scaled(self):
         nm = NoiseModel.state_scaled(np.eye(2), gamma=0.5)
         assert not nm.constant
-        np.testing.assert_allclose(nm.sigma(np.zeros(2)), np.eye(2))
-        x = np.array([1.0, 1.0])
-        np.testing.assert_allclose(nm.sigma(x), 2.0 * np.eye(2))
+        batch = nm.sigma_batch(np.array([[0.0, 0.0], [1.0, 1.0]]))
+        np.testing.assert_allclose(batch[0], np.eye(2))
+        np.testing.assert_allclose(batch[1], 2.0 * np.eye(2))
 
     @pytest.mark.parametrize("gamma", [math.nan, math.inf])
     def test_state_scaled_rejects_non_finite_gamma(self, gamma):
@@ -63,11 +65,20 @@ class TestNoiseModel:
             NoiseModel.state_scaled(np.eye(2), gamma)
 
     def test_state_scaled_batch_matches_rows(self):
-        nm = NoiseModel.state_scaled(np.array([[1.0, 0.3], [0.0, 1.0]]), 0.25)
+        base = np.array([[1.0, 0.3], [0.0, 1.0]])
+        nm = NoiseModel.state_scaled(base, 0.25)
         X = np.array([[0.1, -0.2], [0.0, 0.0], [0.5, 0.4]])
         batch = nm.sigma_batch(X)
         for k, row in enumerate(X):
-            np.testing.assert_allclose(batch[k], nm.sigma(row), atol=1e-15)
+            assert batch[k].tobytes() == nm.sigma_batch(X[k:k + 1])[0].tobytes()
+            np.testing.assert_allclose(
+                batch[k], base * (1.0 + 0.25 * (row @ row)), atol=1e-15)
+
+    def test_point_sigma_fn_rejected(self):
+        base = np.eye(2)
+        with pytest.raises(ValueError, match=r"sigma_fn must map an \(m, 2\) "
+                                             r"stack to \(m, 2, 2\)"):
+            NoiseModel(base, sigma_fn=lambda x: base * (1.0 + float(x @ x)))
 
 
 class TestBoxDomain:
@@ -115,14 +126,15 @@ class TestBoxDomain:
 class TestSmoothDomain:
     def test_ball_contains_origin(self):
         ball = SmoothDomain.ball(1.0)
-        assert ball.value(np.zeros(2)) == -1.0
+        assert ball.values(np.zeros((1, 2)))[0] == -1.0
         assert not ball.outside(np.zeros((1, 2)))[0]
         assert ball.outside(np.array([[1.0, 0.0]]))[0]
 
     def test_ellipsoid(self):
         el = SmoothDomain.ellipsoid([2.0, 1.0])
-        assert el.value(np.array([2.0, 0.0])) == pytest.approx(0.0, abs=1e-14)
-        assert el.value(np.array([0.0, 0.5])) < 0.0
+        v = el.values(np.array([[2.0, 0.0], [0.0, 0.5]]))
+        assert v[0] == pytest.approx(0.0, abs=1e-14)
+        assert v[1] < 0.0
         with pytest.raises(ValueError):
             SmoothDomain.ellipsoid([1.0, -1.0])
 
@@ -133,30 +145,47 @@ class TestSmoothDomain:
         with pytest.raises(ValueError, match="finite and positive"):
             SmoothDomain.ellipsoid([1.0, size])
 
+    @pytest.mark.parametrize("size", [1e-200, 1e200])
+    def test_sizes_whose_inverse_square_overflows_rejected(self, size):
+        with pytest.raises(ValueError, match="finite and positive"):
+            SmoothDomain.ball(size)
+        with pytest.raises(ValueError, match="finite and positive"):
+            SmoothDomain.ellipsoid([1.0, size])
+
     def test_boundary_point_on_ray(self):
         ball = SmoothDomain.ball(2.0)
-        p = ball.boundary_point(np.array([3.0, 4.0]))
-        assert np.linalg.norm(p) == pytest.approx(2.0, abs=1e-12)
-        np.testing.assert_allclose(p / np.linalg.norm(p), [0.6, 0.8], atol=1e-12)
+        P = ball.boundary_points(np.array([[3.0, 4.0], [0.0, -1.0]]))
+        np.testing.assert_allclose(np.linalg.norm(P, axis=1), 2.0, atol=1e-12)
+        np.testing.assert_allclose(P[0] / np.linalg.norm(P[0]), [0.6, 0.8],
+                                   atol=1e-12)
+        np.testing.assert_allclose(P[1], [0.0, -2.0], atol=1e-12)
 
     def test_unbounded_ray_raises(self):
-        half = SmoothDomain(lambda x: x[0] - 1.0, grad=lambda x: np.array([1.0]))
+        half = SmoothDomain(lambda x: x[:, 0] - 1.0)
         with pytest.raises(NoExit):
-            half.boundary_point(np.array([-1.0]))
+            half.boundary_points(np.array([[-1.0]]))
+        P = half.boundary_points(np.array([[-1.0], [2.0]]))
+        assert np.isnan(P[0, 0])
+        assert P[1, 0] == pytest.approx(1.0, abs=1e-12)
 
     def test_must_contain_origin(self):
-        with pytest.raises(ValueError):
-            SmoothDomain(lambda x: 1.0 - x[0], dim=1)
+        with pytest.raises(ValueError, match="origin"):
+            SmoothDomain(lambda x: 1.0 - x[:, 0], dim=1)
+
+    def test_point_g_rejected(self):
+        with pytest.raises(ValueError, match=r"must map an \(m, d\) stack to \(m,\)"):
+            SmoothDomain(lambda x: float(x[0] @ x[0]) - 1.0, dim=2)
 
 
 class TestConjugateFieldModel:
     def test_identity_drift_is_linear(self):
-        x = np.array([0.3, -0.4])
-        np.testing.assert_allclose(ID2.drift(x), [0.3, -0.2], atol=1e-15)
+        X = np.array([[0.3, -0.4]])
+        np.testing.assert_allclose(ID2.drift_batch(X), [[0.3, -0.2]], atol=1e-15)
 
     def test_quadratic_spec_drift(self):
         m = ConjugateFieldModel.component_quadratic(S1, [1.0])
-        assert m.drift(np.array([0.1]))[0] == pytest.approx(0.11 / 1.2, rel=1e-14)
+        b = m.drift_batch(np.array([[0.1]]))
+        assert b[0, 0] == pytest.approx(0.11 / 1.2, rel=1e-14)
 
     def test_quadratic_default_radius(self):
         m = ConjugateFieldModel.component_quadratic(S1, [1.0])
@@ -180,21 +209,31 @@ class TestConjugateFieldModel:
 
     def test_roundtrip(self):
         m = ConjugateFieldModel.component_quadratic(S2, [1.0, -0.5])
-        x = np.array([0.1, -0.15])
-        np.testing.assert_allclose(m.pull(m.push(x)), x, atol=1e-12)
+        X = np.array([[0.1, -0.15]])
+        np.testing.assert_allclose(m.pull_batch(m.push_batch(X)), X, atol=1e-12)
 
     def test_outside_validity_raises(self):
+        # the boundary of a ball of radius 0.3 leaves the validity radius 0.2
         m = ConjugateFieldModel.component_quadratic(S1, [1.0])
         with pytest.raises(OutsideValidity):
-            m.drift(np.array([0.3]))
+            transversality_check(m, SmoothDomain.ball(0.3), n_samples=4)
 
     def test_batch_matches_rows(self):
-        m = ConjugateFieldModel.component_quadratic(S2, [0.8, -0.6])
+        c = np.array([0.8, -0.6])
+        m = ConjugateFieldModel.component_quadratic(S2, c)
         X = np.array([[0.1, 0.05], [-0.12, 0.2], [0.0, 0.0]])
-        np.testing.assert_allclose(m.push_batch(X),
-                                   np.array([m.push(r) for r in X]), atol=1e-14)
-        np.testing.assert_allclose(m.drift_batch(X),
-                                   np.array([m.drift(r) for r in X]), atol=1e-14)
+        for method in (m.push_batch, m.drift_batch):
+            whole = method(X)
+            for k in range(X.shape[0]):
+                assert whole[k].tobytes() == method(X[k:k + 1])[0].tobytes()
+        # the closed-form drift against the stacked solve(df, lambda o f)
+        def df(X):
+            return np.stack([np.diag(r) for r in 1.0 + 2.0 * c * X])
+
+        solved = ConjugateFieldModel(S2, m.push_batch, m.pull_batch, df,
+                                     validity_radius=m.validity_radius)
+        np.testing.assert_allclose(m.drift_batch(X), solved.drift_batch(X),
+                                   atol=1e-14)
         Y = m.push_batch(X)
         np.testing.assert_allclose(m.pull_batch(Y), X, atol=1e-12)
 
@@ -207,43 +246,67 @@ class TestConjugateFieldModel:
         assert Xc[0, 0] == 0.1
 
     def test_broken_forward_map_rejected(self):
-        # f(0) != 0
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"f\(0\) = 0"):
             ConjugateFieldModel(S1, lambda x: x + 0.1, lambda y: y - 0.1,
-                                lambda x: np.eye(1), validity_radius=1.0)
+                                lambda x: np.ones((len(x), 1, 1)),
+                                validity_radius=1.0)
 
     def test_broken_jacobian_rejected(self):
-        # Df(0) != I
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="identity Jacobian"):
             ConjugateFieldModel(S1, lambda x: 2.0 * x, lambda y: 0.5 * y,
-                                lambda x: 2.0 * np.eye(1), validity_radius=1.0)
+                                lambda x: np.full((len(x), 1, 1), 2.0),
+                                validity_radius=1.0)
 
     def test_broken_inverse_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="f_inv does not invert f"):
             ConjugateFieldModel(S1, lambda x: x + x ** 3, lambda y: y,
-                                lambda x: (1.0 + 3.0 * x ** 2) * np.eye(1),
+                                lambda x: (1.0 + 3.0 * x ** 2)[:, :, None],
                                 validity_radius=0.5)
 
+    def test_broken_drift_rejected(self):
+        with pytest.raises(ValueError, match="drift disagrees"):
+            ConjugateFieldModel(S1, lambda x: x, lambda y: y,
+                                lambda x: np.ones((len(x), 1, 1)),
+                                drift=lambda x: 1.001 * x, validity_radius=1.0)
+
+    @pytest.mark.parametrize("which", ["f", "f_inv", "df", "drift"])
+    def test_point_callable_rejected(self, which):
+        # written for one point of shape (d,): wrong on an (m, d) stack
+        lam = S2.as_array()
+        parts = {"f": lambda X: X, "f_inv": lambda Y: Y,
+                 "df": lambda X: np.broadcast_to(np.eye(2), (len(X), 2, 2)),
+                 "drift": lambda X: X * lam}
+        parts[which] = {"f": lambda x: np.array([x[0], x[1]]),
+                        "f_inv": lambda y: np.asarray(y)[0],
+                        "df": lambda x: np.eye(2),
+                        "drift": lambda x: np.dot(lam, x)}[which]
+        shape = r"\(m, 2, 2\)" if which == "df" else r"\(m, 2\)"
+        with pytest.raises(ValueError,
+                           match=rf"{which} must map an \(m, 2\) stack to {shape}"):
+            ConjugateFieldModel(S2, **parts)
+
     def test_custom_model_accepted(self):
-        # cubic perturbation with exact inverse via cardano on the monotone branch
+        # cubic perturbation with an inverse by Newton on the monotone branch;
+        # no closed-form drift, so drift_batch solves the stacked system
         c = 0.2
 
         def f(x):
             return x + c * x ** 3
 
         def df(x):
-            return np.diag(1.0 + 3.0 * c * np.atleast_1d(x) ** 2)
+            return (1.0 + 3.0 * c * x ** 2)[:, :, None]
 
         def f_inv(y):
-            y = np.atleast_1d(y)
             out = y.copy()
             for _ in range(60):
                 out = out - (out + c * out ** 3 - y) / (1.0 + 3.0 * c * out ** 2)
             return out
 
         m = ConjugateFieldModel(S1, f, f_inv, df, validity_radius=0.5)
-        x = np.array([0.3])
-        np.testing.assert_allclose(m.pull(m.push(x)), x, atol=1e-12)
+        X = np.array([[0.3], [-0.1]])
+        np.testing.assert_allclose(m.pull_batch(m.push_batch(X)), X, atol=1e-12)
+        np.testing.assert_allclose(m.drift_batch(X), f(X) / (1.0 + 3.0 * c * X ** 2),
+                                   rtol=1e-14)
 
 
 class TestFlow:
@@ -365,9 +428,10 @@ def _flow_starts():
                              Spectrum(list(np.linspace(3.0, 1.0, 9)))),
                          SmoothDomain.ellipsoid(np.linspace(1.0, 1.5, 9)),
                          d9, None),
-        "non_vectorized": (ID2, SmoothDomain(
-                               lambda x: float(x[0] ** 2 + 2.0 * x[1] ** 2 - 1.0),
-                               name="row-wise ellipse"),
+        # a domain that is not built in, written on row stacks
+        "custom_ellipse": (ID2, SmoothDomain(
+                               lambda X: X[:, 0] ** 2 + 2.0 * X[:, 1] ** 2 - 1.0,
+                               name="custom ellipse"),
                            ellipse, None),
         # the small starts are still inside at t_cap: nan
         "t_cap_nan": (ID2, SmoothDomain.ball(2.0),
@@ -405,7 +469,7 @@ class TestFlowExitBatchInvariance:
         steps = np.floor(tau[tau > 0.0] / dt)
         _, per_step = np.unique(steps, return_counts=True)
         assert per_step.size > 10 and per_step.max() >= 2
-        for case in ("quadratic_box", "non_vectorized"):
+        for case in ("quadratic_box", "custom_ellipse"):
             tau = _flow_taus(case, np.arange(16))
             assert (tau == 0.0).sum() == 1 and (tau > 0.0).sum() == 15, case
         assert math.isfinite(FLOW_CASES["quadratic_box"][0].validity_radius)
@@ -419,14 +483,14 @@ class TestFlowExitBatchInvariance:
         calls = [0]
         lam = S2.as_array()
 
-        def drift_batch(X):
+        def drift(X):
             calls[0] += 1
             return X * lam
 
         model = ConjugateFieldModel(
-            S2, f=lambda x: x, f_inv=lambda y: y, df=lambda x: np.eye(2),
-            f_batch=lambda X: X, f_inv_batch=lambda Y: Y,
-            drift_batch=drift_batch, check=False)
+            S2, f=lambda X: X, f_inv=lambda Y: Y,
+            df=lambda X: np.broadcast_to(np.eye(2), (len(X), 2, 2)), drift=drift)
+        calls[0] = 0  # the construction-time self check calls drift too
         dt = 1e-3
         X0 = BoxDomain([-1.0, -1.0], [1.0, 1.0]).face_points(64)
         tau = flow_exit_times_batch(model, SmoothDomain.ball(2.0), X0, dt=dt)
@@ -485,9 +549,9 @@ class TestTransversality:
         assert rep.min_inner_product == pytest.approx(0.5, abs=1e-12)
 
     def test_half_space(self):
-        half = SmoothDomain(lambda x: x[..., 0] - 1.0,
-                            grad=lambda x: np.array([1.0, 0.0]),
-                            name="half-space", vectorized=True)
+        half = SmoothDomain(lambda x: x[:, 0] - 1.0,
+                            grad=lambda x: np.tile([1.0, 0.0], (len(x), 1)),
+                            name="half-space")
         rep = transversality_check(ID2, half, n_samples=16)
         assert rep.ok
         assert rep.min_inner_product == pytest.approx(1.0, rel=1e-9)
@@ -496,9 +560,10 @@ class TestTransversality:
     def test_reversed_field_fails(self):
         class Reversed:
             spectrum = S2
+            validity_radius = math.inf
 
-            def drift(self, p):
-                return -np.asarray(p, dtype=float)
+            def drift_batch(self, X):
+                return -X
 
         rep = transversality_check(Reversed(), SmoothDomain.ball(1.0),
                                    n_samples=8)
@@ -506,7 +571,21 @@ class TestTransversality:
         assert rep.min_inner_product < 0.0
 
     def test_no_crossing_anywhere_raises(self):
-        whole = SmoothDomain(lambda x: -1.0, grad=lambda x: np.zeros(1),
-                             name="everything")
+        whole = SmoothDomain(lambda x: -np.ones(len(x)),
+                             grad=lambda x: np.zeros_like(x), name="everything")
         with pytest.raises(NoExit):
             transversality_check(ID1, whole, n_samples=4)
+
+    def test_nan_inner_product_fails(self):
+        # the drift is nan on part of the boundary: the check must not pass
+        class NanOnLeft:
+            spectrum = S2
+            validity_radius = math.inf
+
+            def drift_batch(self, X):
+                return np.where(X[:, :1] < 0.0, np.nan, X)
+
+        rep = transversality_check(NanOnLeft(), SmoothDomain.ball(1.0),
+                                   n_samples=16)
+        assert not rep.ok
+        assert math.isnan(rep.min_inner_product)

@@ -27,7 +27,7 @@ from exitlab.estimator import MIN_DENSITY_SAMPLES
 
 S1 = Spectrum([1.0])
 ID1 = ConjugateFieldModel.identity(S1)
-N1 = NoiseModel.constant_matrix(np.array([[1.0]]))
+N1 = NoiseModel(np.array([[1.0]]))
 BOX1 = BoxDomain([-1.0], [1.0])
 CFG = PathConfig(dt=1e-3)
 
@@ -325,7 +325,7 @@ class TestDensityDiagnostic:
 
     def test_quadratic_l1_decreases_with_epsilon(self):
         m = ConjugateFieldModel.component_quadratic(S1, [0.9])
-        nm = NoiseModel.constant_matrix(np.array([[1.0]]))
+        nm = NoiseModel(np.array([[1.0]]))
         T = 0.5
         CT = finite_time_covariance(np.array([[1.0]]), S1, T)
         l1 = []

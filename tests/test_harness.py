@@ -165,7 +165,7 @@ class TestParseConfig:
                    + "domain.big = ellipsoid:2.0\n")
         assert cfg.inner is not None and cfg.outer is not None
         assert cfg.big is not None
-        assert cfg.big.value(np.array([1.9])) < 0.0
+        assert cfg.big.values(np.array([[1.9]]))[0] < 0.0
 
     def test_hash_changes_with_values(self):
         a = config_hash(_cfg(MINIMAL))
@@ -198,10 +198,16 @@ REJECTED = [
     ("domain.big", "domain.big = ellipsoid:nan\n"),
     ("domain.big", "domain.big = ellipsoid:2.0,inf\n"),
     ("domain.big", "domain.big = ellipsoid:1.0,2.0\n"),
+    ("domain.big", "domain.big = ellipsoid:1e-300\n"),
+    ("domain.big", "domain.big = ball:1e-200\n"),
+    ("domain.outer", "domain.inner = ball:1.5\ndomain.outer = ball:1e200\n"),
+    ("threshold.r0", "threshold.r0 = -5.0\n"),
+    ("threshold.r_coeff", "threshold.r_coeff = -20.0\n"),
     ("threshold.r_coeff", "threshold.r_coeff = nan\n"),
     ("initial.points", "initial.points = nan\n"),
     ("initial.points", "initial.points = 0.5; inf\n"),
     ("diagnostic.point", "diagnostic.point = nan\n"),
+    ("diagnostic.point", "diagnostic.point = 0.1; 0.7\n"),
     ("diagnostic.time", "diagnostic.time = nan\n"),
     ("diagnostic.time", "diagnostic.time = inf\n"),
     ("diagnostic.halfwidth", "diagnostic.halfwidth = nan\n"),

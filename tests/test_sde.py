@@ -23,7 +23,7 @@ S1 = Spectrum([1.0])
 S2 = Spectrum([1.0, 0.5])
 ID1 = ConjugateFieldModel.identity(S1)
 ID2 = ConjugateFieldModel.identity(S2)
-N1 = NoiseModel.constant_matrix(np.array([[1.0]]))
+N1 = NoiseModel(np.array([[1.0]]))
 BOX1 = BoxDomain([-1.0], [1.0])
 RESULT_KEYS = ("exited", "tau", "steps_used", "exit_state", "exit_y", "clamped")
 
@@ -111,7 +111,7 @@ class TestSimulatePath:
     def test_exit_coordinate_outside(self):
         # every non-survivor must show an exit coordinate at or beyond the edge
         box = BoxDomain([-0.4, -0.6], [0.5, 0.6])
-        nm = NoiseModel.constant_matrix(np.eye(2))
+        nm = NoiseModel(np.eye(2))
         dt = 1e-3
         res = simulate_batch(ID2, nm, box, np.full((200, 2), 0.1), 0.3, 2.0,
                              dt, [make_generator(77, pid) for pid in range(200)])
@@ -225,14 +225,14 @@ _QUAD2 = ConjugateFieldModel.component_quadratic(S2, [1.0, -0.5],
                                                  validity_radius=0.2)
 _STOP = (BLOCK_STEPS + 37) * 1e-3 + 4.4e-4  # not a multiple of the block
 BATCH_CASES = {
-    "box": (ID2, NoiseModel.constant_matrix([[1.0, 0.0], [1.0, 1.0]]),
+    "box": (ID2, NoiseModel([[1.0, 0.0], [1.0, 1.0]]),
             _BOX2, _box_starts(2, 24, _RNG), 0.3, 0.9),
-    "ball": (ID2, NoiseModel.constant_matrix(np.eye(2)), SmoothDomain.ball(0.5),
+    "ball": (ID2, NoiseModel(np.eye(2)), SmoothDomain.ball(0.5),
              _box_starts(2, 24, _RNG), 0.3, 0.9),
-    "no_domain": (ID2, NoiseModel.constant_matrix([[1.0, 0.3, 0.2], [0.1, 1.0, 0.4]]),
+    "no_domain": (ID2, NoiseModel([[1.0, 0.3, 0.2], [0.1, 1.0, 0.4]]),
                   None, _box_starts(2, 16, _RNG), 0.3, _STOP),
     # the upper sides lie past the validity radius: paths there get clamped
-    "quadratic_clamp": (_QUAD2, NoiseModel.constant_matrix(np.eye(2)),
+    "quadratic_clamp": (_QUAD2, NoiseModel(np.eye(2)),
                         BoxDomain([-0.15, -0.15], [0.3, 0.3]),
                         np.zeros((24, 2)), 0.3, 0.9),
     "state_scaled": (ID2, NoiseModel.state_scaled(np.eye(2), 0.5), _BOX2,
@@ -359,7 +359,7 @@ class TestStepBookkeeping:
         stop = 1.2345
         n = math.ceil(stop / dt)
         X0 = _box_starts(2, 200, np.random.default_rng(2))
-        res = simulate_batch(ID2, NoiseModel.constant_matrix(np.eye(2)), _BOX2,
+        res = simulate_batch(ID2, NoiseModel(np.eye(2)), _BOX2,
                              X0, 0.3, stop, dt,
                              [make_generator(3, p) for p in range(200)])
         ex = res["exited"]
@@ -390,14 +390,14 @@ class TestRescaledFluctuation:
 
     @pytest.mark.parametrize("epsilon", [0.0, 0.1])
     def test_rejects_y0_of_wrong_shape(self, epsilon):
-        nm = NoiseModel.constant_matrix(np.eye(2))
+        nm = NoiseModel(np.eye(2))
         with pytest.raises(ValueError, match=r"y0 must have shape \(2,\)"):
             rescaled_fluctuation_samples(ID2, nm, np.array([0.5]), epsilon,
                                          1.0, PathConfig(dt=1e-3), seed=0,
                                          n_samples=4)
 
     def test_workers_do_not_change_samples(self):
-        nm = NoiseModel.constant_matrix(np.eye(2))
+        nm = NoiseModel(np.eye(2))
         args = (ID2, nm, np.array([0.5, -0.3]), 0.1, 0.5, PathConfig(dt=1e-3))
         one = rescaled_fluctuation_samples(*args, seed=5, n_samples=300,
                                            batch_size=100, workers=1)
@@ -416,7 +416,7 @@ class TestRescaledFluctuation:
 
     def test_covariance_matches_finite_time(self):
         sigma = np.array([[1.0, 0.0], [1.0, 1.0]])
-        nm = NoiseModel.constant_matrix(sigma)
+        nm = NoiseModel(sigma)
         n = 10**5
         T = 2.0
         U = rescaled_fluctuation_samples(ID2, nm, np.array([0.3, -0.2]), 0.05,
@@ -439,7 +439,7 @@ class TestRescaledFluctuation:
 
     def test_quadratic_ks_improves_with_epsilon(self):
         m = ConjugateFieldModel.component_quadratic(S1, [0.5])
-        nm = NoiseModel.constant_matrix(np.array([[0.3]]))
+        nm = NoiseModel(np.array([[0.3]]))
         T = 0.5
         std = math.sqrt(finite_time_covariance(np.array([[0.3]]), S1, T)[0, 0])
         dists = []
