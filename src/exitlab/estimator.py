@@ -245,9 +245,7 @@ def splitting_tail_estimate(model: ConjugateFieldModel, noise: NoiseModel,
             return est
         if level < len(times):
             surv_y = model.push_batch(surv_states)
-            rgen = np.random.Generator(np.random.Philox(
-                key=np.array([np.uint64((seed ^ _RESAMPLE_SALT) & 0xFFFFFFFFFFFFFFFF),
-                              np.uint64(level)], dtype=np.uint64)))
+            rgen = make_generator(seed ^ _RESAMPLE_SALT, level)
             idx = rgen.integers(0, n_surv, size=budget)
             states = model.pull_batch(surv_y[idx])
         prev_t = t_level

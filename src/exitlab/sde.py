@@ -8,23 +8,32 @@ size is a module constant, not a tunable: a continuation run resumes a
 path's stream at the block boundary where the previous phase stopped, and
 changing the constant would silently change continuations.
 
-Layout: ``simulate_batch`` holds only the paths still alive, as one
-C-contiguous ``(d, A)`` array whose column ``i`` is the state of path
-``ids[i]``.  On a step where paths exit, the state, the ids and the block
-columns of the rest are compacted with ``ndarray.take``; no step gathers
-from or scatters into a batch-sized array, and ``steps_used`` is set from
-each path's exit step.  A block's constant-noise increments are drawn per
-path, mixed with ``xi @ sig0.T`` a few paths at a time, and stored
-step-major ``(kb, d, A)``, so a step reads one contiguous ``(d, A)`` slab.
+Layout: ``simulate_batch`` holds only the paths still alive.  A block's
+constant-noise increments are drawn per path, mixed with ``xi @ sig0.T`` a
+few paths at a time (a square diagonal ``sig0`` scales each coordinate
+instead), and stored step-major ``(kb, d, A)``.  The block is walked in
+sub-blocks of ``_SUB_STEPS`` steps.  A sub-block takes its noise columns
+once and scales them by ``eps * sqrt(dt)`` once; each step then writes its
+state in place into slot ``s`` of a coordinate-major ``(d, S, A)``
+trajectory, whose column ``i`` belongs to path ``ids[i]``.  Exits are
+checked once per sub-block, on all S steps as one ``(S*A, d)`` stack:
+``argmax`` over the step axis gives each path's first exit step, which sets
+``tau``, ``steps_used`` and the exit state.  The rest are then compacted
+with ``ndarray.take``.  A path that exits mid-sub-block keeps stepping (and
+clamping) to the sub-block's end; those later states are thrown away, and a
+clamp counts only on steps up to the exit.
 
 None of this changes an output byte.  Each path draws from its own stream in
-the same order.  numpy's stacked ``matmul`` multiplies each path's
-``(kb, n)`` block on its own, so grouping paths differently leaves the
-product unchanged.  Every later operation acts on each path on its own, in
-the same order on the same operands.  Model and box calls take ``(A, d)``
-views of the state.  ``SmoothDomain.outside`` and a state-dependent
-``sigma_batch`` get row-major copies instead: their built-in forms sum over
-the coordinates, and numpy rounds such a sum by memory layout from d = 9 on.
+the same order, whole blocks at a time, so the generator state at an exit
+is the same as with a per-step check.  numpy's stacked ``matmul`` multiplies
+each path's ``(kb, n)`` block on its own, so grouping paths differently
+leaves the product unchanged; with a diagonal ``sig0`` each product is one
+nonzero term plus exact zeros.  Every later operation acts on each path on
+its own, in the same order on the same operands.  Model and box calls take
+column-major ``(m, d)`` views of the state.  ``SmoothDomain.outside`` and a
+state-dependent ``sigma_batch`` get row-major copies instead: their built-in
+forms sum over the coordinates, and numpy rounds such a sum by memory
+layout from d = 9 on.
 """
 
 from __future__ import annotations
@@ -33,14 +42,18 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random.bit_generator import ISpawnableSeedSequence
 
 from .dynamics import BoxDomain, ConjugateFieldModel, NoiseModel
 
 BLOCK_STEPS = 512
+# Steps that alive paths take between two exit checks; divides BLOCK_STEPS.
+_SUB_STEPS = 32
 # Paths whose noise block is drawn, mixed and turned step-major together:
 # the two path-major buffers of a 64-path group (1 MB at 512 steps and
 # d = n = 2) stay in L2 while they are transposed.
 _MIX_PATHS = 64
+_U64 = 0xFFFFFFFFFFFFFFFF
 
 
 @dataclass(frozen=True)
@@ -59,10 +72,35 @@ class PathConfig:
             raise ValueError("t_cap below dt cannot take a single step")
 
 
+class _PhiloxKey(ISpawnableSeedSequence):
+    """Seeds Philox with a given key; answers no other request.
+
+    ``Philox(key=...)`` first builds an OS-entropy SeedSequence that it then
+    ignores.  Passing this object as the seed skips that: Philox asks it for
+    two uint64 words and uses them as the key, which gives the same stream.
+    Any other request raises, so a numpy that seeded differently would fail
+    loudly instead of changing the streams.
+    """
+
+    __slots__ = ("_key",)
+
+    def __init__(self, key: np.ndarray):
+        self._key = key
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 2 or np.dtype(dtype) != np.uint64:
+            raise TypeError(f"a Philox key is 2 uint64 words, not {n_words} "
+                            f"of {np.dtype(dtype)}")
+        return self._key
+
+    def spawn(self, n_children):
+        raise TypeError("a keyed path stream does not spawn children")
+
+
 def make_generator(seed: int, path_id: int) -> np.random.Generator:
-    key = np.array([np.uint64(seed & 0xFFFFFFFFFFFFFFFF),
-                    np.uint64(path_id & 0xFFFFFFFFFFFFFFFF)], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    """The stream of ``Philox(key=(seed, path_id))``, both taken mod 2**64."""
+    key = np.array([seed & _U64, path_id & _U64], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(_PhiloxKey(key)))
 
 
 def _initial_outside(model: ConjugateFieldModel, domain, X0: np.ndarray) -> np.ndarray:
@@ -82,13 +120,23 @@ def _draw(gens: list, ids: np.ndarray, count: int) -> np.ndarray:
 
 def _step_major_noise(gens: list, ids: np.ndarray, kb: int,
                       sig0: np.ndarray) -> np.ndarray:
-    """The next kb constant-noise increments xi @ sig0.T, laid out (kb, d, A)."""
+    """The next kb constant-noise increments xi @ sig0.T, laid out (kb, d, A).
+
+    A square diagonal sig0 skips the matmul and scales coordinate j's slab
+    by sig0[j, j] in place: each matmul product is that one term plus exact
+    zeros, so the values are the same.
+    """
     d, n = sig0.shape
+    diagonal = d == n and np.array_equal(sig0, np.diag(np.diagonal(sig0)))
     dW = np.empty((kb, d, ids.size))
     for a in range(0, ids.size, _MIX_PATHS):
         sub = ids[a:a + _MIX_PATHS]
         xi = _draw(gens, sub, kb * n).reshape(sub.size, kb, n)
-        dW[:, :, a:a + sub.size] = (xi @ sig0.T).transpose(1, 2, 0)
+        dW[:, :, a:a + sub.size] = (xi if diagonal else xi @ sig0.T).transpose(1, 2, 0)
+    if diagonal:
+        for j in range(d):
+            if sig0[j, j] != 1.0:
+                np.multiply(dW[:, j], sig0[j, j], out=dW[:, j])
     return dW
 
 
@@ -141,56 +189,96 @@ def simulate_batch(model: ConjugateFieldModel, noise: NoiseModel, domain,
     sig0 = noise.sigma0
     const_noise = noise.constant
     clamps = math.isfinite(model.validity_radius)  # nothing to clamp at inf
+    h_last = stop_time - (n_steps - 1) * dt  # the final step's own size
+    # Flat buffers that every sub-block views at its own (S, A) shape.
+    traj_buf = np.empty(d * _SUB_STEPS * ids.size)
+    bh_buf = np.empty(d * ids.size)
+    over_buf = np.empty(_SUB_STEPS * ids.size, dtype=bool) if clamps else None
     k = 0
     while ids.size and k < n_steps:
         kb = min(BLOCK_STEPS, n_steps - k)
-        n_alive = ids.size
-        dW = xi = None  # drop the last block's noise before drawing the next
+        dW = xi = w = z = None  # drop the last block's noise before drawing the next
         if epsilon > 0.0 and const_noise:
             dW = _step_major_noise(gens, ids, kb, sig0)
         elif epsilon > 0.0:
-            xi = _draw(gens, ids, kb * n_noise).reshape(n_alive, kb, n_noise)
+            xi = _draw(gens, ids, kb * n_noise).reshape(ids.size, kb, n_noise)
         # block column of each alive path, for reading this block's noise
-        cols = np.arange(n_alive)
-        for j in range(kb):
-            last = (k + j + 1) == n_steps
-            h = stop_time - (n_steps - 1) * dt if last else dt
-            t_next = stop_time if last else (k + j + 1) * dt
-            x = X.T
-            b = model.drift_batch(x)
-            x = x + b * h
+        cols = np.arange(ids.size)
+        for j0 in range(0, kb, _SUB_STEPS):
+            S = min(_SUB_STEPS, kb - j0)
+            A = ids.size
+            ends = k + j0 + S == n_steps  # this sub-block takes the final step
+            traj = traj_buf[:d * S * A].reshape(d, S, A)
+            bh = bh_buf[:d * A].reshape(d, A).T
             if dW is not None:
-                w = dW[j] if cols.size == n_alive else dW[j].take(cols, axis=1)
-                x = x + (epsilon * math.sqrt(h)) * w.T
+                w = dW[j0:j0 + S]
+                if cols.size != w.shape[2]:
+                    w = w.take(cols, axis=2)
+                # each slab is read once, so it is scaled where it lies
+                tail = (epsilon * math.sqrt(h_last)) * w[-1] if ends else None
+                np.multiply(w, epsilon * math.sqrt(dt), out=w)
+                if ends:
+                    w[-1] = tail
             elif xi is not None:
-                sig = noise.sigma_batch(np.ascontiguousarray(X.T))
-                x = x + (epsilon * math.sqrt(h)) * np.einsum(
-                    "rdn,rn->rd", sig, xi[cols, j, :])
+                z = xi.transpose(1, 0, 2)[j0:j0 + S].take(cols, axis=1)  # (S, A, n)
             if clamps:
-                x, over = model.clamp(x)
-                if over.any():
-                    clamped[ids[over]] = True
-            X = x.T
+                over_s = over_buf[:S * A].reshape(S, A)
+            prev = X
+            for s in range(S):
+                h = h_last if ends and s == S - 1 else dt
+                x = prev.T
+                cur = traj[:, s]
+                xt = cur.T
+                np.multiply(model.drift_batch(x), h, out=bh)
+                np.add(x, bh, out=xt)
+                if w is not None:
+                    np.add(cur, w[s], out=cur)
+                elif z is not None:
+                    sig = noise.sigma_batch(np.ascontiguousarray(x))
+                    np.add(xt, (epsilon * math.sqrt(h)) * np.einsum(
+                        "rdn,rn->rd", sig, z[s]), out=xt)
+                if clamps:
+                    xc, over_s[s] = model.clamp(xt)
+                    if xc is not xt:
+                        xt[...] = xc
+                prev = cur
+
+            gone = None
             if detect:
+                flat = traj.reshape(d, S * A).T  # row s*A + i: path i at step s
                 if box:
-                    y = model.push_batch(x)
-                    out = domain.outside(y)
+                    y = model.push_batch(flat)
+                    out = domain.outside(y).reshape(S, A)
                 else:
-                    y = None
-                    out = domain.outside(np.ascontiguousarray(x))
+                    out = domain.outside(np.ascontiguousarray(flat)).reshape(S, A)
                 if out.any():
-                    hit = ids[out]
-                    exited[hit] = True
-                    tau[hit] = t_next
-                    steps_used[hit] = k + j + 1
-                    exit_state[hit] = x[out]
-                    exit_y[hit] = y[out] if y is not None else model.push_batch(x[out])
-                    keep = np.flatnonzero(~out)
-                    ids = ids.take(keep)
-                    cols = cols.take(keep)
-                    X = X.take(keep, axis=1)
-                    if ids.size == 0:
-                        break
+                    gone = out.any(axis=0)
+                    first = out.argmax(axis=0)  # first exit step in the sub-block
+                    hit = np.flatnonzero(gone)
+                    sh = first[hit]
+                    hit_ids = ids[hit]
+                    step = k + j0 + sh + 1
+                    exited[hit_ids] = True
+                    tau[hit_ids] = np.where(step == n_steps, stop_time, step * dt)
+                    steps_used[hit_ids] = step
+                    xs = np.ascontiguousarray(traj[:, sh, hit].T)
+                    exit_state[hit_ids] = xs
+                    exit_y[hit_ids] = y[sh * A + hit] if box else model.push_batch(xs)
+            if clamps:
+                flag = over_s.any(axis=0)
+                if gone is not None and flag.any():
+                    # a clamp after a path's exit step does not count
+                    flag &= ~gone | (over_s.argmax(axis=0) <= first)
+                clamped[ids[flag]] = True
+            if gone is None:
+                X = traj[:, S - 1].copy()
+            else:
+                keep = np.flatnonzero(~gone)
+                ids = ids.take(keep)
+                cols = cols.take(keep)
+                X = traj[:, S - 1].take(keep, axis=1)
+                if ids.size == 0:
+                    break
         k += kb
 
     if want_final and ids.size:

@@ -17,7 +17,8 @@ from exitlab import (
     rescaled_fluctuation_samples,
     simulate_batch,
 )
-from exitlab.sde import make_generator
+from exitlab.estimator import _LEVEL_SHIFT, _RESAMPLE_SALT
+from exitlab.sde import _SUB_STEPS, _PhiloxKey, _step_major_noise, make_generator
 
 S1 = Spectrum([1.0])
 S2 = Spectrum([1.0, 0.5])
@@ -80,6 +81,52 @@ class TestIncrements:
         a = make_generator(1, 0).standard_normal(8)
         b = make_generator(2, 0).standard_normal(8)
         assert not np.array_equal(a, b)
+
+    @pytest.mark.parametrize("seed, path_id", [
+        (42, 9),                                # a plain path
+        (42, (3 << _LEVEL_SHIFT) | 17),         # a splitting level's slot
+        (42 ^ _RESAMPLE_SALT, 4),               # a resampling stream
+        (2**64 - 1, 2**64 - 1),                 # the largest key
+    ])
+    def test_stream_is_philox_keyed_by_seed_and_path(self, seed, path_id):
+        ref = np.random.Generator(np.random.Philox(
+            key=np.array([seed, path_id], dtype=np.uint64)))
+        gen = make_generator(seed, path_id)
+        np.testing.assert_array_equal(gen.standard_normal(10_000),
+                                      ref.standard_normal(10_000))
+        np.testing.assert_array_equal(gen.integers(0, 1000, 500),
+                                      ref.integers(0, 1000, 500))
+        for part in ("key", "counter"):
+            np.testing.assert_array_equal(gen.bit_generator.state["state"][part],
+                                          ref.bit_generator.state["state"][part])
+
+    def test_key_answers_only_the_philox_request(self):
+        key = _PhiloxKey(np.array([1, 2], dtype=np.uint64))
+        for n_words, dtype in ((2, np.uint32), (4, np.uint64), (1, np.uint64)):
+            with pytest.raises(TypeError, match="2 uint64 words"):
+                key.generate_state(n_words, dtype)
+        with pytest.raises(TypeError):
+            key.spawn(2)
+        with pytest.raises(TypeError):
+            make_generator(1, 2).spawn(1)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_diagonal_sigma_scaling_equals_the_matmul(self, d):
+        # a diagonal sigma scales each coordinate instead of multiplying;
+        # each product of the matmul is one term plus exact zeros
+        rng = np.random.default_rng(d)
+        sig = np.diag(rng.uniform(0.1, 3.0, d) * rng.choice([-1.0, 1.0], d))
+        if d > 1:
+            sig[0, 0] = 1.0  # a unit entry skips its multiply
+        ids = np.arange(3 * 64 + 5)  # more than one mixing group
+        kb = 70
+        got = _step_major_noise([make_generator(8, int(p)) for p in ids], ids,
+                                kb, sig)
+        xi = np.stack([make_generator(8, int(p)).standard_normal(kb * d)
+                       for p in ids]).reshape(ids.size, kb, d)
+        want = (xi @ sig.T).transpose(1, 2, 0)
+        assert got.shape == (kb, d, ids.size)
+        assert got.tobytes() == want.tobytes()
 
 
 def _one_path(x0, epsilon, stop_time, seed, pid):
@@ -308,29 +355,197 @@ class TestClampSkip:
         assert tau_after.tobytes() == tau_before.tobytes()
 
     def test_quadratic_model_still_clamps_and_flags(self, monkeypatch):
-        # Each path alone: it is flagged exactly when clamp reported a row
-        # over the radius on one of its steps, and clamp runs every step.
+        # Each path alone: clamp runs on every step up to the exit (and on to
+        # the end of that sub-block), and the path is flagged exactly when
+        # clamp reported it over the radius on a step at or before its exit.
         model, noise, domain, X0, eps, stop = BATCH_CASES["quadratic_clamp"]
         m = X0.shape[0]
         whole = _run_ids(model, noise, domain, X0, eps, stop, 17,
                          np.arange(m), False)
         original = ConjugateFieldModel.clamp
-        seen = {"calls": 0, "over": False}
+        overs = []
 
         def recording(self, X):
             Xc, over = original(self, X)
-            seen["calls"] += 1
-            seen["over"] |= bool(over.any())
+            overs.append(bool(over[0]))
             return Xc, over
 
         monkeypatch.setattr(ConjugateFieldModel, "clamp", recording)
+        late = 0
         for p in range(m):
-            seen.update(calls=0, over=False)
+            overs.clear()
             one = _run_ids(model, noise, domain, X0, eps, stop, 17,
                            np.array([p]), False)
-            assert seen["calls"] == one["steps_used"][0]
-            assert one["clamped"][0] == seen["over"] == whole["clamped"][p]
+            used = one["steps_used"][0]
+            assert used <= len(overs) < used + _SUB_STEPS
+            assert one["clamped"][0] == any(overs[:used]) == whole["clamped"][p]
+            late += any(overs[used:]) and not any(overs[:used])
         assert whole["clamped"].any() and not whole["clamped"].all()
+        assert late  # some path was clamped only after its exit, unflagged
+
+
+def _euler_reference(model, noise, domain, X0, epsilon, stop_time, dt, gens,
+                     want_final=False):
+    """The per-step Euler loop that simulate_batch must match bit for bit.
+
+    Row-major states, one exit check per grid step, and each path's noise
+    block mixed on its own; the draws come in BLOCK_STEPS blocks, as the
+    randomness contract fixes them.
+    """
+    X = np.array(X0, dtype=float)
+    m, d = X.shape
+    n = noise.n
+    n_steps = int(math.ceil(stop_time / dt - 1e-12)) if stop_time > 0.0 else 0
+    res = {"exited": np.zeros(m, dtype=bool), "tau": np.full(m, np.nan),
+           "steps_used": np.full(m, n_steps, dtype=np.int64),
+           "exit_state": np.full((m, d), np.nan),
+           "exit_y": np.full((m, d), np.nan),
+           "clamped": np.zeros(m, dtype=bool)}
+    alive = np.ones(m, dtype=bool)
+    if domain is not None:
+        if isinstance(domain, BoxDomain):
+            out = domain.not_strictly_inside(model.push_batch(X))
+        else:
+            out = domain.outside(X)
+        res["exited"][out] = True
+        res["tau"][out] = 0.0
+        res["steps_used"][out] = 0
+        res["exit_state"][out] = X[out]
+        res["exit_y"][out] = model.push_batch(X[out])
+        alive &= ~out
+    noise_of = {}
+    for step in range(1, n_steps + 1):
+        rows = np.flatnonzero(alive)
+        if rows.size == 0:
+            break
+        j = (step - 1) % BLOCK_STEPS
+        if j == 0 and epsilon > 0.0:
+            kb = min(BLOCK_STEPS, n_steps - step + 1)
+            for r in rows:
+                z = gens[r].standard_normal(kb * n).reshape(kb, n)
+                noise_of[r] = z @ noise.sigma0.T if noise.constant else z
+        h = stop_time - (n_steps - 1) * dt if step == n_steps else dt
+        x = X[rows]
+        x = x + model.drift_batch(x) * h
+        if epsilon > 0.0:
+            w = np.stack([noise_of[r][j] for r in rows])
+            if not noise.constant:
+                w = np.einsum("rdn,rn->rd", noise.sigma_batch(X[rows]), w)
+            x = x + (epsilon * math.sqrt(h)) * w
+        if math.isfinite(model.validity_radius):
+            x, over = model.clamp(x)
+            res["clamped"][rows[over]] = True
+        X[rows] = x
+        if domain is None:
+            continue
+        if isinstance(domain, BoxDomain):
+            out = domain.outside(model.push_batch(x))
+        else:
+            out = domain.outside(x)
+        hit = rows[out]
+        res["exited"][hit] = True
+        res["tau"][hit] = stop_time if step == n_steps else step * dt
+        res["steps_used"][hit] = step
+        res["exit_state"][hit] = x[out]
+        res["exit_y"][hit] = model.push_batch(x[out])
+        alive[hit] = False
+    if want_final:
+        res["final_state"] = np.where(alive[:, None], X, np.nan)
+    return res
+
+
+def _starts_exiting_at(steps, dt):
+    """1-d identity starts whose eps = 0 path leaves [-1, 1] on the given steps.
+
+    x_k = x0 (1 + dt)^k, so x0 = (1 + dt)^-(e - 1/2) crosses 1 half way
+    through the growth of step e; a noise of 1e-6 cannot move that.
+    """
+    return np.array([[(1.0 + dt) ** -(e - 0.5)] for e in steps])
+
+
+_Q1 = ConjugateFieldModel.component_quadratic(S1, [1.0])  # validity radius 0.2
+_EDGE_STEPS = [1, _SUB_STEPS - 1, _SUB_STEPS, _SUB_STEPS + 1, 2 * _SUB_STEPS,
+               BLOCK_STEPS, BLOCK_STEPS + 1, BLOCK_STEPS + 6, 530, 531]
+SUB_BLOCK_CASES = {
+    # exits on the first and on the last step of sub-blocks and of a block
+    "sub_block_edges": (ID1, N1, BOX1, _starts_exiting_at(_EDGE_STEPS, 1e-3),
+                        1e-6, 0.6, 1e-3),
+    # fewer steps than one sub-block
+    "short_run": (ID2, NoiseModel(np.eye(2)), _BOX2,
+                  np.random.default_rng(7).uniform(0.4, 0.49, (16, 2)),
+                  0.3, 0.02, 1e-3),
+    # a tail block of 38 steps (32 + 6) that ends in a 0.44 dt step, taken
+    # by exits: the last start crosses only on that partial step
+    "partial_final_step": (ID1, N1, BOX1, np.vstack([
+        _starts_exiting_at([BLOCK_STEPS + 33, BLOCK_STEPS + 37], 1e-3),
+        [[1.0 / ((1.0 + 1e-3) ** (BLOCK_STEPS + 37) * (1.0 + 0.2 * 1e-3))]],
+        np.linspace(-0.05, 0.05, 5)[:, None]]), 1e-6, _STOP, 1e-3),
+    # pure propagation over fewer steps than one sub-block
+    "no_domain_short": (ID2, NoiseModel([[1.0, 0.5], [0.0, 2.0]]), None,
+                        _box_starts(2, 8, np.random.default_rng(8)),
+                        0.3, 0.0235, 1e-3),
+    # the pulled-back upper side x = 0.19 lies just inside the validity
+    # radius 0.2: paths cross it, then reach the radius a few steps later
+    "clamp_after_exit": (_Q1, NoiseModel([[0.1]]), BoxDomain([-0.3], [0.19 + 0.19**2]),
+                         np.linspace(0.1, 0.15, 24)[:, None], 0.05, 2.0, 1e-2),
+}
+
+
+class TestReferenceStepper:
+    """simulate_batch equals the per-step Euler loop, bit for bit."""
+
+    @staticmethod
+    def _both(model, noise, domain, X0, eps, stop, dt, want_final):
+        def gens():
+            return [make_generator(23, p) for p in range(X0.shape[0])]
+
+        got = simulate_batch(model, noise, domain, X0, eps, stop, dt, gens(),
+                             want_final=want_final)
+        want = _euler_reference(model, noise, domain, X0, eps, stop, dt,
+                                gens(), want_final)
+        keys = RESULT_KEYS + (("final_state",) if want_final else ())
+        for k in keys:
+            assert got[k].dtype == want[k].dtype, k
+            assert got[k].tobytes() == want[k].tobytes(), k
+        return got
+
+    @pytest.mark.parametrize("want_final", [False, True])
+    @pytest.mark.parametrize("case", sorted(BATCH_CASES))
+    def test_batch_cases(self, case, want_final):
+        model, noise, domain, X0, eps, stop = BATCH_CASES[case]
+        self._both(model, noise, domain, X0, eps, stop, 1e-3, want_final)
+
+    @pytest.mark.parametrize("want_final", [False, True])
+    @pytest.mark.parametrize("case", sorted(SUB_BLOCK_CASES))
+    def test_sub_block_cases(self, case, want_final):
+        self._both(*SUB_BLOCK_CASES[case], want_final)
+
+    def test_cases_reach_their_branches(self):
+        def run(case):
+            return self._both(*SUB_BLOCK_CASES[case], True)
+
+        res = run("sub_block_edges")
+        np.testing.assert_array_equal(res["steps_used"], _EDGE_STEPS)
+        res = run("short_run")
+        assert res["steps_used"].max() == 20 < _SUB_STEPS
+        assert (res["exited"] & (res["tau"] > 0.0)).any()
+        assert not res["exited"].all()
+        res = run("partial_final_step")
+        n = BLOCK_STEPS + 38
+        np.testing.assert_array_equal(res["steps_used"][:3],
+                                      [BLOCK_STEPS + 33, BLOCK_STEPS + 37, n])
+        assert res["tau"][2] == _STOP
+        assert not res["exited"][3:].any()
+        res = run("no_domain_short")
+        assert res["steps_used"].max() == 24 < _SUB_STEPS
+        assert np.isfinite(res["final_state"]).all()
+        model, noise, domain, X0, eps, stop, dt = SUB_BLOCK_CASES["clamp_after_exit"]
+        res = run("clamp_after_exit")
+        free = simulate_batch(model, noise, None, X0, eps, stop, dt,
+                              [make_generator(23, p) for p in range(X0.shape[0])])
+        late = res["exited"] & ~res["clamped"] & free["clamped"]
+        # exits that are not on a sub-block's last step, clamped only later
+        assert (late & (res["steps_used"] % _SUB_STEPS != 0)).any()
 
 
 class TestStepBookkeeping:
