@@ -21,6 +21,7 @@ from .dynamics import (
     ConjugateFieldModel,
     NoiseModel,
     SmoothDomain,
+    check_inclusion,
     transversality_check,
 )
 from .errors import ExitlabError, OutsideValidity, ParseError, ValidationError
@@ -348,6 +349,8 @@ def build_config(raw: dict[str, object]) -> ExperimentConfig:
         for key in _SMOOTH_KEYS)
     if (inner is None) != (outer is None):
         raise ValidationError("domain.inner and domain.outer must be given together")
+    if inner is not None:
+        _built("domain", check_inclusion, model, box, inner, outer)
 
     threshold = _built(
         "threshold", ThresholdSpec, alpha=float(raw["threshold.alpha"]),

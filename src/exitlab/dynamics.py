@@ -367,7 +367,13 @@ class ConjugateFieldModel:
         r = self.validity_radius
         if not math.isfinite(r):
             return X, np.zeros(X.shape[0], dtype=bool)
-        over = np.max(np.abs(X), axis=1) > r
+        # One coordinate at a time, as in BoxDomain._beyond_a_side;
+        # np.maximum passes a nan on as np.max does, so a row with a nan is
+        # never flagged.
+        top = np.abs(X[:, 0])
+        for j in range(1, X.shape[1]):
+            np.maximum(top, np.abs(X[:, j]), out=top)
+        over = top > r
         if not over.any():
             return X, over
         Xc = np.clip(X, -r, r)
@@ -608,21 +614,22 @@ def flow_exit_time(model: ConjugateFieldModel, domain, x0,
     return float(tau[0])
 
 
-def travel_time_bounds(model: ConjugateFieldModel, box: BoxDomain,
-                       inner: SmoothDomain, outer: SmoothDomain,
-                       n_boundary_samples: int = 64, dt: float = 1e-3
-                       ) -> tuple[float, float]:
-    """(T_minus, T_plus): extreme flow travel times from the box boundary.
+# Box boundary samples per face behind the travel-time bracket; build_config
+# checks the inclusion on the same sample that the run uses.
+_BOUNDARY_SAMPLES = 64
 
-    T_minus is the fastest exit from the inner comparison domain, T_plus the
-    slowest exit from the outer one, both over a deterministic sample of the
-    box boundary.  The sampled boundary must lie inside both domains,
-    otherwise InclusionViolated is raised.
+
+def check_inclusion(model: ConjugateFieldModel, box: BoxDomain,
+                    inner: SmoothDomain, outer: SmoothDomain,
+                    n_boundary_samples: int = _BOUNDARY_SAMPLES) -> np.ndarray:
+    """The pulled-back box boundary sample, in x-coords.
+
+    Raises InclusionViolated unless every sampled point lies strictly inside
+    both the inner and the outer comparison domain.
     """
     if n_boundary_samples < 1:
         raise ValueError("n_boundary_samples must be >= 1")
-    pts_y = box.face_points(n_boundary_samples)
-    pts_x = model.pull_batch(pts_y)
+    pts_x = model.pull_batch(box.face_points(n_boundary_samples))
     for dom, role in ((inner, "inner"), (outer, "outer")):
         vals = dom.values(pts_x)
         if np.any(vals >= 0.0):
@@ -630,6 +637,21 @@ def travel_time_bounds(model: ConjugateFieldModel, box: BoxDomain,
             raise InclusionViolated(
                 f"box boundary point {bad} is not strictly inside the {role} "
                 f"domain {dom.name!r}")
+    return pts_x
+
+
+def travel_time_bounds(model: ConjugateFieldModel, box: BoxDomain,
+                       inner: SmoothDomain, outer: SmoothDomain,
+                       n_boundary_samples: int = _BOUNDARY_SAMPLES,
+                       dt: float = 1e-3) -> tuple[float, float]:
+    """(T_minus, T_plus): extreme flow travel times from the box boundary.
+
+    T_minus is the fastest exit from the inner comparison domain, T_plus the
+    slowest exit from the outer one, both over a deterministic sample of the
+    box boundary.  The sampled boundary must lie inside both domains,
+    otherwise InclusionViolated is raised (see check_inclusion).
+    """
+    pts_x = check_inclusion(model, box, inner, outer, n_boundary_samples)
     t_inner = flow_exit_times_batch(model, inner, pts_x, dt=dt)
     t_outer = flow_exit_times_batch(model, outer, pts_x, dt=dt)
     if np.any(np.isnan(t_inner)) or np.any(np.isnan(t_outer)):

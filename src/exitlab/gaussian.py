@@ -7,6 +7,9 @@ from sigma(0) and the spectrum.  The eps-free constant multiplying the decay
 module computes it in closed form by block marginalization and also by a
 Monte Carlo quadrature of the defining integral, kept deliberately
 independent of the closed-form algebra so each can validate the other.
+
+scipy loads on first use, inside the functions that call it, so importing
+this module, and every run that never reaches them, needs numpy alone.
 """
 
 from __future__ import annotations
@@ -15,8 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
-from scipy.linalg import solve_triangular
 
 from .dynamics import BoxDomain
 from .errors import RankDeficient
@@ -98,6 +99,8 @@ def gaussian_density(C, z) -> float:
         L = np.linalg.cholesky(C)
     except np.linalg.LinAlgError as exc:
         raise RankDeficient("covariance is not positive definite") from exc
+    from scipy.linalg import solve_triangular
+
     w = solve_triangular(L, z, lower=True)
     log_det = 2.0 * float(np.sum(np.log(np.diag(L))))
     log_val = -0.5 * float(w @ w) - 0.5 * k * _LOG_2PI - 0.5 * log_det
@@ -108,6 +111,8 @@ def _std_normal_interval(a: float, b: float) -> float:
     """P(a < Z < b) for standard normal Z, stable in both tails."""
     if not b > a:
         return 0.0
+    from scipy import special
+
     if a >= 0.0:
         return 0.5 * (special.erfc(a / _SQRT2) - special.erfc(b / _SQRT2))
     if b <= 0.0:
@@ -214,6 +219,8 @@ def survival_prefactor_mc(spectrum: Spectrum, C0: LimitCovariance,
     x = _check_inputs(spectrum, C0, box, x)
     if n_samples < 10_000:
         raise ValueError("n_samples must be >= 10000 for a usable oracle")
+    from scipy.linalg import solve_triangular
+
     d = spectrum.d
     lam = spectrum.as_array()
     i = critical_index(spectrum, alpha)

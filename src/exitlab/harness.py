@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .config import ExperimentConfig, config_hash
@@ -94,6 +93,8 @@ class RunRecord:
 
 
 def _environment_stamp() -> dict[str, str]:
+    import scipy
+
     return {
         "exitlab": __version__,
         "python": platform.python_version(),
@@ -121,7 +122,7 @@ def _travel_times(cfg: ExperimentConfig) -> tuple[float, float]:
     if cfg.inner is None or cfg.outer is None:
         return 0.0, 0.0
     return travel_time_bounds(cfg.model, cfg.box, cfg.inner, cfg.outer,
-                              n_boundary_samples=64, dt=cfg.path.dt)
+                              dt=cfg.path.dt)
 
 
 def _theory_columns(cfg, c0, beta, x_eff, t_minus, t_plus):

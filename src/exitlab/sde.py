@@ -11,14 +11,15 @@ changing the constant would silently change continuations.
 Layout: ``simulate_batch`` holds only the paths still alive.  A block's
 constant-noise increments are drawn per path, mixed with ``xi @ sig0.T`` a
 few paths at a time (a square diagonal ``sig0`` scales each coordinate
-instead), and stored step-major ``(kb, d, A)``.  The block is walked in
-sub-blocks of ``_SUB_STEPS`` steps.  A sub-block takes its noise columns
-once and scales them by ``eps * sqrt(dt)`` once; each step then writes its
-state in place into slot ``s`` of a coordinate-major ``(d, S, A)``
-trajectory, whose column ``i`` belongs to path ``ids[i]``.  Exits are
-checked once per sub-block, on all S steps as one ``(S*A, d)`` stack:
-``argmax`` over the step axis gives each path's first exit step, which sets
-``tau``, ``steps_used`` and the exit state.  The rest are then compacted
+instead), and stored step-major ``(kb, d, A)`` in one buffer per batch
+(``_noise_buffer``).  The block is walked in sub-blocks of ``_SUB_STEPS``
+steps.  A sub-block takes its noise columns once and scales them by
+``eps * sqrt(dt)`` once; each step then writes its state in place into
+slot ``s`` of a coordinate-major ``(d, S, A)`` trajectory, whose column
+``i`` belongs to path ``ids[i]``.  Exits are checked once per sub-block,
+on all S steps as one ``(S*A, d)`` stack: ``argmax`` over the step axis
+gives each path's first exit step, which sets ``tau``, ``steps_used`` and
+the exit state.  The rest are then compacted
 with ``ndarray.take``.  A path that exits mid-sub-block keeps stepping (and
 clamping) to the sub-block's end; those later states are thrown away, and a
 clamp counts only on steps up to the exit.
@@ -39,6 +40,8 @@ layout from d = 9 on.
 from __future__ import annotations
 
 import math
+import mmap
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,6 +56,8 @@ _SUB_STEPS = 32
 # the two path-major buffers of a 64-path group (1 MB at 512 steps and
 # d = n = 2) stay in L2 while they are transposed.
 _MIX_PATHS = 64
+# A batch's noise buffer of this many bytes or more gets a mapping of its own.
+_MAPPED_BYTES = 1 << 22
 _U64 = 0xFFFFFFFFFFFFFFFF
 
 
@@ -98,8 +103,13 @@ class _PhiloxKey(ISpawnableSeedSequence):
 
 
 def make_generator(seed: int, path_id: int) -> np.random.Generator:
-    """The stream of ``Philox(key=(seed, path_id))``, both taken mod 2**64."""
-    key = np.array([seed & _U64, path_id & _U64], dtype=np.uint64)
+    """The stream of ``Philox(key=(seed, path_id))``, both taken mod 2**64.
+
+    Either may be a numpy integer: ``operator.index`` makes it a Python int,
+    which the 64-bit mask needs.
+    """
+    key = np.array([operator.index(seed) & _U64, operator.index(path_id) & _U64],
+                   dtype=np.uint64)
     return np.random.Generator(np.random.Philox(_PhiloxKey(key)))
 
 
@@ -110,16 +120,31 @@ def _initial_outside(model: ConjugateFieldModel, domain, X0: np.ndarray) -> np.n
     return domain.outside(X0)
 
 
-def _draw(gens: list, ids: np.ndarray, count: int) -> np.ndarray:
+def _noise_buffer(n: int) -> np.ndarray:
+    """n uninitialised floats that hold every noise block of one batch.
+
+    The first block is the largest, so later blocks view a prefix.  A buffer
+    of ``_MAPPED_BYTES`` or more is an anonymous mapping of its own, unmapped
+    when its last view goes.  Taken from the malloc heap, a freed multi-MB
+    buffer could be split by small allocations so that the next batch's no
+    longer fit, and the heap grew by a second buffer: peak RSS then depended
+    on the order of allocations, which differed from run to run.
+    """
+    if n * 8 < _MAPPED_BYTES:
+        return np.empty(n)
+    return np.frombuffer(mmap.mmap(-1, n * 8, flags=mmap.MAP_PRIVATE), dtype=np.float64)
+
+
+def _draw(gens: list, ids: np.ndarray, count: int, out=None) -> np.ndarray:
     """Next `count` normals from the stream of each listed path, one row each."""
-    xi = np.empty((ids.size, count))
+    xi = np.empty((ids.size, count)) if out is None else out
     for r, i in enumerate(ids):
         gens[i].standard_normal(out=xi[r])
     return xi
 
 
 def _step_major_noise(gens: list, ids: np.ndarray, kb: int,
-                      sig0: np.ndarray) -> np.ndarray:
+                      sig0: np.ndarray, out=None) -> np.ndarray:
     """The next kb constant-noise increments xi @ sig0.T, laid out (kb, d, A).
 
     A square diagonal sig0 skips the matmul and scales coordinate j's slab
@@ -128,7 +153,7 @@ def _step_major_noise(gens: list, ids: np.ndarray, kb: int,
     """
     d, n = sig0.shape
     diagonal = d == n and np.array_equal(sig0, np.diag(np.diagonal(sig0)))
-    dW = np.empty((kb, d, ids.size))
+    dW = np.empty((kb, d, ids.size)) if out is None else out
     for a in range(0, ids.size, _MIX_PATHS):
         sub = ids[a:a + _MIX_PATHS]
         xi = _draw(gens, sub, kb * n).reshape(sub.size, kb, n)
@@ -194,14 +219,19 @@ def simulate_batch(model: ConjugateFieldModel, noise: NoiseModel, domain,
     traj_buf = np.empty(d * _SUB_STEPS * ids.size)
     bh_buf = np.empty(d * ids.size)
     over_buf = np.empty(_SUB_STEPS * ids.size, dtype=bool) if clamps else None
+    width = d if const_noise else n_noise  # noise numbers per path and step
+    noise_buf = _noise_buffer(min(BLOCK_STEPS, n_steps) * width * ids.size
+                              if epsilon > 0.0 else 0)
     k = 0
     while ids.size and k < n_steps:
         kb = min(BLOCK_STEPS, n_steps - k)
-        dW = xi = w = z = None  # drop the last block's noise before drawing the next
+        block = noise_buf[:kb * width * ids.size]
+        dW = xi = w = z = None
         if epsilon > 0.0 and const_noise:
-            dW = _step_major_noise(gens, ids, kb, sig0)
+            dW = _step_major_noise(gens, ids, kb, sig0, block.reshape(kb, d, ids.size))
         elif epsilon > 0.0:
-            xi = _draw(gens, ids, kb * n_noise).reshape(ids.size, kb, n_noise)
+            xi = _draw(gens, ids, kb * n_noise,
+                       block.reshape(ids.size, kb * n_noise)).reshape(ids.size, kb, n_noise)
         # block column of each alive path, for reading this block's noise
         cols = np.arange(ids.size)
         for j0 in range(0, kb, _SUB_STEPS):

@@ -87,6 +87,7 @@ REJECTED = [
     "domain.big = ellipsoid:1e-300",
     "domain.big = ball:1e-200",
     "domain.big = ellipsoid:1.0,2.0",
+    "domain.inner = ball:0.45\ndomain.outer = ball:2.0",
 ]
 
 
@@ -104,6 +105,18 @@ def test_rejected_config_is_a_config_error(config_file, capsys, monkeypatch,
     assert code == 1
     assert err.startswith("config error:")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["predict", "sweep", "flow"])
+def test_box_boundary_outside_inner_domain_fails_the_other_commands(config_file, capsys,
+                                                                    command):
+    # the box boundary x = +-1 is not inside ball:0.45, which the travel-time
+    # bracket needs; REJECTED covers validate, estimate and diagnose
+    text = GOOD + "domain.inner = ball:0.45\ndomain.outer = ball:2.0\n"
+    assert main([command, "--config", config_file(text)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: domain: box boundary point")
+    assert "inner domain 'ball:0.45'" in err
 
 
 class TestPredict:

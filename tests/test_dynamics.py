@@ -245,6 +245,26 @@ class TestConjugateFieldModel:
         assert np.all(np.abs(Xc) <= m.validity_radius + 1e-15)
         assert Xc[0, 0] == 0.1
 
+    @pytest.mark.parametrize("d", [1, 2, 9])
+    def test_clamp_flags_match_the_row_max(self, d):
+        # clamp builds its flags one coordinate at a time; they must equal
+        # the row-wise max test, which never flags a row holding a nan
+        lam = np.linspace(1.0, 0.2, d)
+        m = ConjugateFieldModel.component_quadratic(Spectrum(lam), np.ones(d))
+        r = m.validity_radius
+        rng = np.random.default_rng(d)
+        X = rng.uniform(-1.5 * r, 1.5 * r, (400, d))
+        picks = rng.random((400, d))
+        X[picks < 0.1] = np.nan
+        X[(picks >= 0.1) & (picks < 0.2)] = r
+        X[(picks >= 0.2) & (picks < 0.3)] = -r
+        X[:3] = [[np.nan] * d, [r] * d, [-r] * d]
+        for view in (X, np.asfortranarray(X)):
+            Xc, over = m.clamp(view)
+            np.testing.assert_array_equal(over, np.max(np.abs(X), axis=1) > r)
+            assert over.any() and not over.all()
+            np.testing.assert_array_equal(Xc, np.clip(X, -r, r))
+
     def test_broken_forward_map_rejected(self):
         with pytest.raises(ValueError, match=r"f\(0\) = 0"):
             ConjugateFieldModel(S1, lambda x: x + 0.1, lambda y: y - 0.1,

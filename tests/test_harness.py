@@ -201,6 +201,8 @@ REJECTED = [
     ("domain.big", "domain.big = ellipsoid:1e-300\n"),
     ("domain.big", "domain.big = ball:1e-200\n"),
     ("domain.outer", "domain.inner = ball:1.5\ndomain.outer = ball:1e200\n"),
+    ("domain.inner", "domain.inner = ball:0.45\ndomain.outer = ball:2.0\n"),
+    ("domain.outer", "domain.inner = ball:2.0\ndomain.outer = ball:1.0\n"),
     ("threshold.r0", "threshold.r0 = -5.0\n"),
     ("threshold.r_coeff", "threshold.r_coeff = -20.0\n"),
     ("threshold.r_coeff", "threshold.r_coeff = nan\n"),
@@ -238,7 +240,7 @@ noise.gamma = 0.1
 domain.lower = -0.3, -0.25
 domain.upper = 0.3, 0.35
 domain.l0_cap = 0.4
-domain.inner = ball:0.45
+domain.inner = ball:0.49
 domain.outer = ellipsoid:0.48,0.49
 domain.big = ball:0.48
 threshold.alpha = 1.2
@@ -270,10 +272,17 @@ run.workers = 2
 
 @pytest.mark.parametrize("text,digest", [
     (MINIMAL, "a5bf5f9ac1dd1b2357e86cbdd7520e2faa55a79981a0a66e66542bcb4e32583d"),
-    (ALL_KEYS, "9ac79862052b7752ce14b07c2b9187552486963856490d294d17c8cc1fd8bbe4"),
+    (ALL_KEYS, "6e9305d87a700a98d3786d36d641775592bf895140bd07ef475ecf46f3a461dc"),
 ], ids=["minimal", "all_keys"])
 def test_config_hash_is_pinned(text, digest):
     assert config_hash(_cfg(text)) == digest
+
+
+def test_inner_domain_missing_a_box_boundary_sample_rejected():
+    # an inner ball:0.45 misses a pulled-back boundary sample at radius 0.48;
+    # travel_time_bounds would refuse it, so parsing does
+    with pytest.raises(ValidationError, match="^domain: .* inner domain 'ball:0.45'"):
+        _cfg(ALL_KEYS.replace("domain.inner = ball:0.49", "domain.inner = ball:0.45"))
 
 
 def test_all_keys_config_sets_every_key():

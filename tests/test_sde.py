@@ -1,4 +1,5 @@
 import math
+import mmap
 
 import numpy as np
 import pytest
@@ -18,7 +19,14 @@ from exitlab import (
     simulate_batch,
 )
 from exitlab.estimator import _LEVEL_SHIFT, _RESAMPLE_SALT
-from exitlab.sde import _SUB_STEPS, _PhiloxKey, _step_major_noise, make_generator
+from exitlab import sde
+from exitlab.sde import (
+    _MAPPED_BYTES,
+    _SUB_STEPS,
+    _PhiloxKey,
+    _step_major_noise,
+    make_generator,
+)
 
 S1 = Spectrum([1.0])
 S2 = Spectrum([1.0, 0.5])
@@ -109,6 +117,21 @@ class TestIncrements:
             key.spawn(2)
         with pytest.raises(TypeError):
             make_generator(1, 2).spawn(1)
+
+    @pytest.mark.parametrize("seed, path_id", [
+        (np.int64(3), np.int64(5)),
+        (np.uint64(2**64 - 1), np.uint64(9)),   # the largest key word
+        (np.int64(-1), np.int64(-7)),           # negative: taken mod 2**64
+        (np.int64(42), 2**64 - 1),
+    ], ids=["int64", "uint64-max", "negative-int64", "mixed"])
+    def test_numpy_integers_key_the_same_stream(self, seed, path_id):
+        # e.g. ids taken from an np.arange; the equal Python ints set the key
+        want = make_generator(int(seed), int(path_id))
+        ref = np.random.Generator(np.random.Philox(key=np.array(
+            [int(seed) % 2**64, int(path_id) % 2**64], dtype=np.uint64)))
+        got = make_generator(seed, path_id).standard_normal(1000)
+        np.testing.assert_array_equal(got, want.standard_normal(1000))
+        np.testing.assert_array_equal(got, ref.standard_normal(1000))
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_diagonal_sigma_scaling_equals_the_matmul(self, d):
@@ -546,6 +569,42 @@ class TestReferenceStepper:
         late = res["exited"] & ~res["clamped"] & free["clamped"]
         # exits that are not on a sub-block's last step, clamped only later
         assert (late & (res["steps_used"] % _SUB_STEPS != 0)).any()
+
+
+class TestMappedNoiseBuffer:
+    """A batch whose noise buffer is a mapping of its own steps bit for bit
+    as the per-step loop."""
+
+    def test_buffer_is_mapped_from_the_threshold_on(self):
+        small = sde._noise_buffer(_MAPPED_BYTES // 8 - 1)
+        big = sde._noise_buffer(_MAPPED_BYTES // 8)
+        assert small.base is None
+        assert isinstance(big.base.obj, mmap.mmap)
+        assert big.flags.writeable and big.size == _MAPPED_BYTES // 8
+
+    # the state-scaled noise has n = 2 columns for d = 1, so its buffer is
+    # sized by n, not d
+    @pytest.mark.parametrize("noise", [N1, NoiseModel.state_scaled([[1.0, 0.5]], 0.5)],
+                             ids=["constant", "state_scaled"])
+    def test_mapped_batch_matches_the_reference(self, noise, monkeypatch):
+        made = []
+
+        def spy(n, real=sde._noise_buffer):
+            made.append(real(n))
+            return made[-1]
+
+        monkeypatch.setattr(sde, "_noise_buffer", spy)
+        m = _MAPPED_BYTES // (8 * BLOCK_STEPS * noise.n) + 1
+        X0 = np.linspace(-0.5, 0.5, m)[:, None]
+        stop = (BLOCK_STEPS + 88) * 1e-3  # a second, shorter block
+        got = simulate_batch(ID1, noise, BOX1, X0, 0.3, stop, 1e-3,
+                             [make_generator(29, p) for p in range(m)])
+        assert len(made) == 1 and isinstance(made[0].base.obj, mmap.mmap)
+        want = _euler_reference(ID1, noise, BOX1, X0, 0.3, stop, 1e-3,
+                                [make_generator(29, p) for p in range(m)])
+        for k in RESULT_KEYS:
+            assert got[k].tobytes() == want[k].tobytes(), k
+        assert got["exited"].any() and not got["exited"].all()
 
 
 class TestStepBookkeeping:
