@@ -367,12 +367,13 @@ class ConjugateFieldModel:
         r = self.validity_radius
         if not math.isfinite(r):
             return X, np.zeros(X.shape[0], dtype=bool)
-        # One coordinate at a time, as in BoxDomain._beyond_a_side;
-        # np.maximum passes a nan on as np.max does, so a row with a nan is
-        # never flagged.
-        top = np.abs(X[:, 0])
+        # One coordinate at a time, as in BoxDomain._beyond_a_side, into
+        # column 0 of one abs; np.maximum passes a nan on as np.max does, so
+        # a row with a nan is never flagged.
+        a = np.abs(X)
+        top = a[:, 0]
         for j in range(1, X.shape[1]):
-            np.maximum(top, np.abs(X[:, j]), out=top)
+            np.maximum(top, a[:, j], out=top)
         over = top > r
         if not over.any():
             return X, over

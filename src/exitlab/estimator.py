@@ -65,19 +65,18 @@ def _wilson(k: int, n: int) -> tuple[float, float]:
     return max(0.0, center - half), min(1.0, center + half)
 
 
-def _binomial_estimate(k: int, n: int, method: str) -> TailEstimate:
+def _binomial_estimate(k: int, n: int, method: str, **counters) -> TailEstimate:
+    """k survivors of n paths; counters are TailEstimate's path counters."""
     if n < 1:
         raise ValueError("n_paths must be >= 1")
     p = k / n
-    est = TailEstimate(
+    return TailEstimate(
         p_hat=p, stderr=math.sqrt(p * (1.0 - p) / n),
-        n_paths=n, n_survived=k, method=method)
-    if k < 30:
-        est.wilson_interval = _wilson(k, n)
-    if k == 0:
+        n_paths=n, n_survived=k, method=method,
+        wilson_interval=_wilson(k, n) if k < 30 else None,
         # one-sided 95% upper bound; the point estimate stays 0 but flagged
-        est.zero_upper_bound = 1.0 - 0.05 ** (1.0 / n)
-    return est
+        zero_upper_bound=1.0 - 0.05 ** (1.0 / n) if k == 0 else None,
+        **counters)
 
 
 # ---------------------------------------------------------------------------
@@ -112,6 +111,9 @@ def _map_batches(job, n_batches: int, workers: int) -> list:
 
 def _run_paths(run, n: int, batch_size: int, workers: int) -> list:
     """run(start, stop) on each batch_size slice of path ids [0, n), in order."""
+    if batch_size < 1:
+        raise ValueError("batch_size must be >= 1")
+
     def job(b: int):
         start = b * batch_size
         return run(start, min(start + batch_size, n))
@@ -148,10 +150,8 @@ def direct_tail_estimate(model: ConjugateFieldModel, noise: NoiseModel,
 
     parts = _run_paths(run, n_paths, batch_size, workers)
     n_exited, steps, clamps = (sum(col) for col in zip(*parts))
-    est = _binomial_estimate(n_paths - n_exited, n_paths, "direct")
-    est.path_steps = steps
-    est.n_clamped = clamps
-    return est
+    return _binomial_estimate(n_paths - n_exited, n_paths, "direct",
+                              path_steps=steps, n_clamped=clamps)
 
 
 # ---------------------------------------------------------------------------
@@ -226,9 +226,8 @@ def splitting_tail_estimate(model: ConjugateFieldModel, noise: NoiseModel,
         def run(start, stop):
             gens = [make_generator(seed, base | slot) for slot in range(start, stop)]
             res = simulate_batch(model, noise, domain, states[start:stop],
-                                 epsilon, duration, config.dt, gens,
-                                 want_final=True)
-            return (res["final_state"][~res["exited"]], *_tally(res))
+                                 epsilon, duration, config.dt, gens)
+            return (res["end_state"][~res["exited"]], *_tally(res))
 
         parts = _run_paths(run, budget, batch_size, workers)
         surv_states = np.vstack([p[0] for p in parts])
@@ -316,7 +315,7 @@ def adjusted_tail_estimate(model: ConjugateFieldModel, noise: NoiseModel,
         ex = np.flatnonzero(res1["exited"])
         n_adj = n_big = capped  # capped paths certainly outlast the threshold
         if ex.size:
-            states = res1["exit_state"][ex]
+            states = res1["end_state"][ex]
             travel = flow_exit_times_batch(model, big_domain, states, dt=config.dt)
             if np.any(np.isnan(travel)):
                 raise NoExit("a box exit state failed to leave the enclosing domain")
@@ -335,15 +334,10 @@ def adjusted_tail_estimate(model: ConjugateFieldModel, noise: NoiseModel,
 
     parts = _run_paths(run, n_paths, batch_size, workers)
     n_adj, n_big, steps, clamps, capped = (sum(col) for col in zip(*parts))
-    adjusted = _binomial_estimate(n_adj, n_paths, "adjusted")
-    adjusted.path_steps = steps
-    adjusted.n_clamped = clamps
-    adjusted.n_capped = capped
-    enclosing = _binomial_estimate(n_big, n_paths, "enclosing")
-    enclosing.path_steps = steps
-    enclosing.n_clamped = clamps
-    enclosing.n_capped = capped
-    return AdjustedTailResult(adjusted=adjusted, enclosing=enclosing)
+    counters = dict(path_steps=steps, n_clamped=clamps, n_capped=capped)
+    return AdjustedTailResult(
+        adjusted=_binomial_estimate(n_adj, n_paths, "adjusted", **counters),
+        enclosing=_binomial_estimate(n_big, n_paths, "enclosing", **counters))
 
 
 # ---------------------------------------------------------------------------
@@ -438,8 +432,8 @@ def rescaled_fluctuation_samples(model: ConjugateFieldModel, noise: NoiseModel,
         gens = [make_generator(seed, pid) for pid in range(start, stop)]
         res = simulate_batch(model, noise, None,
                              np.broadcast_to(x0, (stop - start, d)), epsilon,
-                             T, config.dt, gens, want_final=True)
-        return damp * model.push_batch(res["final_state"]) / epsilon - y0
+                             T, config.dt, gens)
+        return damp * model.push_batch(res["end_state"]) / epsilon - y0
 
     return np.vstack(_run_paths(run, n_samples, batch_size, workers))
 

@@ -233,30 +233,14 @@ def _fmt(value) -> str:
         return ""
     if isinstance(value, float):
         return repr(value)
+    if isinstance(value, tuple):  # the start point x
+        return ";".join(repr(float(c)) for c in value)
     return str(value)
 
 
 def _row_to_csv(row: RunRow) -> list[str]:
-    values = {
-        "epsilon": row.epsilon,
-        "x": ";".join(repr(float(c)) for c in row.x),
-        "alpha": row.alpha,
-        "beta": row.beta,
-        "p_hat": row.p_hat,
-        "stderr": row.stderr,
-        "n_paths": row.n_paths,
-        "n_survived": row.n_survived,
-        "rescaled": row.rescaled,
-        "rescaled_stderr": row.rescaled_stderr,
-        "psi": row.psi,
-        "phi_minus": row.phi_minus,
-        "phi_plus": row.phi_plus,
-        "method": row.method,
-        "dt": row.dt,
-        "seed": row.seed,
-        "wall_seconds": row.wall_seconds,
-    }
-    return [_fmt(values[c]) for c in CSV_COLUMNS]
+    # every column is the RunRow field of the same name
+    return [_fmt(getattr(row, c)) for c in CSV_COLUMNS]
 
 
 def rows_csv_text(record: RunRecord) -> str:

@@ -9,20 +9,22 @@ path's stream at the block boundary where the previous phase stopped, and
 changing the constant would silently change continuations.
 
 Layout: ``simulate_batch`` holds only the paths still alive.  A block's
-constant-noise increments are drawn per path, mixed with ``xi @ sig0.T`` a
-few paths at a time (a square diagonal ``sig0`` scales each coordinate
-instead), and stored step-major ``(kb, d, A)`` in one buffer per batch
-(``_noise_buffer``).  The block is walked in sub-blocks of ``_SUB_STEPS``
-steps.  A sub-block takes its noise columns once and scales them by
-``eps * sqrt(dt)`` once; each step then writes its state in place into
-slot ``s`` of a coordinate-major ``(d, S, A)`` trajectory, whose column
-``i`` belongs to path ``ids[i]``.  Exits are checked once per sub-block,
-on all S steps as one ``(S*A, d)`` stack: ``argmax`` over the step axis
-gives each path's first exit step, which sets ``tau``, ``steps_used`` and
-the exit state.  The rest are then compacted
-with ``ndarray.take``.  A path that exits mid-sub-block keeps stepping (and
-clamping) to the sub-block's end; those later states are thrown away, and a
-clamp counts only on steps up to the exit.
+normals are drawn per path and stored step-major, ``(kb, width, A)``, in
+one buffer per batch (``_noise_buffer``).  Constant noise stores the
+increments ``xi @ sig0.T`` (width d; a square diagonal ``sig0`` scales each
+coordinate instead); state-dependent noise stores the raw normals (width
+n).  The block is walked in sub-blocks of ``_SUB_STEPS`` steps, and a
+sub-block takes its noise columns once.  Constant increments are then
+scaled by ``eps * sqrt(dt)`` in place; state-dependent ones are mixed per
+step by ``sigma(x)``.  Each step writes its state in place into slot ``s``
+of a coordinate-major ``(d, S, A)`` trajectory, whose column ``i`` belongs
+to path ``ids[i]``.  Exits are checked once per sub-block, on all S steps
+as one ``(S*A, d)`` stack: ``argmax`` over the step axis gives each path's
+first exit step, which sets ``tau``, ``steps_used`` and the end state.  The
+rest are then compacted with ``ndarray.take``.  A path that exits
+mid-sub-block keeps stepping (and clamping) to the sub-block's end; those
+later states are thrown away, and a clamp counts only on steps up to the
+exit.
 
 None of this changes an output byte.  Each path draws from its own stream in
 the same order, whole blocks at a time, so the generator state at an exit
@@ -135,28 +137,24 @@ def _noise_buffer(n: int) -> np.ndarray:
     return np.frombuffer(mmap.mmap(-1, n * 8, flags=mmap.MAP_PRIVATE), dtype=np.float64)
 
 
-def _draw(gens: list, ids: np.ndarray, count: int, out=None) -> np.ndarray:
-    """Next `count` normals from the stream of each listed path, one row each."""
-    xi = np.empty((ids.size, count)) if out is None else out
-    for r, i in enumerate(ids):
-        gens[i].standard_normal(out=xi[r])
-    return xi
-
-
 def _step_major_noise(gens: list, ids: np.ndarray, kb: int,
                       sig0: np.ndarray, out=None) -> np.ndarray:
-    """The next kb constant-noise increments xi @ sig0.T, laid out (kb, d, A).
+    """The next kb increments xi @ sig0.T of each listed path, laid out (kb, d, A).
 
-    A square diagonal sig0 skips the matmul and scales coordinate j's slab
-    by sig0[j, j] in place: each matmul product is that one term plus exact
-    zeros, so the values are the same.
+    xi holds the path's next kb * n normals as kb rows.  A square diagonal
+    sig0 skips the matmul and scales coordinate j's slab by sig0[j, j] in
+    place: each matmul product is that one term plus exact zeros, so the
+    values are the same.  An identity sig0 therefore leaves the raw normals.
     """
     d, n = sig0.shape
     diagonal = d == n and np.array_equal(sig0, np.diag(np.diagonal(sig0)))
     dW = np.empty((kb, d, ids.size)) if out is None else out
     for a in range(0, ids.size, _MIX_PATHS):
         sub = ids[a:a + _MIX_PATHS]
-        xi = _draw(gens, sub, kb * n).reshape(sub.size, kb, n)
+        xi = np.empty((sub.size, kb * n))
+        for r, i in enumerate(sub):
+            gens[i].standard_normal(out=xi[r])
+        xi = xi.reshape(sub.size, kb, n)
         dW[:, :, a:a + sub.size] = (xi if diagonal else xi @ sig0.T).transpose(1, 2, 0)
     if diagonal:
         for j in range(d):
@@ -167,19 +165,20 @@ def _step_major_noise(gens: list, ids: np.ndarray, kb: int,
 
 def simulate_batch(model: ConjugateFieldModel, noise: NoiseModel, domain,
                    X0: np.ndarray, epsilon: float, stop_time: float,
-                   dt: float, gens: list, want_final: bool = False) -> dict:
+                   dt: float, gens: list) -> dict:
     """Advance a batch of paths on the shared grid until exit or stop_time.
 
     X0 is (m, d); gens holds one Generator per row, consumed in order.
     domain may be None to disable exit detection (pure propagation).
-    Returns arrays keyed exited/tau/steps_used/exit_state/exit_y/clamped
-    and, if requested, final_state for rows still running at stop_time.
-    steps_used is 0 for starts outside the domain, the 1-based step of the
-    exit for paths that leave, and the number of grid steps for the rest.
+    Returns five arrays keyed exited/tau/steps_used/end_state/clamped.
+    A row of end_state is the path's exit state (X0 for a start outside the
+    domain), or its state at stop_time if it did not exit.  steps_used is 0
+    for starts outside the domain, the 1-based step of the exit for paths
+    that leave, and the number of grid steps for the rest.  Both noise forms
+    are drawn step-major into one buffer (see the module docstring).
     """
     X0 = np.atleast_2d(np.asarray(X0, dtype=float))
     m, d = X0.shape
-    n_noise = noise.n
     if not (0.0 <= epsilon < 1.0):
         raise ValueError("epsilon must lie in [0, 1)")
     if stop_time < 0.0 or not math.isfinite(stop_time):
@@ -191,10 +190,8 @@ def simulate_batch(model: ConjugateFieldModel, noise: NoiseModel, domain,
     exited = np.zeros(m, dtype=bool)
     tau = np.full(m, np.nan)
     steps_used = np.full(m, n_steps, dtype=np.int64)
-    exit_state = np.full((m, d), np.nan)
-    exit_y = np.full((m, d), np.nan)
+    end_state = np.empty((m, d))  # every row is set below
     clamped = np.zeros(m, dtype=bool)
-    final_state = np.full((m, d), np.nan) if want_final else None
 
     detect = domain is not None
     box = isinstance(domain, BoxDomain)
@@ -205,33 +202,30 @@ def simulate_batch(model: ConjugateFieldModel, noise: NoiseModel, domain,
             exited[out0] = True
             tau[out0] = 0.0
             steps_used[out0] = 0
-            exit_state[out0] = X0[out0]
-            exit_y[out0] = model.push_batch(X0[out0])
+            end_state[out0] = X0[out0]
             ids = np.flatnonzero(~out0)
     # Alive paths only, coordinate-major: X[:, i] is the state of path ids[i].
     X = np.ascontiguousarray(X0[ids].T)
 
-    sig0 = noise.sigma0
     const_noise = noise.constant
+    # Constant noise stores its increments; state noise stores raw normals.
+    sig0 = noise.sigma0 if const_noise else np.eye(noise.n)
+    width = sig0.shape[0]  # noise numbers per path and step
     clamps = math.isfinite(model.validity_radius)  # nothing to clamp at inf
     h_last = stop_time - (n_steps - 1) * dt  # the final step's own size
     # Flat buffers that every sub-block views at its own (S, A) shape.
     traj_buf = np.empty(d * _SUB_STEPS * ids.size)
     bh_buf = np.empty(d * ids.size)
     over_buf = np.empty(_SUB_STEPS * ids.size, dtype=bool) if clamps else None
-    width = d if const_noise else n_noise  # noise numbers per path and step
     noise_buf = _noise_buffer(min(BLOCK_STEPS, n_steps) * width * ids.size
                               if epsilon > 0.0 else 0)
     k = 0
     while ids.size and k < n_steps:
         kb = min(BLOCK_STEPS, n_steps - k)
-        block = noise_buf[:kb * width * ids.size]
-        dW = xi = w = z = None
-        if epsilon > 0.0 and const_noise:
-            dW = _step_major_noise(gens, ids, kb, sig0, block.reshape(kb, d, ids.size))
-        elif epsilon > 0.0:
-            xi = _draw(gens, ids, kb * n_noise,
-                       block.reshape(ids.size, kb * n_noise)).reshape(ids.size, kb, n_noise)
+        dW = w = None
+        if epsilon > 0.0:
+            dW = _step_major_noise(gens, ids, kb, sig0, noise_buf[
+                :kb * width * ids.size].reshape(kb, width, ids.size))
         # block column of each alive path, for reading this block's noise
         cols = np.arange(ids.size)
         for j0 in range(0, kb, _SUB_STEPS):
@@ -244,13 +238,12 @@ def simulate_batch(model: ConjugateFieldModel, noise: NoiseModel, domain,
                 w = dW[j0:j0 + S]
                 if cols.size != w.shape[2]:
                     w = w.take(cols, axis=2)
-                # each slab is read once, so it is scaled where it lies
-                tail = (epsilon * math.sqrt(h_last)) * w[-1] if ends else None
-                np.multiply(w, epsilon * math.sqrt(dt), out=w)
-                if ends:
-                    w[-1] = tail
-            elif xi is not None:
-                z = xi.transpose(1, 0, 2)[j0:j0 + S].take(cols, axis=1)  # (S, A, n)
+                if const_noise:
+                    # each slab is read once, so it is scaled where it lies
+                    tail = (epsilon * math.sqrt(h_last)) * w[-1] if ends else None
+                    np.multiply(w, epsilon * math.sqrt(dt), out=w)
+                    if ends:
+                        w[-1] = tail
             if clamps:
                 over_s = over_buf[:S * A].reshape(S, A)
             prev = X
@@ -261,12 +254,14 @@ def simulate_batch(model: ConjugateFieldModel, noise: NoiseModel, domain,
                 xt = cur.T
                 np.multiply(model.drift_batch(x), h, out=bh)
                 np.add(x, bh, out=xt)
-                if w is not None:
+                if w is not None and const_noise:
                     np.add(cur, w[s], out=cur)
-                elif z is not None:
+                elif w is not None:
+                    # einsum rounds by layout, so it gets a C-contiguous z
                     sig = noise.sigma_batch(np.ascontiguousarray(x))
+                    z = np.ascontiguousarray(w[s].T)
                     np.add(xt, (epsilon * math.sqrt(h)) * np.einsum(
-                        "rdn,rn->rd", sig, z[s]), out=xt)
+                        "rdn,rn->rd", sig, z), out=xt)
                 if clamps:
                     xc, over_s[s] = model.clamp(xt)
                     if xc is not xt:
@@ -277,8 +272,7 @@ def simulate_batch(model: ConjugateFieldModel, noise: NoiseModel, domain,
             if detect:
                 flat = traj.reshape(d, S * A).T  # row s*A + i: path i at step s
                 if box:
-                    y = model.push_batch(flat)
-                    out = domain.outside(y).reshape(S, A)
+                    out = domain.outside(model.push_batch(flat)).reshape(S, A)
                 else:
                     out = domain.outside(np.ascontiguousarray(flat)).reshape(S, A)
                 if out.any():
@@ -291,9 +285,7 @@ def simulate_batch(model: ConjugateFieldModel, noise: NoiseModel, domain,
                     exited[hit_ids] = True
                     tau[hit_ids] = np.where(step == n_steps, stop_time, step * dt)
                     steps_used[hit_ids] = step
-                    xs = np.ascontiguousarray(traj[:, sh, hit].T)
-                    exit_state[hit_ids] = xs
-                    exit_y[hit_ids] = y[sh * A + hit] if box else model.push_batch(xs)
+                    end_state[hit_ids] = traj[:, sh, hit].T
             if clamps:
                 flag = over_s.any(axis=0)
                 if gone is not None and flag.any():
@@ -311,12 +303,6 @@ def simulate_batch(model: ConjugateFieldModel, noise: NoiseModel, domain,
                     break
         k += kb
 
-    if want_final and ids.size:
-        final_state[ids] = X.T
-    result = {
-        "exited": exited, "tau": tau, "steps_used": steps_used,
-        "exit_state": exit_state, "exit_y": exit_y, "clamped": clamped,
-    }
-    if want_final:
-        result["final_state"] = final_state
-    return result
+    end_state[ids] = X.T
+    return {"exited": exited, "tau": tau, "steps_used": steps_used,
+            "end_state": end_state, "clamped": clamped}

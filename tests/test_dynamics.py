@@ -245,7 +245,7 @@ class TestConjugateFieldModel:
         assert np.all(np.abs(Xc) <= m.validity_radius + 1e-15)
         assert Xc[0, 0] == 0.1
 
-    @pytest.mark.parametrize("d", [1, 2, 9])
+    @pytest.mark.parametrize("d", [1, 2, 4, 9])
     def test_clamp_flags_match_the_row_max(self, d):
         # clamp builds its flags one coordinate at a time; they must equal
         # the row-wise max test, which never flags a row holding a nan

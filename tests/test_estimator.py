@@ -127,6 +127,31 @@ class TestDirectEstimate:
             1.0 - 0.05 ** (1.0 / n), rel=1e-12)
 
 
+@pytest.mark.parametrize("batch_size", [0, -5])
+@pytest.mark.parametrize("entry", ["direct", "splitting", "adjusted", "fluctuation"])
+def test_batch_size_below_one_is_rejected(entry, batch_size):
+    # every estimator and the fluctuation sampler slice their paths through
+    # one runner, which names the bad size
+    box, ts = bernoulli_setup(0.3)
+    x0 = np.zeros(1)
+    calls = {
+        "direct": lambda: direct_tail_estimate(
+            ID1, N1, box, x0, 0.1, ts, n_paths=100, config=CFG, seed=1,
+            batch_size=batch_size),
+        "splitting": lambda: splitting_tail_estimate(
+            ID1, N1, box, x0, 0.1, ts, SplittingPlan.uniform(ts.time(0.1), 100),
+            CFG, seed=1, batch_size=batch_size),
+        "adjusted": lambda: adjusted_tail_estimate(
+            ID1, N1, box, SmoothDomain.ball(2.0), x0, 0.1, ts, n_paths=100,
+            config=CFG, seed=1, batch_size=batch_size),
+        "fluctuation": lambda: rescaled_fluctuation_samples(
+            ID1, N1, np.array([0.5]), 0.1, 1.0, CFG, seed=1, n_samples=10,
+            batch_size=batch_size),
+    }
+    with pytest.raises(ValueError, match="batch_size must be >= 1"):
+        calls[entry]()
+
+
 class TestSplitting:
     def test_plan_validation(self):
         with pytest.raises(ValueError):

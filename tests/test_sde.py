@@ -34,7 +34,7 @@ ID1 = ConjugateFieldModel.identity(S1)
 ID2 = ConjugateFieldModel.identity(S2)
 N1 = NoiseModel(np.array([[1.0]]))
 BOX1 = BoxDomain([-1.0], [1.0])
-RESULT_KEYS = ("exited", "tau", "steps_used", "exit_state", "exit_y", "clamped")
+RESULT_KEYS = ("exited", "tau", "steps_used", "end_state", "clamped")
 
 
 def _ks_distance(samples, std):
@@ -187,8 +187,9 @@ class TestSimulatePath:
                              dt, [make_generator(77, pid) for pid in range(200)])
         ex = np.flatnonzero(res["exited"])
         assert ex.size > 100
-        for i in ex:
-            tau, exit_y = res["tau"][i], res["exit_y"][i]
+        exit_ys = ID2.push_batch(res["end_state"][ex])
+        for i, exit_y in zip(ex, exit_ys):
+            tau = res["tau"][i]
             assert tau <= 2.0
             at_edge = (exit_y <= box.lower + 1e-12) | (exit_y >= box.upper - 1e-12)
             assert at_edge.any()
@@ -274,11 +275,17 @@ class TestSimulateBatch:
         assert np.allclose(res["tau"], math.log(1.0 / 0.4), atol=2e-3)
 
 
-def _run_ids(model, noise, domain, X0, eps, stop, seed, ids, want_final):
+def _run_ids(model, noise, domain, X0, eps, stop, seed, ids):
     """simulate_batch on the rows `ids` of X0, each on its own path stream."""
     gens = [make_generator(seed, int(p)) for p in ids]
-    return simulate_batch(model, noise, domain, X0[ids], eps, stop, 1e-3,
-                          gens, want_final=want_final)
+    return simulate_batch(model, noise, domain, X0[ids], eps, stop, 1e-3, gens)
+
+
+def _map_every_buffer(monkeypatch, mapped):
+    """With mapped, every noise buffer is a mapping of its own (see
+    sde._noise_buffer); without it, only those of _MAPPED_BYTES or more."""
+    if mapped:
+        monkeypatch.setattr(sde, "_MAPPED_BYTES", 8)
 
 
 def _box_starts(d, n, rng):
@@ -307,6 +314,10 @@ BATCH_CASES = {
                         np.zeros((24, 2)), 0.3, 0.9),
     "state_scaled": (ID2, NoiseModel.state_scaled(np.eye(2), 0.5), _BOX2,
                      _box_starts(2, 24, _RNG), 0.3, _STOP),
+    # n = 3 noise columns for d = 2: sigma(x) mixes a strided noise column
+    "state_scaled_rect": (ID2, NoiseModel.state_scaled(
+        [[1.0, 0.3, 0.2], [0.1, 1.0, 0.4]], 0.5), _BOX2,
+        _box_starts(2, 24, _RNG), 0.3, _STOP),
     "epsilon_zero": (ID1, N1, BOX1, np.linspace(-1.2, 0.9, 12)[:, None],
                      0.0, 2.0),
 }
@@ -315,28 +326,27 @@ BATCH_CASES = {
 class TestBatchInvariance:
     """A path's result depends only on (seed, path id), bit for bit."""
 
-    @pytest.mark.parametrize("want_final", [False, True])
+    @pytest.mark.parametrize("mapped", [False, True])
     @pytest.mark.parametrize("case", sorted(BATCH_CASES))
-    def test_batch_singletons_and_shuffled_split_agree(self, case, want_final):
+    def test_batch_singletons_and_shuffled_split_agree(self, case, mapped,
+                                                       monkeypatch):
+        _map_every_buffer(monkeypatch, mapped)
         model, noise, domain, X0, eps, stop = BATCH_CASES[case]
         m = X0.shape[0]
-        whole = _run_ids(model, noise, domain, X0, eps, stop, 17,
-                         np.arange(m), want_final)
-        keys = RESULT_KEYS + (("final_state",) if want_final else ())
-        singles = {k: np.empty_like(whole[k]) for k in keys}
+        whole = _run_ids(model, noise, domain, X0, eps, stop, 17, np.arange(m))
+        assert set(whole) == set(RESULT_KEYS)
+        singles = {k: np.empty_like(whole[k]) for k in RESULT_KEYS}
         for p in range(m):
-            one = _run_ids(model, noise, domain, X0, eps, stop, 17,
-                           np.array([p]), want_final)
-            for k in keys:
+            one = _run_ids(model, noise, domain, X0, eps, stop, 17, np.array([p]))
+            for k in RESULT_KEYS:
                 singles[k][p] = one[k][0]
         perm = np.random.default_rng(m).permutation(m)
-        split = {k: np.empty_like(whole[k]) for k in keys}
+        split = {k: np.empty_like(whole[k]) for k in RESULT_KEYS}
         for part in np.split(perm, [3, m // 2]):
-            res = _run_ids(model, noise, domain, X0, eps, stop, 17, part,
-                           want_final)
-            for k in keys:
+            res = _run_ids(model, noise, domain, X0, eps, stop, 17, part)
+            for k in RESULT_KEYS:
                 split[k][part] = res[k]
-        for k in keys:
+        for k in RESULT_KEYS:
             np.testing.assert_array_equal(singles[k], whole[k], err_msg=k)
             np.testing.assert_array_equal(split[k], whole[k], err_msg=k)
 
@@ -344,18 +354,22 @@ class TestBatchInvariance:
         def run(case):
             model, noise, domain, X0, eps, stop = BATCH_CASES[case]
             return _run_ids(model, noise, domain, X0, eps, stop, 17,
-                            np.arange(X0.shape[0]), True)
+                            np.arange(X0.shape[0]))
 
-        for case in ("box", "ball", "state_scaled", "epsilon_zero"):
+        for case in ("box", "ball", "state_scaled", "state_scaled_rect",
+                     "epsilon_zero"):
             res = run(case)
             assert (res["tau"] == 0.0).any(), case
             assert (res["tau"] > 0.0).any(), case
+        for case in ("state_scaled", "state_scaled_rect"):
+            assert not run(case)["exited"].all(), case  # some reach _STOP
         res = run("quadratic_clamp")
         assert (res["clamped"] & res["exited"]).any()
         assert (res["clamped"] & ~res["exited"]).any()
         res = run("no_domain")
         assert not res["exited"].any()
-        assert np.isfinite(res["final_state"]).all()
+        for case in BATCH_CASES:  # every row of end_state is set
+            assert np.isfinite(run(case)["end_state"]).all(), case
 
 
 class TestClampSkip:
@@ -364,16 +378,16 @@ class TestClampSkip:
     def test_identity_model_never_reaches_clamp(self, monkeypatch):
         model, noise, domain, X0, eps, stop = BATCH_CASES["box"]
         rows = np.arange(X0.shape[0])
-        before = _run_ids(model, noise, domain, X0, eps, stop, 17, rows, True)
+        before = _run_ids(model, noise, domain, X0, eps, stop, 17, rows)
         tau_before = flow_exit_times_batch(model, SmoothDomain.ball(1.0), X0)
 
         def refuse(self, X):
             raise AssertionError("clamp called on an unbounded model")
 
         monkeypatch.setattr(ConjugateFieldModel, "clamp", refuse)
-        after = _run_ids(model, noise, domain, X0, eps, stop, 17, rows, True)
+        after = _run_ids(model, noise, domain, X0, eps, stop, 17, rows)
         tau_after = flow_exit_times_batch(model, SmoothDomain.ball(1.0), X0)
-        for k in RESULT_KEYS + ("final_state",):
+        for k in RESULT_KEYS:
             assert after[k].tobytes() == before[k].tobytes(), k
         assert tau_after.tobytes() == tau_before.tobytes()
 
@@ -383,8 +397,7 @@ class TestClampSkip:
         # clamp reported it over the radius on a step at or before its exit.
         model, noise, domain, X0, eps, stop = BATCH_CASES["quadratic_clamp"]
         m = X0.shape[0]
-        whole = _run_ids(model, noise, domain, X0, eps, stop, 17,
-                         np.arange(m), False)
+        whole = _run_ids(model, noise, domain, X0, eps, stop, 17, np.arange(m))
         original = ConjugateFieldModel.clamp
         overs = []
 
@@ -397,8 +410,7 @@ class TestClampSkip:
         late = 0
         for p in range(m):
             overs.clear()
-            one = _run_ids(model, noise, domain, X0, eps, stop, 17,
-                           np.array([p]), False)
+            one = _run_ids(model, noise, domain, X0, eps, stop, 17, np.array([p]))
             used = one["steps_used"][0]
             assert used <= len(overs) < used + _SUB_STEPS
             assert one["clamped"][0] == any(overs[:used]) == whole["clamped"][p]
@@ -407,13 +419,13 @@ class TestClampSkip:
         assert late  # some path was clamped only after its exit, unflagged
 
 
-def _euler_reference(model, noise, domain, X0, epsilon, stop_time, dt, gens,
-                     want_final=False):
+def _euler_reference(model, noise, domain, X0, epsilon, stop_time, dt, gens):
     """The per-step Euler loop that simulate_batch must match bit for bit.
 
     Row-major states, one exit check per grid step, and each path's noise
     block mixed on its own; the draws come in BLOCK_STEPS blocks, as the
-    randomness contract fixes them.
+    randomness contract fixes them.  A path's row of X stops changing when
+    it exits, so X ends as end_state.
     """
     X = np.array(X0, dtype=float)
     m, d = X.shape
@@ -421,8 +433,7 @@ def _euler_reference(model, noise, domain, X0, epsilon, stop_time, dt, gens,
     n_steps = int(math.ceil(stop_time / dt - 1e-12)) if stop_time > 0.0 else 0
     res = {"exited": np.zeros(m, dtype=bool), "tau": np.full(m, np.nan),
            "steps_used": np.full(m, n_steps, dtype=np.int64),
-           "exit_state": np.full((m, d), np.nan),
-           "exit_y": np.full((m, d), np.nan),
+           "end_state": X,
            "clamped": np.zeros(m, dtype=bool)}
     alive = np.ones(m, dtype=bool)
     if domain is not None:
@@ -433,8 +444,6 @@ def _euler_reference(model, noise, domain, X0, epsilon, stop_time, dt, gens,
         res["exited"][out] = True
         res["tau"][out] = 0.0
         res["steps_used"][out] = 0
-        res["exit_state"][out] = X[out]
-        res["exit_y"][out] = model.push_batch(X[out])
         alive &= ~out
     noise_of = {}
     for step in range(1, n_steps + 1):
@@ -469,11 +478,7 @@ def _euler_reference(model, noise, domain, X0, epsilon, stop_time, dt, gens,
         res["exited"][hit] = True
         res["tau"][hit] = stop_time if step == n_steps else step * dt
         res["steps_used"][hit] = step
-        res["exit_state"][hit] = x[out]
-        res["exit_y"][hit] = model.push_batch(x[out])
         alive[hit] = False
-    if want_final:
-        res["final_state"] = np.where(alive[:, None], X, np.nan)
     return res
 
 
@@ -518,34 +523,34 @@ class TestReferenceStepper:
     """simulate_batch equals the per-step Euler loop, bit for bit."""
 
     @staticmethod
-    def _both(model, noise, domain, X0, eps, stop, dt, want_final):
+    def _both(model, noise, domain, X0, eps, stop, dt):
         def gens():
             return [make_generator(23, p) for p in range(X0.shape[0])]
 
-        got = simulate_batch(model, noise, domain, X0, eps, stop, dt, gens(),
-                             want_final=want_final)
-        want = _euler_reference(model, noise, domain, X0, eps, stop, dt,
-                                gens(), want_final)
-        keys = RESULT_KEYS + (("final_state",) if want_final else ())
-        for k in keys:
+        got = simulate_batch(model, noise, domain, X0, eps, stop, dt, gens())
+        want = _euler_reference(model, noise, domain, X0, eps, stop, dt, gens())
+        assert set(got) == set(RESULT_KEYS)
+        for k in RESULT_KEYS:
             assert got[k].dtype == want[k].dtype, k
             assert got[k].tobytes() == want[k].tobytes(), k
         return got
 
-    @pytest.mark.parametrize("want_final", [False, True])
+    @pytest.mark.parametrize("mapped", [False, True])
     @pytest.mark.parametrize("case", sorted(BATCH_CASES))
-    def test_batch_cases(self, case, want_final):
+    def test_batch_cases(self, case, mapped, monkeypatch):
+        _map_every_buffer(monkeypatch, mapped)
         model, noise, domain, X0, eps, stop = BATCH_CASES[case]
-        self._both(model, noise, domain, X0, eps, stop, 1e-3, want_final)
+        self._both(model, noise, domain, X0, eps, stop, 1e-3)
 
-    @pytest.mark.parametrize("want_final", [False, True])
+    @pytest.mark.parametrize("mapped", [False, True])
     @pytest.mark.parametrize("case", sorted(SUB_BLOCK_CASES))
-    def test_sub_block_cases(self, case, want_final):
-        self._both(*SUB_BLOCK_CASES[case], want_final)
+    def test_sub_block_cases(self, case, mapped, monkeypatch):
+        _map_every_buffer(monkeypatch, mapped)
+        self._both(*SUB_BLOCK_CASES[case])
 
     def test_cases_reach_their_branches(self):
         def run(case):
-            return self._both(*SUB_BLOCK_CASES[case], True)
+            return self._both(*SUB_BLOCK_CASES[case])
 
         res = run("sub_block_edges")
         np.testing.assert_array_equal(res["steps_used"], _EDGE_STEPS)
@@ -561,7 +566,7 @@ class TestReferenceStepper:
         assert not res["exited"][3:].any()
         res = run("no_domain_short")
         assert res["steps_used"].max() == 24 < _SUB_STEPS
-        assert np.isfinite(res["final_state"]).all()
+        assert np.isfinite(res["end_state"]).all()
         model, noise, domain, X0, eps, stop, dt = SUB_BLOCK_CASES["clamp_after_exit"]
         res = run("clamp_after_exit")
         free = simulate_batch(model, noise, None, X0, eps, stop, dt,
