@@ -28,7 +28,6 @@ from .exponents import (
     classify_admissible,
     critical_index,
     tail_exponent,
-    threshold_time,
 )
 from .dynamics import (
     BoxDomain,
@@ -56,7 +55,6 @@ from .estimator import (
     AdjustedTailResult,
     DensityDiagnostic,
     SlopeFit,
-    SplittingPlan,
     TailEstimate,
     adjusted_tail_estimate,
     density_diagnostic,
@@ -84,7 +82,7 @@ __all__ = [
     "InitialScaleSpec", "LimitCovariance", "NoExit", "NoiseModel",
     "OutsideValidity", "ParseError", "PathConfig", "PrefactorPrediction",
     "RankDeficient", "RunRecord", "RunRow", "SlopeFit", "SmoothDomain",
-    "Spectrum", "SpectrumInvalid", "SplittingPlan", "StepTooLarge",
+    "Spectrum", "SpectrumInvalid", "StepTooLarge",
     "TailEstimate", "ThresholdSpec", "ValidationError",
     "adjusted_tail_estimate", "build_config", "classify_admissible",
     "config_hash", "critical_index", "density_diagnostic",
@@ -94,6 +92,6 @@ __all__ = [
     "rescaled_fluctuation_samples", "rescaled_prefactor", "run_estimate",
     "run_predict", "simulate_batch", "slope_regression",
     "splitting_tail_estimate", "survival_prefactor", "survival_prefactor_mc",
-    "tail_exponent", "threshold_time", "transversality_check",
+    "tail_exponent", "transversality_check",
     "travel_time_bounds",
 ]

@@ -90,36 +90,31 @@ def main(argv=None) -> int:
             for warning in cfg.warnings:
                 print(f"warning: {warning}", file=sys.stderr)
             return 0
-        if args.command == "predict":
-            record = run_predict(cfg)
+        if args.command in ("predict", "estimate", "sweep"):
+            record = (run_predict(cfg) if args.command == "predict"
+                      else run_estimate(cfg))
+            # files first: a closed stdout must not lose a finished run
+            paths = emit_outputs(record, args.out) if args.out else {}
             _print_rows(record)
-        elif args.command in ("estimate", "sweep"):
-            record = run_estimate(cfg)
-            _print_rows(record)
-        elif args.command == "flow":
-            report = run_flow_report(cfg)
-            print(json.dumps(report, indent=2, sort_keys=True))
-            if args.out:
-                out = Path(args.out)
-                out.mkdir(parents=True, exist_ok=True)
-                (out / "flow.json").write_text(
-                    json.dumps(report, indent=2, sort_keys=True) + "\n",
-                    encoding="utf-8")
-            return 0
-        else:  # diagnose
-            diag = run_density_report(cfg)
-            print(f"sup_diff={diag.sup_diff!r} l1_diff={diag.l1_diff!r} "
-                  f"mass={diag.mass!r}")
-            if args.out:
-                out = Path(args.out)
-                out.mkdir(parents=True, exist_ok=True)
-                (out / "density.csv").write_text(density_csv_text(diag),
-                                                 encoding="utf-8")
-            return 0
-        if args.out:
-            paths = emit_outputs(record, args.out)
             for kind, path in sorted(paths.items()):
                 print(f"wrote {kind}: {path}")
+            return 0
+        if args.command == "flow":
+            text = json.dumps(run_flow_report(cfg), indent=2, sort_keys=True)
+            if args.out:
+                out = Path(args.out)
+                out.mkdir(parents=True, exist_ok=True)
+                (out / "flow.json").write_text(text + "\n", encoding="utf-8")
+            print(text)
+            return 0
+        diag = run_density_report(cfg)  # diagnose
+        if args.out:
+            out = Path(args.out)
+            out.mkdir(parents=True, exist_ok=True)
+            (out / "density.csv").write_text(density_csv_text(diag),
+                                             encoding="utf-8")
+        print(f"sup_diff={diag.sup_diff!r} l1_diff={diag.l1_diff!r} "
+              f"mass={diag.mass!r}")
         return 0
     except ExitlabError as exc:
         print(f"runtime error: {exc}", file=sys.stderr)

@@ -39,7 +39,7 @@ _RESAMPLE_SALT = 0x5DEECE66D
 _Z95 = 1.959963984540054
 
 
-@dataclass
+@dataclass(frozen=True)
 class TailEstimate:
     """Estimated survival probability with uncertainty and path accounting."""
 
@@ -158,60 +158,33 @@ def direct_tail_estimate(model: ConjugateFieldModel, noise: NoiseModel,
 # fixed-effort splitting
 
 
-@dataclass(frozen=True)
-class SplittingPlan:
-    """Time levels and per-level budget for fixed-effort splitting.
-
-    level_times must increase strictly to the threshold time; the budget is
-    rerun at every level, resampling survivor states with replacement.
-    """
-
-    level_times: tuple[float, ...]
-    budget: int
-
-    def __post_init__(self):
-        times = tuple(float(t) for t in self.level_times)
-        if len(times) == 0:
-            raise ValueError("at least one level is required")
-        if times[0] <= 0.0 or any(b <= a for a, b in zip(times, times[1:])):
-            raise ValueError("level times must be positive and strictly increasing")
-        object.__setattr__(self, "level_times", times)
-        if self.budget < 100:
-            raise ValueError("budget must be at least 100")
-
-    @classmethod
-    def uniform(cls, threshold: float, budget: int,
-                level_step: float = 1.0) -> "SplittingPlan":
-        """Levels of roughly level_step length covering (0, threshold]."""
-        if threshold <= 0.0:
-            raise ValueError("threshold must be positive")
-        if not level_step > 0.0:
-            raise ValueError("level_step must be positive")
-        m = max(1, int(math.ceil(threshold / level_step - 1e-12)))
-        times = tuple(threshold * (j + 1) / m for j in range(m))
-        return cls(level_times=times, budget=budget)
-
-
 def splitting_tail_estimate(model: ConjugateFieldModel, noise: NoiseModel,
                             domain, x, epsilon: float,
-                            threshold_spec: ThresholdSpec, plan: SplittingPlan,
+                            threshold_spec: ThresholdSpec, budget: int,
                             config: PathConfig, seed: int, workers: int = 1,
-                            batch_size: int = DEFAULT_BATCH_SIZE) -> TailEstimate:
+                            batch_size: int = DEFAULT_BATCH_SIZE,
+                            level_step: float = 1.0) -> TailEstimate:
     """Fixed-effort multilevel splitting of the survival probability.
 
-    At each level the full budget restarts from survivor states resampled
+    The threshold time T0 is cut into m = ceil(T0 / level_step) equal levels
+    ending at t_k = T0 * k / m, so no level lasts longer than level_step.  At
+    each level the full budget restarts from survivor states resampled
     with replacement (Markov restarts), the level survival fractions f_k are
     recorded, and p_hat = prod f_k with the product-form delta-method error
     p_hat * sqrt(sum (1 - f_k) / (f_k * budget)).  Survivor states are
     carried in linearizing coordinates.  A level with no survivors ends the
     cascade: p_hat = 0, flagged with the extinct level.
     """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
+    if budget < 100:
+        raise ValueError("budget must be at least 100")
+    if not level_step > 0.0:
+        raise ValueError("level_step must be positive")
     t0 = threshold_spec.time(epsilon)
-    times = plan.level_times
-    if abs(times[-1] - t0) > 1e-9 * max(1.0, abs(t0)):
-        raise ValueError("last level time must equal the threshold time")
-    budget = plan.budget
+    if not t0 > 0.0:
+        raise ValueError("threshold time must be positive")
+    m = max(1, math.ceil(t0 / level_step - 1e-12))
+    times = [t0 * k / m for k in range(1, m + 1)]
+    x = np.atleast_1d(np.asarray(x, dtype=float))
     d = model.spectrum.d
     states = np.broadcast_to(epsilon * x, (budget, d)).copy()
     factors: list[float] = []
@@ -236,13 +209,12 @@ def splitting_tail_estimate(model: ConjugateFieldModel, noise: NoiseModel,
         n_surv = surv_states.shape[0]
         factors.append(n_surv / budget)
         if n_surv == 0:
-            est = TailEstimate(
-                p_hat=0.0, stderr=0.0, n_paths=budget * len(times),
-                n_survived=0, method="splitting", path_steps=steps,
+            return TailEstimate(
+                p_hat=0.0, stderr=0.0, n_paths=budget * m, n_survived=0,
+                method="splitting", path_steps=steps,
+                zero_upper_bound=1.0 - 0.05 ** (1.0 / budget),
                 extinct_level=level, n_clamped=clamps)
-            est.zero_upper_bound = 1.0 - 0.05 ** (1.0 / budget)
-            return est
-        if level < len(times):
+        if level < m:
             surv_y = model.push_batch(surv_states)
             rgen = make_generator(seed ^ _RESAMPLE_SALT, level)
             idx = rgen.integers(0, n_surv, size=budget)
@@ -250,13 +222,11 @@ def splitting_tail_estimate(model: ConjugateFieldModel, noise: NoiseModel,
         prev_t = t_level
     p_hat = float(np.prod(factors))
     rel_var = sum((1.0 - f) / (f * budget) for f in factors)
-    est = TailEstimate(
-        p_hat=p_hat, stderr=p_hat * math.sqrt(rel_var),
-        n_paths=budget * len(times), n_survived=n_surv, method="splitting",
-        path_steps=steps, n_clamped=clamps)
-    if n_surv < 30:
-        est.wilson_interval = _wilson(n_surv, budget)
-    return est
+    return TailEstimate(
+        p_hat=p_hat, stderr=p_hat * math.sqrt(rel_var), n_paths=budget * m,
+        n_survived=n_surv, method="splitting", path_steps=steps,
+        wilson_interval=_wilson(n_surv, budget) if n_surv < 30 else None,
+        n_clamped=clamps)
 
 
 # ---------------------------------------------------------------------------
@@ -367,12 +337,12 @@ class SlopeFit:
 def slope_regression(points) -> SlopeFit:
     """OLS slope of log p_hat against log eps.
 
-    Each point is (epsilon, TailEstimate) or (epsilon, probability).
-    Non-positive estimates are dropped; fewer than 3 usable points, or a
-    degenerate eps range, raises DegenerateFit.  An exact power law gives
-    zero residuals and zero slope error up to rounding.
+    Each point is an (epsilon, estimate) pair, and the fit reads the
+    estimate's p_hat.  Non-positive estimates are dropped; fewer than 3
+    usable points, or a degenerate eps range, raises DegenerateFit.  An exact
+    power law gives zero residuals and zero slope error up to rounding.
     """
-    pairs = [(float(e), float(getattr(p, "p_hat", p))) for e, p in points]
+    pairs = [(float(e), float(est.p_hat)) for e, est in points]
     usable = [(e, p) for e, p in pairs if 0.0 < e < 1.0 and p > 0.0]
     if len(usable) < 3:
         raise DegenerateFit(f"need >= 3 positive estimates, have {len(usable)}")
@@ -385,13 +355,9 @@ def slope_regression(points) -> SlopeFit:
     slope = float(np.sum((lx - xbar) * (ly - ly.mean())) / sxx)
     intercept = float(ly.mean() - slope * xbar)
     resid = ly - (intercept + slope * lx)
-    n = len(usable)
-    if n > 2:
-        s2 = float(np.sum(resid**2)) / (n - 2)
-        slope_stderr = math.sqrt(s2 / sxx)
-    else:
-        slope_stderr = math.inf
-    return SlopeFit(slope=slope, intercept=intercept, slope_stderr=slope_stderr,
+    s2 = float(np.sum(resid**2)) / (len(usable) - 2)
+    return SlopeFit(slope=slope, intercept=intercept,
+                    slope_stderr=math.sqrt(s2 / sxx),
                     points=tuple(zip(lx.tolist(), ly.tolist())),
                     residuals=tuple(resid.tolist()))
 

@@ -90,9 +90,10 @@ class ThresholdSpec:
             raise ValueError("r_exponent must be positive when r_coeff is nonzero")
 
     def time(self, epsilon: float) -> float:
-        return threshold_time(
-            self.alpha, self.r0, self.r_coeff, self.r_exponent, epsilon
-        )
+        if not 0.0 < epsilon < 1.0:
+            raise ValueError("epsilon must lie in (0, 1)")
+        return (self.alpha * math.log(1.0 / epsilon) + self.r0
+                + self.r_coeff * epsilon**self.r_exponent)
 
 
 @dataclass(frozen=True)
@@ -162,23 +163,6 @@ def tail_exponent(spectrum: Spectrum, alpha: float) -> float:
         if _boundary_cmp(alpha, lam) > 0:
             total += lam * alpha - 1.0
     return total
-
-
-def threshold_time(
-    alpha: float,
-    r0: float,
-    r_coeff: float,
-    r_exponent: float,
-    epsilon: float,
-) -> float:
-    """Observation horizon ``alpha * log(1/eps) + r0 + r_coeff * eps**r_exponent``."""
-    if not 0.0 < epsilon < 1.0:
-        raise ValueError("epsilon must lie in (0, 1)")
-    if not (math.isfinite(alpha) and alpha >= 0.0):
-        raise ValueError("alpha must be finite and >= 0")
-    if r_coeff != 0.0 and r_exponent <= 0.0:
-        raise ValueError("r_exponent must be positive when r_coeff is nonzero")
-    return alpha * math.log(1.0 / epsilon) + r0 + r_coeff * epsilon**r_exponent
 
 
 def classify_admissible(

@@ -114,10 +114,12 @@ def _std_normal_interval(a: float, b: float) -> float:
     from scipy import special
 
     if a >= 0.0:
-        return 0.5 * (special.erfc(a / _SQRT2) - special.erfc(b / _SQRT2))
-    if b <= 0.0:
-        return 0.5 * (special.erfc(-b / _SQRT2) - special.erfc(-a / _SQRT2))
-    return 1.0 - 0.5 * (special.erfc(-a / _SQRT2) + special.erfc(b / _SQRT2))
+        p = 0.5 * (special.erfc(a / _SQRT2) - special.erfc(b / _SQRT2))
+    elif b <= 0.0:
+        p = 0.5 * (special.erfc(-b / _SQRT2) - special.erfc(-a / _SQRT2))
+    else:
+        p = 1.0 - 0.5 * (special.erfc(-a / _SQRT2) + special.erfc(b / _SQRT2))
+    return float(p)  # a plain float, so rows print and parse back as numbers
 
 
 @dataclass(frozen=True)

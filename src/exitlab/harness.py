@@ -27,7 +27,6 @@ from .errors import DegenerateFit, ExitlabError
 from .estimator import (
     DensityDiagnostic,
     SlopeFit,
-    SplittingPlan,
     TailEstimate,
     adjusted_tail_estimate,
     density_diagnostic,
@@ -197,12 +196,10 @@ def _estimate_one(cfg: ExperimentConfig, x_eff: np.ndarray,
             cfg.n_paths, cfg.path, cfg.seed, workers=cfg.workers,
             batch_size=cfg.batch_size)
     if cfg.method == "splitting":
-        plan = SplittingPlan.uniform(cfg.threshold.time(epsilon), cfg.budget,
-                                     level_step=cfg.level_step)
         return splitting_tail_estimate(
             cfg.model, cfg.noise, cfg.box, x_eff, epsilon, cfg.threshold,
-            plan, cfg.path, cfg.seed, workers=cfg.workers,
-            batch_size=cfg.batch_size)
+            cfg.budget, cfg.path, cfg.seed, workers=cfg.workers,
+            batch_size=cfg.batch_size, level_step=cfg.level_step)
     result = adjusted_tail_estimate(
         cfg.model, cfg.noise, cfg.box, cfg.big, x_eff, epsilon, cfg.threshold,
         cfg.n_paths, cfg.path, cfg.seed, workers=cfg.workers,

@@ -20,7 +20,6 @@ from exitlab import (
     PathConfig,
     SmoothDomain,
     Spectrum,
-    SplittingPlan,
     ThresholdSpec,
     adjusted_tail_estimate,
     direct_tail_estimate,
@@ -349,9 +348,8 @@ run.seed = 20260815
                                + [ln.rsplit(",", 1)[0] for ln in lines[1:]]))
     deterministic = texts[0] == texts[1] == texts[2]
 
-    plan = SplittingPlan.uniform(TH15.time(0.05), 20_000)
     split = splitting_tail_estimate(M1, N1, BOX1, np.zeros(1), 0.05, TH15,
-                                    plan, PathConfig(dt=5e-4),
+                                    20_000, PathConfig(dt=5e-4),
                                     GLOBAL_SEED + 8)
     direct = bench[0.05]
     comb = math.hypot(split.stderr, direct.stderr)

@@ -1,8 +1,10 @@
+import io
 import json
+import sys
 
 import pytest
 
-from exitlab import NoExit
+from exitlab import NoExit, load_rows, parse_config, run_predict
 from exitlab.cli import main
 
 GOOD = """
@@ -201,6 +203,63 @@ class TestEstimate:
         rows = (out_dir / "rows.csv").read_text().splitlines()
         assert len(rows) == 3  # header + the two finished cells
         assert json.loads((out_dir / "summary.json").read_text())["partial"]
+
+
+# alpha * lambda = 1: the prefactor takes the boundary branch, whose normal
+# interval probability comes from scipy.special
+BOUNDARY = GOOD.replace("threshold.alpha = 1.5", "threshold.alpha = 1.0").replace(
+    "sweep.epsilons = 0.3, 0.2, 0.1", "sweep.epsilons = 0.2")
+
+
+@pytest.mark.parametrize("command", ["predict", "estimate"])
+def test_boundary_theory_columns_are_plain_floats(config_file, tmp_path, capsys,
+                                                  command):
+    out_dir = tmp_path / "out"
+    assert main([command, "--config", config_file(BOUNDARY),
+                 "--out", str(out_dir)]) == 0
+    assert "np.float64" not in capsys.readouterr().out
+    assert "np.float64" not in (out_dir / "rows.csv").read_text()
+    want = [(r.psi, r.phi_minus, r.phi_plus)
+            for r in run_predict(parse_config(BOUNDARY)).rows]
+    got = [(r["psi"], r["phi_minus"], r["phi_plus"])
+           for r in load_rows(out_dir / "rows.csv")]
+    assert got == want
+
+
+class _ClosedPipe(io.TextIOBase):
+    """A stdout whose reader has gone away, as in `exitlab estimate | head`."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+DIAGNOSE = GOOD + ("diagnostic.time = 0.5\n"
+                   "diagnostic.n_samples = 10000\n"
+                   "diagnostic.epsilon = 0.1\n")
+
+
+@pytest.mark.parametrize("command, files", [
+    ("predict", ("rows.csv", "summary.json")),
+    ("estimate", ("rows.csv", "summary.json", "plot.csv")),
+    ("flow", ("flow.json",)),
+    ("diagnose", ("density.csv",)),
+])
+def test_out_files_are_written_before_stdout(config_file, tmp_path, monkeypatch,
+                                             command, files):
+    path = config_file(DIAGNOSE if command == "diagnose" else GOOD)
+    assert main([command, "--config", path, "--out", str(tmp_path / "ref")]) == 0
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+    code = main([command, "--config", path, "--out", str(tmp_path / "piped")])
+    monkeypatch.undo()
+    assert code == 2
+
+    def body(run, name):
+        lines = (tmp_path / run / name).read_text().splitlines()
+        # rows.csv differs between runs only in its last column, wall_seconds
+        return [ln.rsplit(",", 1)[0] for ln in lines] if name == "rows.csv" else lines
+
+    for name in files:
+        assert body("piped", name) == body("ref", name), name
 
 
 class TestReportsCli:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -12,7 +13,6 @@ from exitlab import (
     PathConfig,
     SmoothDomain,
     Spectrum,
-    SplittingPlan,
     ThresholdSpec,
     adjusted_tail_estimate,
     density_diagnostic,
@@ -139,8 +139,8 @@ def test_batch_size_below_one_is_rejected(entry, batch_size):
             ID1, N1, box, x0, 0.1, ts, n_paths=100, config=CFG, seed=1,
             batch_size=batch_size),
         "splitting": lambda: splitting_tail_estimate(
-            ID1, N1, box, x0, 0.1, ts, SplittingPlan.uniform(ts.time(0.1), 100),
-            CFG, seed=1, batch_size=batch_size),
+            ID1, N1, box, x0, 0.1, ts, 100, CFG, seed=1,
+            batch_size=batch_size),
         "adjusted": lambda: adjusted_tail_estimate(
             ID1, N1, box, SmoothDomain.ball(2.0), x0, 0.1, ts, n_paths=100,
             config=CFG, seed=1, batch_size=batch_size),
@@ -153,36 +153,51 @@ def test_batch_size_below_one_is_rejected(entry, batch_size):
 
 
 class TestSplitting:
-    def test_plan_validation(self):
-        with pytest.raises(ValueError):
-            SplittingPlan((), 1000)
-        with pytest.raises(ValueError):
-            SplittingPlan((1.0, 0.5), 1000)
-        with pytest.raises(ValueError):
-            SplittingPlan((1.0, 2.0), 99)
+    @pytest.mark.parametrize("budget, level_step, match", [
+        (99, 1.0, "budget must be at least 100"),
+        (100, 0.0, "level_step must be positive"),
+        (100, -1.0, "level_step must be positive"),
+        (100, math.nan, "level_step must be positive"),
+    ], ids=["budget-99", "level_step-0", "level_step-neg", "level_step-nan"])
+    def test_rejects_bad_budget_and_level_step(self, budget, level_step, match):
+        with pytest.raises(ValueError, match=match):
+            splitting_tail_estimate(ID1, N1, BOX1, np.zeros(1), 0.2,
+                                    ThresholdSpec(alpha=1.5), budget, CFG,
+                                    seed=0, level_step=level_step)
 
-    def test_uniform_plan_covers_threshold(self):
-        plan = SplittingPlan.uniform(4.49, budget=500, level_step=1.0)
-        assert len(plan.level_times) == 5
-        assert plan.level_times[-1] == pytest.approx(4.49, abs=1e-12)
-        steps = np.diff((0.0,) + plan.level_times)
-        assert np.allclose(steps, steps[0])
+    @pytest.mark.parametrize("level_step, m", [
+        (1.0, 5), (4.49 / 5, 5), (4.49 / 5 * (1.0 - 1e-14), 5), (4.49, 1),
+        (10.0, 1)], ids=["unit", "T0/5", "below-T0/5", "T0", "above-T0"])
+    def test_levels_cover_threshold(self, level_step, m):
+        # T0 = 4.49 is cut into m = ceil(T0 / level_step) levels, each of
+        # which reruns the whole budget; a step a rounding error below T0 / 5
+        # must not add a sixth level
+        ts = ThresholdSpec(alpha=0.0, r0=4.49)
+        s = splitting_tail_estimate(ID1, N1, BOX1, np.zeros(1), 0.1, ts, 100,
+                                    PathConfig(dt=1e-2), seed=2,
+                                    level_step=level_step)
+        assert s.n_paths == 100 * m
 
-    def test_plan_must_end_at_threshold(self):
-        ts = ThresholdSpec(alpha=1.5)
-        bad = SplittingPlan((1.0, 2.0), 500)
-        with pytest.raises(ValueError):
-            splitting_tail_estimate(ID1, N1, BOX1, np.zeros(1), 0.2, ts, bad,
-                                    config=CFG, seed=0)
+    @pytest.mark.parametrize("workers, batch_size", [(1, 16384), (2, 64)])
+    def test_small_run_is_pinned(self, workers, batch_size):
+        # values computed when the levels came from SplittingPlan.uniform
+        # (4 levels at T0 / 4); a shifted level time changes them
+        s = splitting_tail_estimate(ID1, N1, BOX1, np.zeros(1), 0.2,
+                                    ThresholdSpec(alpha=1.5), 200, CFG, seed=5,
+                                    workers=workers, batch_size=batch_size,
+                                    level_step=0.7)
+        assert (s.p_hat, s.stderr, s.path_steps) == (
+            0.554489, 0.03257568883861092, 455016)
+        assert (s.n_paths, s.n_survived) == (800, 136)
 
     def test_single_level_agrees_with_direct(self):
         ts = ThresholdSpec(alpha=1.5)
         T0 = ts.time(0.2)
         d = direct_tail_estimate(ID1, N1, BOX1, np.zeros(1), 0.2, ts,
                                  n_paths=4000, config=CFG, seed=21)
-        s = splitting_tail_estimate(ID1, N1, BOX1, np.zeros(1), 0.2, ts,
-                                    SplittingPlan((T0,), 4000), config=CFG,
-                                    seed=21)
+        s = splitting_tail_estimate(ID1, N1, BOX1, np.zeros(1), 0.2, ts, 4000,
+                                    config=CFG, seed=21, level_step=T0)
+        assert s.n_paths == 4000
         assert s.method == "splitting"
         assert abs(d.p_hat - s.p_hat) <= 3.0 * math.hypot(d.stderr, s.stderr)
 
@@ -191,9 +206,8 @@ class TestSplitting:
         T0 = ts.time(0.2)
         d = direct_tail_estimate(ID1, N1, BOX1, np.zeros(1), 0.2, ts,
                                  n_paths=4000, config=CFG, seed=21)
-        plan = SplittingPlan(tuple(T0 * (k + 1) / 5 for k in range(5)), 100)
-        s = splitting_tail_estimate(ID1, N1, BOX1, np.zeros(1), 0.2, ts, plan,
-                                    config=CFG, seed=77)
+        s = splitting_tail_estimate(ID1, N1, BOX1, np.zeros(1), 0.2, ts, 100,
+                                    config=CFG, seed=77, level_step=T0 / 5)
         assert abs(d.p_hat - s.p_hat) <= 4.0 * math.hypot(d.stderr, s.stderr)
 
     def test_deep_tail_variance_advantage(self):
@@ -203,8 +217,7 @@ class TestSplitting:
         eps = 0.05
         d = direct_tail_estimate(ID1, N1, BOX1, np.zeros(1), eps, ts,
                                  n_paths=20000, config=CFG, seed=13)
-        plan = SplittingPlan.uniform(ts.time(eps), budget=5000)
-        s = splitting_tail_estimate(ID1, N1, BOX1, np.zeros(1), eps, ts, plan,
+        s = splitting_tail_estimate(ID1, N1, BOX1, np.zeros(1), eps, ts, 5000,
                                     config=CFG, seed=13)
         assert abs(d.p_hat - s.p_hat) <= 3.0 * math.hypot(d.stderr, s.stderr)
         work_direct = (d.stderr / d.p_hat) ** 2 * d.path_steps
@@ -214,19 +227,20 @@ class TestSplitting:
     def test_extinction_flagged(self):
         ts = ThresholdSpec(alpha=2.0)
         eps = 1e-6
-        plan = SplittingPlan.uniform(ts.time(eps), budget=100)
-        s = splitting_tail_estimate(ID1, N1, BOX1, np.zeros(1), eps, ts, plan,
+        s = splitting_tail_estimate(ID1, N1, BOX1, np.zeros(1), eps, ts, 100,
                                     config=CFG, seed=3)
         assert s.p_hat == 0.0
         assert s.extinct_level is not None
         assert s.stderr == 0.0
+        assert s.zero_upper_bound == 1.0 - 0.05 ** (1.0 / 100)
+        assert s.wilson_interval is None
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            s.p_hat = 0.5
 
     def test_worker_invariance(self):
         ts = ThresholdSpec(alpha=1.5)
-        T0 = ts.time(0.2)
-        plan = SplittingPlan.uniform(T0, budget=2000)
         runs = [
-            splitting_tail_estimate(ID1, N1, BOX1, np.zeros(1), 0.2, ts, plan,
+            splitting_tail_estimate(ID1, N1, BOX1, np.zeros(1), 0.2, ts, 2000,
                                     config=CFG, seed=5, workers=w,
                                     batch_size=256)
             for w in (1, 3)

@@ -13,7 +13,6 @@ from exitlab import (
     classify_admissible,
     critical_index,
     tail_exponent,
-    threshold_time,
 )
 from exitlab.exponents import is_boundary_case
 
@@ -145,24 +144,16 @@ class TestTailExponent:
 
 class TestThresholdTime:
     def test_spec_values(self):
-        assert threshold_time(1.0, 0.0, 0.0, 1.0, math.exp(-1.0)) == pytest.approx(
+        assert ThresholdSpec(1.0).time(math.exp(-1.0)) == pytest.approx(
             1.0, abs=1e-15)
-        assert threshold_time(0.0, 2.0, 0.0, 1.0, 0.1) == 2.0
-        assert threshold_time(1.5, 0.3, 1.0, 0.5, 0.01) == pytest.approx(
+        assert ThresholdSpec(0.0, r0=2.0).time(0.1) == 2.0
+        assert ThresholdSpec(1.5, 0.3, 1.0, 0.5).time(0.01) == pytest.approx(
             7.307755278982137, abs=1e-12)
 
     def test_rejects_bad_epsilon(self):
-        for eps in (0.0, 1.0, 1.5, -0.1):
-            with pytest.raises(ValueError):
-                threshold_time(1.0, 0.0, 0.0, 1.0, eps)
-
-    def test_rejects_negative_alpha(self):
-        with pytest.raises(ValueError):
-            threshold_time(-1.0, 0.0, 0.0, 1.0, 0.5)
-
-    def test_spec_object_agrees(self):
-        ts = ThresholdSpec(alpha=1.5, r0=0.3, r_coeff=1.0, r_exponent=0.5)
-        assert ts.time(0.01) == threshold_time(1.5, 0.3, 1.0, 0.5, 0.01)
+        for eps in (0.0, 1.0, 1.5, -0.1, math.nan):
+            with pytest.raises(ValueError, match="epsilon"):
+                ThresholdSpec(1.0).time(eps)
 
     def test_threshold_spec_validation(self):
         with pytest.raises(ValueError):
