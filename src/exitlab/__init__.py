@@ -18,7 +18,6 @@ from .errors import (
     ParseError,
     RankDeficient,
     SpectrumInvalid,
-    StepTooLarge,
     ValidationError,
 )
 from .exponents import (
@@ -34,8 +33,6 @@ from .dynamics import (
     ConjugateFieldModel,
     NoiseModel,
     SmoothDomain,
-    flow,
-    flow_exit_time,
     flow_exit_times_batch,
     transversality_check,
     travel_time_bounds,
@@ -82,12 +79,12 @@ __all__ = [
     "InitialScaleSpec", "LimitCovariance", "NoExit", "NoiseModel",
     "OutsideValidity", "ParseError", "PathConfig", "PrefactorPrediction",
     "RankDeficient", "RunRecord", "RunRow", "SlopeFit", "SmoothDomain",
-    "Spectrum", "SpectrumInvalid", "StepTooLarge",
-    "TailEstimate", "ThresholdSpec", "ValidationError",
+    "Spectrum", "SpectrumInvalid", "TailEstimate", "ThresholdSpec",
+    "ValidationError",
     "adjusted_tail_estimate", "build_config", "classify_admissible",
     "config_hash", "critical_index", "density_diagnostic",
-    "direct_tail_estimate", "emit_outputs", "finite_time_covariance", "flow",
-    "flow_exit_time", "flow_exit_times_batch", "gaussian_density",
+    "direct_tail_estimate", "emit_outputs", "finite_time_covariance",
+    "flow_exit_times_batch", "gaussian_density",
     "limit_covariance", "load_rows", "parse_config", "prefactor_bounds",
     "rescaled_fluctuation_samples", "rescaled_prefactor", "run_estimate",
     "run_predict", "simulate_batch", "slope_regression",

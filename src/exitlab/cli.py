@@ -1,15 +1,23 @@
 """Command line interface.
 
 Subcommands: validate, predict, estimate, sweep (alias of estimate), flow,
-diagnose.  Exit codes: 0 success, 1 when the config cannot be read, parsed
-or validated, 2 on a runtime failure or a command-line usage error.
+diagnose.  Exit codes:
+
+- 0: success, also when stdout is closed before everything is printed
+  (``exitlab predict ... | head -1``); ``--out`` files are written before
+  anything is printed, so they are complete.
+- 1: the config cannot be read, parsed or validated.
+- 2: a runtime failure (partial results still go to ``--out``) or a
+  command-line usage error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+from functools import partial
 from pathlib import Path
 
 from .config import parse_config
@@ -48,7 +56,15 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _print_rows(record) -> None:
+def _print_validate(cfg) -> None:
+    print(f"config ok: d={cfg.model.spectrum.d} "
+          f"variant={cfg.model.variant} method={cfg.method} "
+          f"epsilons={len(cfg.epsilons)} points={len(cfg.points)}")
+    for warning in cfg.warnings:
+        print(f"warning: {warning}", file=sys.stderr)
+
+
+def _print_rows(record, paths) -> None:
     for row in record.rows:
         bits = [f"eps={row.epsilon!r}", f"x={';'.join(repr(c) for c in row.x)}",
                 f"beta={row.beta!r}", f"psi={row.psi!r}",
@@ -65,6 +81,54 @@ def _print_rows(record) -> None:
                   f"intercept={fit.intercept!r}")
     for warning in record.warnings:
         print(f"warning: {warning}", file=sys.stderr)
+    for kind, path in sorted(paths.items()):
+        print(f"wrote {kind}: {path}")
+
+
+def _run(args, cfg):
+    """Run the command and write its --out files; returns its printer.
+
+    Nothing is printed before the files are written, so a closed stdout
+    cannot lose a finished run.
+    """
+    if args.command == "validate":
+        return partial(_print_validate, cfg)
+    if args.command in ("predict", "estimate", "sweep"):
+        record = (run_predict(cfg) if args.command == "predict"
+                  else run_estimate(cfg))
+        paths = emit_outputs(record, args.out) if args.out else {}
+        return partial(_print_rows, record, paths)
+    if args.command == "flow":
+        text = json.dumps(run_flow_report(cfg), indent=2, sort_keys=True)
+        if args.out:
+            out = Path(args.out)
+            out.mkdir(parents=True, exist_ok=True)
+            (out / "flow.json").write_text(text + "\n", encoding="utf-8")
+        return partial(print, text)
+    diag = run_density_report(cfg)  # diagnose
+    if args.out:
+        out = Path(args.out)
+        out.mkdir(parents=True, exist_ok=True)
+        (out / "density.csv").write_text(density_csv_text(diag),
+                                         encoding="utf-8")
+    return partial(print, f"sup_diff={diag.sup_diff!r} "
+                          f"l1_diff={diag.l1_diff!r} mass={diag.mass!r}")
+
+
+def _discard_stdout() -> None:
+    """Send what stdout still buffers to /dev/null.
+
+    The interpreter flushes stdout once more at exit; on a closed pipe that
+    would fail again and turn the exit status into 120.  A stdout without a
+    file descriptor has nothing the exit flush could send anywhere.
+    """
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
 
 
 def main(argv=None) -> int:
@@ -83,50 +147,26 @@ def main(argv=None) -> int:
         return 1
 
     try:
-        if args.command == "validate":
-            print(f"config ok: d={cfg.model.spectrum.d} "
-                  f"variant={cfg.model.variant} method={cfg.method} "
-                  f"epsilons={len(cfg.epsilons)} points={len(cfg.points)}")
-            for warning in cfg.warnings:
-                print(f"warning: {warning}", file=sys.stderr)
-            return 0
-        if args.command in ("predict", "estimate", "sweep"):
-            record = (run_predict(cfg) if args.command == "predict"
-                      else run_estimate(cfg))
-            # files first: a closed stdout must not lose a finished run
-            paths = emit_outputs(record, args.out) if args.out else {}
-            _print_rows(record)
-            for kind, path in sorted(paths.items()):
-                print(f"wrote {kind}: {path}")
-            return 0
-        if args.command == "flow":
-            text = json.dumps(run_flow_report(cfg), indent=2, sort_keys=True)
-            if args.out:
-                out = Path(args.out)
-                out.mkdir(parents=True, exist_ok=True)
-                (out / "flow.json").write_text(text + "\n", encoding="utf-8")
-            print(text)
-            return 0
-        diag = run_density_report(cfg)  # diagnose
-        if args.out:
-            out = Path(args.out)
-            out.mkdir(parents=True, exist_ok=True)
-            (out / "density.csv").write_text(density_csv_text(diag),
-                                             encoding="utf-8")
-        print(f"sup_diff={diag.sup_diff!r} l1_diff={diag.l1_diff!r} "
-              f"mass={diag.mass!r}")
-        return 0
+        show = _run(args, cfg)
     except ExitlabError as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
-        partial = getattr(exc, "partial_record", None)
-        if partial is not None and args.out:
-            paths = emit_outputs(partial, args.out)
+        partial_record = getattr(exc, "partial_record", None)
+        if partial_record is not None and args.out:
+            paths = emit_outputs(partial_record, args.out)
             for kind, path in sorted(paths.items()):
                 print(f"wrote partial {kind}: {path}", file=sys.stderr)
         return 2
     except Exception as exc:  # pragma: no cover - last resort
         print(f"unexpected error: {exc}", file=sys.stderr)
         return 2
+    try:
+        show()
+        # a reader that went away shows up here, not in the exit flush
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the run is complete and its --out files are written
+        _discard_stdout()
+    return 0
 
 
 if __name__ == "__main__":

@@ -17,10 +17,6 @@ class OutsideValidity(ExitlabError, RuntimeError):
     """A trajectory left the region where the model's linearizing map is trusted."""
 
 
-class StepTooLarge(ExitlabError, ValueError):
-    """Integrator step exceeds the requested horizon."""
-
-
 class NoExit(ExitlabError, RuntimeError):
     """Deterministic flow failed to leave the domain before the time cap."""
 

@@ -144,11 +144,6 @@ def critical_index(spectrum: Spectrum, alpha: float) -> int:
     return spectrum.d + 1
 
 
-def is_boundary_case(spectrum: Spectrum, alpha: float) -> bool:
-    """True when alpha sits on a kink, i.e. alpha == 1/lambda_i for some i."""
-    return any(_boundary_cmp(alpha, lam) == 0 for lam in spectrum.lambdas)
-
-
 def tail_exponent(spectrum: Spectrum, alpha: float) -> float:
     """Decay exponent ``sum_j max(lambda_j * alpha - 1, 0)``.
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import BoxDomain
-from .errors import RankDeficient
+from .errors import InclusionViolated, RankDeficient
 from .exponents import Spectrum, _boundary_cmp, critical_index
 
 _SQRT2 = math.sqrt(2.0)
@@ -268,10 +268,12 @@ def prefactor_bounds(spectrum: Spectrum, C0: LimitCovariance, box: BoxDomain,
     A path leaving the box needs between t_minus and t_plus extra time to
     cross the enclosing domain, so its survival prefactor is bracketed by the
     box prefactor with the offset reduced by t_minus (lower) and t_plus
-    (upper).  Requires 0 <= t_minus <= t_plus.
+    (upper).  Requires 0 <= t_minus <= t_plus, and raises InclusionViolated
+    otherwise: the inner comparison domain is then not nested inside the
+    outer one along the flow.
     """
     if not (0.0 <= t_minus <= t_plus) or not math.isfinite(t_plus):
-        raise ValueError("travel times must satisfy 0 <= t_minus <= t_plus < inf")
+        raise InclusionViolated("travel times must satisfy 0 <= t_minus <= t_plus < inf")
     lower = survival_prefactor(spectrum, C0, box, r0 - t_minus, alpha, x)
     upper = survival_prefactor(spectrum, C0, box, r0 - t_plus, alpha, x)
     return lower, upper

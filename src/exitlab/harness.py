@@ -22,8 +22,8 @@ import numpy as np
 
 from . import __version__
 from .config import ExperimentConfig, config_hash
-from .dynamics import flow_exit_time, transversality_check, travel_time_bounds
-from .errors import DegenerateFit, ExitlabError
+from .dynamics import flow_exit_times_batch, transversality_check, travel_time_bounds
+from .errors import DegenerateFit, ExitlabError, NoExit
 from .estimator import (
     DensityDiagnostic,
     SlopeFit,
@@ -348,19 +348,24 @@ def load_rows(path) -> list[dict]:
 def run_flow_report(cfg: ExperimentConfig) -> dict:
     """Deterministic exit times from each scaled start, plus travel bounds."""
     report: dict = {"points": [], "travel_times": None, "transversality": {}}
+    moving, starts = [], []
     for epsilon in cfg.epsilons:
         for pi, point in enumerate(cfg.points):
-            x_eff = _theory_point(cfg, point, epsilon)
-            x0 = epsilon * x_eff
+            x0 = epsilon * _theory_point(cfg, point, epsilon)
+            entry = {"epsilon": epsilon, "point_index": pi, "exit_time": None}
             if np.all(x0 == 0.0):
-                entry = {"epsilon": epsilon, "point_index": pi,
-                         "exit_time": None,
-                         "note": "origin is a fixed point; no exit"}
+                entry["note"] = "origin is a fixed point; no exit"
             else:
-                tau = flow_exit_time(cfg.model, cfg.box, x0, dt=cfg.path.dt)
-                entry = {"epsilon": epsilon, "point_index": pi,
-                         "exit_time": tau}
+                moving.append(entry)
+                starts.append(x0)
             report["points"].append(entry)
+    if starts:
+        taus = flow_exit_times_batch(cfg.model, cfg.box, np.vstack(starts))
+        if np.isnan(taus).any():
+            raise NoExit(f"no exit before t = "
+                         f"{1000.0 / cfg.model.spectrum.smallest:g}")
+        for entry, tau in zip(moving, taus):
+            entry["exit_time"] = float(tau)
     if cfg.inner is not None and cfg.outer is not None:
         report["travel_times"] = list(_travel_times(cfg))
     for key, dom in (("inner", cfg.inner), ("outer", cfg.outer),

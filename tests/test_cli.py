@@ -1,9 +1,13 @@
 import io
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import exitlab
 from exitlab import NoExit, load_rows, parse_config, run_predict
 from exitlab.cli import main
 
@@ -107,6 +111,58 @@ def test_rejected_config_is_a_config_error(config_file, capsys, monkeypatch,
     assert code == 1
     assert err.startswith("config error:")
     assert "Traceback" not in err
+
+
+# component_quadratic with c = 1 has validity radius 0.2; its box +-0.1
+# pulls back inside it, but each comparison domain below reaches 0.5.
+QUADRATIC = """
+model.variant = component_quadratic
+model.lambdas = 1.0
+model.quad_coeff = 1.0
+domain.lower = -0.1
+domain.upper = 0.1
+threshold.alpha = 1.5
+sweep.epsilons = 0.3, 0.2, 0.1
+estimator.n_paths = 200
+estimator.dt = 0.002
+"""
+PAST_VALIDITY = [
+    ("domain.big", "domain.big = ball:0.5\nestimator.method = adjusted"),
+    ("domain.outer", "domain.inner = ball:0.15\ndomain.outer = ball:0.5"),
+]
+
+
+@pytest.mark.parametrize("command", ["validate", "predict", "estimate", "flow",
+                                     "diagnose"])
+@pytest.mark.parametrize("key, lines", PAST_VALIDITY,
+                         ids=[key for key, _ in PAST_VALIDITY])
+def test_domain_past_validity_radius_is_a_config_error(config_file, capsys,
+                                                       monkeypatch, key, lines,
+                                                       command):
+    def no_paths(*args, **kwargs):
+        raise AssertionError("a path was simulated")
+
+    monkeypatch.setattr("exitlab.estimator.simulate_batch", no_paths)
+    code = main([command, "--config", config_file(QUADRATIC + lines + "\n")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith(f"config error: {key}: boundary point with "
+                          f"|x|_inf = 0.5 exceeds validity radius 0.2")
+
+
+@pytest.mark.parametrize("command", ["predict", "sweep"])
+def test_misordered_travel_times_are_a_runtime_error(config_file, capsys, command):
+    # the inner ball is slower to leave than the outer one, so t_minus >
+    # t_plus; validate passes (the bracket is not computed at parse time)
+    text = GOOD.replace("domain.lower = -1.0\ndomain.upper = 1.0",
+                        "domain.lower = -0.5\ndomain.upper = 0.5")
+    text += "domain.inner = ball:1.0\ndomain.outer = ball:0.6\n"
+    assert main(["validate", "--config", config_file(text)]) == 0
+    capsys.readouterr()
+    assert main([command, "--config", config_file(text)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("runtime error: travel times must satisfy "
+                          "0 <= t_minus <= t_plus < inf")
 
 
 @pytest.mark.parametrize("command", ["predict", "sweep", "flow"])
@@ -251,7 +307,7 @@ def test_out_files_are_written_before_stdout(config_file, tmp_path, monkeypatch,
     monkeypatch.setattr(sys, "stdout", _ClosedPipe())
     code = main([command, "--config", path, "--out", str(tmp_path / "piped")])
     monkeypatch.undo()
-    assert code == 2
+    assert code == 0
 
     def body(run, name):
         lines = (tmp_path / run / name).read_text().splitlines()
@@ -260,6 +316,34 @@ def test_out_files_are_written_before_stdout(config_file, tmp_path, monkeypatch,
 
     for name in files:
         assert body("piped", name) == body("ref", name), name
+
+
+def test_stdout_closed_by_its_reader_exits_0(config_file, tmp_path):
+    # 7 epsilons x 600 points print about 600 KB, far past a pipe buffer,
+    # so the run is still printing when the reader closes the pipe
+    points = "; ".join(repr(0.001 * k) for k in range(600))
+    text = GOOD.replace("sweep.epsilons = 0.3, 0.2, 0.1",
+                        "sweep.epsilons = 0.3, 0.25, 0.2, 0.15, 0.1, 0.07, 0.05")
+    path = config_file(text + f"initial.points = {points}\n")
+    src = str(Path(exitlab.__file__).resolve().parent.parent)
+    out_dir = tmp_path / "out"
+    with open(tmp_path / "stderr.txt", "w+") as err:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "exitlab.cli", "predict", "--config", path,
+             "--out", str(out_dir)],
+            stdout=subprocess.PIPE, stderr=err,
+            env={**os.environ, "PYTHONPATH": src})
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        code = proc.wait(timeout=300)
+        err.seek(0)
+        assert err.read() == ""
+    assert code == 0
+    assert first.startswith(b"eps=0.3  x=0.0  ")
+    rows = load_rows(out_dir / "rows.csv")
+    assert len(rows) == 7 * 600
+    summary = json.loads((out_dir / "summary.json").read_text())
+    assert summary["n_rows"] == 7 * 600
 
 
 class TestReportsCli:

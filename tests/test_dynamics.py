@@ -15,14 +15,13 @@ from exitlab import (
     SmoothDomain,
     Spectrum,
     SpectrumInvalid,
-    StepTooLarge,
-    flow,
-    flow_exit_time,
     flow_exit_times_batch,
+    parse_config,
     transversality_check,
     travel_time_bounds,
 )
 from exitlab.dynamics import _BISECT_ITERS
+from exitlab.harness import run_flow_report
 
 S1 = Spectrum([1.0])
 S2 = Spectrum([1.0, 0.5])
@@ -37,6 +36,17 @@ def quad_forward(c, x):
 def quad_inverse(c, y):
     # stable root of c x^2 + x - y = 0 near 0
     return 2.0 * y / (1.0 + np.sqrt(1.0 + 4.0 * c * y))
+
+
+def pulled_back_interval(c, half):
+    """The 1-d box [-half, half] of y = x + c x^2, pulled back to x and
+    written as a smooth domain, so the RK4 crossing engine sees it.  The
+    flow leaves it at log(half / |f(x0)|).  g is scaled by the half-width,
+    so it does not underflow on a tiny interval."""
+    a, b = quad_inverse(c, -half), quad_inverse(c, half)
+    mid, w = 0.5 * (a + b), 0.5 * (b - a)
+    return SmoothDomain(lambda X: ((X[:, 0] - mid) / w) ** 2 - 1.0,
+                        name=f"interval:{a!r},{b!r}")
 
 
 class TestNoiseModel:
@@ -101,8 +111,6 @@ class TestBoxDomain:
         assert not box.outside(edge)
         assert box.not_strictly_inside(edge)
         assert not box.not_strictly_inside(inside).any()
-        assert box.clearance(np.array([0.0, 0.0])) == -0.5
-        assert box.clearance(edge) == 0.0
 
     def test_face_points_lie_on_boundary(self):
         box = BoxDomain([-1.0, -0.5], [1.0, 0.5])
@@ -330,34 +338,16 @@ class TestConjugateFieldModel:
 
 
 class TestFlow:
-    def test_identity_exponential(self):
-        x0 = np.array([0.3, -0.2])
-        out = flow(ID2, x0, t=1.25)
-        np.testing.assert_allclose(
-            out, x0 * np.exp(np.array([1.0, 0.5]) * 1.25), atol=1e-10)
-
-    def test_time_zero_is_identity(self):
-        x0 = np.array([0.1])
-        np.testing.assert_array_equal(flow(ID1, x0, t=0.0), x0)
-
-    def test_step_larger_than_horizon_rejected(self):
-        with pytest.raises(StepTooLarge):
-            flow(ID1, np.array([0.1]), t=0.5, dt=0.6)
-
-    def test_quadratic_matches_conjugated_flow(self):
-        m = ConjugateFieldModel.component_quadratic(S1, [1.0], validity_radius=0.4)
-        x0 = 0.1
-        got = flow(m, np.array([x0]), t=1.0)[0]
-        want = quad_inverse(1.0, math.e * quad_forward(1.0, x0))
-        assert got == pytest.approx(want, abs=1e-10)
+    """The RK4 crossing engine against the conjugated exit time."""
 
     def test_fourth_order_convergence(self):
         m = ConjugateFieldModel.component_quadratic(S1, [1.0], validity_radius=0.4)
-        x0 = np.array([0.1])
-        exact = quad_inverse(1.0, math.e * quad_forward(1.0, 0.1))
+        x0 = np.array([[0.02]])
+        exact = math.log(0.15 / quad_forward(1.0, 0.02))
         err = []
         for dt in (0.1, 0.05, 0.025):
-            err.append(abs(flow(m, x0, t=1.0, dt=dt)[0] - exact))
+            tau = flow_exit_times_batch(m, pulled_back_interval(1.0, 0.15), x0, dt=dt)
+            err.append(abs(tau[0] - exact))
         assert err[0] / err[1] > 8.0
         assert err[1] / err[2] > 8.0
 
@@ -366,61 +356,72 @@ class TestFlow:
            st.floats(min_value=0.05, max_value=1.0))
     @settings(max_examples=40, deadline=None)
     def test_conjugacy_identity(self, c, x0, t):
+        # the interval whose conjugated exit time from x0 is t
         m = ConjugateFieldModel.component_quadratic(S1, [c])
-        x0 = np.array([x0])
-        end = math.exp(t) * quad_forward(c, x0[0])
-        if abs(quad_inverse(c, end)) >= 0.9 * m.validity_radius:
+        half = math.exp(t) * abs(quad_forward(c, x0))
+        with np.errstate(invalid="ignore"):  # -half below the range of f
+            edges = (quad_inverse(c, -half), quad_inverse(c, half))
+        # np.max passes a nan edge on, and the comparison then skips it
+        if half == 0.0 or not np.max(np.abs(edges)) < 0.9 * m.validity_radius:
             return
-        got = flow(m, x0, t=t)[0]
-        assert got == pytest.approx(quad_inverse(c, end), abs=1e-8)
+        tau = flow_exit_times_batch(m, pulled_back_interval(c, half),
+                                    np.array([[x0]]))
+        assert tau[0] == pytest.approx(t, abs=1e-8)
 
     def test_flow_leaving_validity_raises(self):
+        # the flow from 0.15 passes the validity radius 0.2 inside ball:0.3
         m = ConjugateFieldModel.component_quadratic(S1, [1.0])
         with pytest.raises(OutsideValidity):
-            flow(m, np.array([0.15]), t=3.0)
+            flow_exit_times_batch(m, SmoothDomain.ball(0.3), np.array([[0.15]]))
 
 
 class TestFlowExitTime:
     def test_identity_log_two(self):
-        t = flow_exit_time(ID1, BoxDomain([-1.0], [1.0]), np.array([0.5]))
-        assert t == pytest.approx(math.log(2.0), abs=1e-6)
+        t = flow_exit_times_batch(ID1, BoxDomain([-1.0], [1.0]), np.array([[0.5]]))
+        assert t[0] == pytest.approx(math.log(2.0), abs=1e-15)
 
     def test_boundary_start_is_zero(self):
-        assert flow_exit_time(ID1, BoxDomain([-1.0], [1.0]), np.array([1.0])) == 0.0
+        box = BoxDomain([-1.0], [1.0])
+        assert flow_exit_times_batch(ID1, box, np.array([[1.0]]))[0] == 0.0
 
     def test_origin_never_exits(self):
-        with pytest.raises(ValueError):
-            flow_exit_time(ID1, BoxDomain([-1.0], [1.0]), np.zeros(1))
+        tau = flow_exit_times_batch(ID1, BoxDomain([-1.0], [1.0]), np.zeros((1, 1)))
+        assert np.isnan(tau[0])
 
     def test_cap_raises_no_exit(self):
-        with pytest.raises(NoExit):
-            flow_exit_time(ID1, BoxDomain([-10.0], [10.0]), np.array([0.5]),
-                           t_cap=0.1)
+        # run_flow_report turns a nan row into NoExit; 1e300 / 5e-324
+        # overflows, so this start's exit time is inf, past the cap 1000
+        cfg = parse_config("model.lambdas = 1.0\n"
+                           "domain.lower = -1e300\ndomain.upper = 1e300\n"
+                           "threshold.alpha = 1.5\nsweep.epsilons = 0.5\n"
+                           "initial.points = 1e-323\n")
+        with pytest.raises(NoExit, match="no exit before t = 1000"):
+            run_flow_report(cfg)
 
     def test_quadratic_closed_form(self):
         m = ConjugateFieldModel.component_quadratic(S1, [1.0], validity_radius=0.4)
         # edges must be inside the range of f on the validity interval
         # (f(-0.4) = -0.24 caps the negative side)
         box = BoxDomain([-0.2], [0.2])
-        for x0 in (0.05, 0.1, -0.08):
-            t = flow_exit_time(m, box, np.array([x0]))
-            # box edges are conjugated coordinates: f(x(t)) = e^t f(x0)
-            # crosses |y| = L at t = ln(L / |f(x0)|)
-            want = math.log(0.2 / abs(quad_forward(1.0, x0)))
-            assert t == pytest.approx(want, abs=1e-8)
+        X0 = np.array([[0.05], [0.1], [-0.08]])
+        tau = flow_exit_times_batch(m, box, X0)
+        # box edges are conjugated coordinates: f(x(t)) = e^t f(x0)
+        # crosses |y| = L at t = ln(L / |f(x0)|)
+        want = np.log(0.2 / np.abs(quad_forward(1.0, X0[:, 0])))
+        np.testing.assert_allclose(tau, want, rtol=0.0, atol=1e-14)
 
     def test_smooth_domain_exit(self):
-        t = flow_exit_time(ID2, SmoothDomain.ball(1.0), np.array([0.5, 0.0]))
-        assert t == pytest.approx(math.log(2.0), abs=1e-8)
+        t = flow_exit_times_batch(ID2, SmoothDomain.ball(1.0), np.array([[0.5, 0.0]]))
+        assert t[0] == pytest.approx(math.log(2.0), abs=1e-8)
 
     def test_batch_matches_scalar(self):
-        box = BoxDomain([-1.0], [1.0])
-        X0 = np.array([[0.5], [0.25], [-0.7], [1.0]])
-        taus = flow_exit_times_batch(ID1, box, X0)
-        for k in range(3):
-            assert taus[k] == pytest.approx(
-                flow_exit_time(ID1, box, X0[k]), abs=1e-12)
-        assert taus[3] == 0.0
+        # the closed-form box exit against RK4 on the same interval in x
+        m = ConjugateFieldModel.component_quadratic(S1, [1.0])
+        X0 = np.array([[0.1], [0.02], [-0.07], [-0.15], [0.13]])
+        closed = flow_exit_times_batch(m, BoxDomain([-0.15], [0.15]), X0)
+        rk4 = flow_exit_times_batch(m, pulled_back_interval(1.0, 0.15), X0)
+        assert np.all(closed > 0.0)
+        np.testing.assert_allclose(closed, rk4, rtol=0.0, atol=1e-12)
 
     def test_batch_cap_gives_nan(self):
         taus = flow_exit_times_batch(ID1, BoxDomain([-10.0], [10.0]),
@@ -440,9 +441,12 @@ def _flow_starts():
         # face points of a box cross on many steps; mirrored pairs share one
         "identity_ball": (ID2, SmoothDomain.ball(2.0),
                           np.vstack([face, [[2.0, 0.0], [0.0, -2.5]]]), None),
-        # finite validity radius: every RK4 stage goes through clamp
+        # the closed form, one row at a time
         "quadratic_box": (ConjugateFieldModel.component_quadratic(S2, [1.0, -0.5]),
                           BoxDomain([-0.15, -0.1], [0.15, 0.1]), quad, None),
+        # finite validity radius: every RK4 stage goes through clamp
+        "quadratic_ball": (ConjugateFieldModel.component_quadratic(S2, [1.0, -0.5]),
+                           SmoothDomain.ball(0.15), quad, None),
         # a sum over 9 coordinates rounds by memory layout
         "d9_ellipsoid": (ConjugateFieldModel.identity(
                              Spectrum(list(np.linspace(3.0, 1.0, 9)))),
@@ -489,10 +493,10 @@ class TestFlowExitBatchInvariance:
         steps = np.floor(tau[tau > 0.0] / dt)
         _, per_step = np.unique(steps, return_counts=True)
         assert per_step.size > 10 and per_step.max() >= 2
-        for case in ("quadratic_box", "custom_ellipse"):
+        for case in ("quadratic_box", "quadratic_ball", "custom_ellipse"):
             tau = _flow_taus(case, np.arange(16))
             assert (tau == 0.0).sum() == 1 and (tau > 0.0).sum() == 15, case
-        assert math.isfinite(FLOW_CASES["quadratic_box"][0].validity_radius)
+        assert math.isfinite(FLOW_CASES["quadratic_ball"][0].validity_radius)
         assert (_flow_taus("d9_ellipsoid", np.arange(12)) > 0.0).all()
         tau = _flow_taus("t_cap_nan", np.arange(32))
         assert np.isnan(tau[16:]).all() and np.isfinite(tau[:16]).all()

@@ -7,6 +7,7 @@ from scipy.stats import multivariate_normal
 
 from exitlab import (
     BoxDomain,
+    InclusionViolated,
     RankDeficient,
     Spectrum,
     finite_time_covariance,
@@ -154,12 +155,12 @@ def _quadrature_psi(spectrum, C0, box, r0, alpha, x):
     boundary coordinate integrates over its shifted interval, coordinates
     past the critical index integrate over all of R.
     """
-    from exitlab.exponents import critical_index, is_boundary_case
+    from exitlab.exponents import _boundary_cmp, critical_index
 
     d = spectrum.d
     lams = spectrum.as_array()
     i = critical_index(spectrum, alpha)
-    boundary = is_boundary_case(spectrum, alpha)
+    boundary = any(_boundary_cmp(alpha, lam) == 0 for lam in spectrum.lambdas)
     pref = 1.0
     for j in range(min(i - 1, d)):
         pref *= (box.upper[j] - box.lower[j]) * math.exp(-lams[j] * r0)
@@ -329,9 +330,9 @@ class TestPrefactorBounds:
 
     def test_order_validation(self):
         C0 = limit_covariance(np.array([[1.0]]), S1)
-        with pytest.raises(ValueError):
+        with pytest.raises(InclusionViolated, match="t_minus <= t_plus"):
             prefactor_bounds(S1, C0, BOX1, 0.0, 1.5, np.zeros(1), 1.0, 0.5)
-        with pytest.raises(ValueError):
+        with pytest.raises(InclusionViolated):
             prefactor_bounds(S1, C0, BOX1, 0.0, 1.5, np.zeros(1), -0.5, 0.5)
 
     def test_ordered_on_grid(self):

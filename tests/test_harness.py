@@ -239,7 +239,6 @@ noise.form = state_scaled
 noise.gamma = 0.1
 domain.lower = -0.3, -0.25
 domain.upper = 0.3, 0.35
-domain.l0_cap = 0.4
 domain.inner = ball:0.49
 domain.outer = ellipsoid:0.48,0.49
 domain.big = ball:0.48
@@ -271,8 +270,8 @@ run.workers = 2
 
 
 @pytest.mark.parametrize("text,digest", [
-    (MINIMAL, "a5bf5f9ac1dd1b2357e86cbdd7520e2faa55a79981a0a66e66542bcb4e32583d"),
-    (ALL_KEYS, "6e9305d87a700a98d3786d36d641775592bf895140bd07ef475ecf46f3a461dc"),
+    (MINIMAL, "3f2555f016f950d5d27836a0dd3df0f9d52c267d686dbbec98d6655f61beab3a"),
+    (ALL_KEYS, "66a18953743b16b22097d67d8c3f58e61bfe91abe452fea417aa94b48571ee81"),
 ], ids=["minimal", "all_keys"])
 def test_config_hash_is_pinned(text, digest):
     assert config_hash(_cfg(text)) == digest
