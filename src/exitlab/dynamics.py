@@ -522,7 +522,7 @@ def flow_exit_times_batch(model: ConjugateFieldModel, domain, X0: np.ndarray,
     if dt <= 0.0:
         raise ValueError("dt must be positive")
     if t_cap is None:
-        t_cap = 1000.0 / model.spectrum.smallest
+        t_cap = _default_t_cap(model)
     if isinstance(domain, BoxDomain):
         Y = model.push_batch(X0)
         bound = np.where(Y > 0.0, domain.upper, -domain.lower)
@@ -532,6 +532,24 @@ def flow_exit_times_batch(model: ConjugateFieldModel, domain, X0: np.ndarray,
         tau[domain.not_strictly_inside(Y)] = 0.0
         tau[~(tau <= t_cap)] = np.nan  # y = 0 gives inf
         return tau
+    return _smooth_exit_times(model, domain, X0, dt, t_cap)
+
+
+def _default_t_cap(model: ConjugateFieldModel) -> float:
+    return 1000.0 / model.spectrum.smallest
+
+
+def _smooth_exit_times(model: ConjugateFieldModel, domain: SmoothDomain,
+                       X0: np.ndarray, dt: float, t_cap: float,
+                       first_only: bool = False) -> np.ndarray:
+    """flow_exit_times_batch on a SmoothDomain.
+
+    With first_only the grid loop stops one step after the first step that
+    sees a crossing, and the rows still inside stay nan.  The smallest exit
+    time is then among the rows that have one: a crossing on the next step
+    can round below one on the first, but a crossing two or more steps
+    later is at least a whole step later.
+    """
     m = X0.shape[0]
     tau = np.full(m, np.nan)
     g0 = domain.values(X0)
@@ -541,9 +559,9 @@ def flow_exit_times_batch(model: ConjugateFieldModel, domain, X0: np.ndarray,
     X = X0[ids]
     bounded = math.isfinite(model.validity_radius)
     rows, steps, starts = [], [], []
-    n_steps = int(math.ceil(t_cap / dt - 1e-12))
+    n_steps = stop = int(math.ceil(t_cap / dt - 1e-12))
     for k in range(n_steps):
-        if ids.size == 0:
+        if ids.size == 0 or k == stop:
             break
         if bounded and np.max(np.abs(X)) > model.validity_radius:
             raise OutsideValidity("trajectory left the validity region")
@@ -556,6 +574,8 @@ def flow_exit_times_batch(model: ConjugateFieldModel, domain, X0: np.ndarray,
             keep = np.flatnonzero(~crossed)
             ids = ids.take(keep)
             nxt = nxt.take(keep, axis=0)
+            if first_only:
+                stop = min(stop, k + 2)
         X = nxt
     if rows:
         rows = np.concatenate(rows)
@@ -608,14 +628,18 @@ def travel_time_bounds(model: ConjugateFieldModel, box: BoxDomain,
     T_minus is the fastest exit from the inner comparison domain, T_plus the
     slowest exit from the outer one, both over a deterministic sample of the
     box boundary.  The sampled boundary must lie inside both domains,
-    otherwise InclusionViolated is raised (see check_inclusion).
+    otherwise InclusionViolated is raised (see check_inclusion).  NoExit is
+    raised when a sample fails to exit the outer domain or none exits the
+    inner one; the inner flow stops one grid step after its first crossing.
     """
     pts_x = check_inclusion(model, box, inner, outer, n_boundary_samples)
-    t_inner = flow_exit_times_batch(model, inner, pts_x, dt=dt)
     t_outer = flow_exit_times_batch(model, outer, pts_x, dt=dt)
-    if np.any(np.isnan(t_inner)) or np.any(np.isnan(t_outer)):
+    # T_minus needs only the first crossings of the inner boundary
+    t_inner = _smooth_exit_times(model, inner, pts_x, dt,
+                                 _default_t_cap(model), first_only=True)
+    if np.all(np.isnan(t_inner)) or np.any(np.isnan(t_outer)):
         raise NoExit("a boundary sample failed to exit a comparison domain")
-    t_minus = float(np.min(t_inner))
+    t_minus = float(np.nanmin(t_inner))
     t_plus = float(np.max(t_outer))
     return t_minus, t_plus
 

@@ -3,13 +3,18 @@
 Estimates are reproducible to the byte: paths are partitioned into batches of
 fixed contiguous path-id ranges, worker processes (fork) claim whole batches,
 and results are reduced in batch order.  Worker count therefore changes wall
-time only, never the estimate.
+time only, never the estimate.  The workers are forked once per worker_pool
+block, which harness.run_estimate opens around a whole sweep and each
+estimator around its own call, and every batch in the block reuses them.
 """
 
 from __future__ import annotations
 
+import contextlib
+import io
 import math
 import multiprocessing
+import pickle
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,47 +87,165 @@ def _binomial_estimate(k: int, n: int, method: str, **counters) -> TailEstimate:
 # ---------------------------------------------------------------------------
 # batch fan-out
 
-_ACTIVE_JOB = None
+# The pool that _map_batches fans out over while a worker_pool block is open.
+_ACTIVE_POOL: _ForkPool | None = None
+# The objects a pool passes by reference, set while it forks: each worker
+# keeps its fork-time copy, and task pickles name these objects by key.
+_SHARED: dict[int, object] = {}
 
 
-def _run_job_batch(b: int):
-    return b, _ACTIVE_JOB(b)
+class _TaskPickler(pickle.Pickler):
+    """Pickles a task, naming every shared object by key instead of by value."""
+
+    def __init__(self, file, shared: dict[int, object]):
+        super().__init__(file, pickle.HIGHEST_PROTOCOL)
+        self.shared = shared
+
+    def persistent_id(self, obj):
+        # membership, not `shared.get(key) is obj`, which holds for obj None
+        key = id(obj)
+        return key if key in self.shared else None
+
+
+class _TaskUnpickler(pickle.Unpickler):
+    def persistent_load(self, key):
+        return _SHARED[key]
+
+
+def _run_task(payload: bytes):
+    fn, args = _TaskUnpickler(io.BytesIO(payload)).load()
+    return fn(*args)
+
+
+class _ForkPool:
+    """Up to `workers` fork workers, started by the first fan-out that has more
+    than one batch and reused by every later one."""
+
+    def __init__(self, workers: int, shared):
+        self.workers = workers
+        self.shared: dict[int, object] = {}
+        self.pool = None
+        self.share(shared)
+
+    def share(self, objs) -> bool:
+        """Pass objs by reference; False if the workers forked without one."""
+        new = {id(o): o for o in objs if o is not None and id(o) not in self.shared}
+        if new and self.pool is not None:
+            return False
+        self.shared.update(new)
+        return True
+
+    def map(self, tasks: list) -> list:
+        if self.pool is None:
+            global _SHARED
+            _SHARED = self.shared
+            try:
+                self.pool = multiprocessing.get_context("fork").Pool(
+                    min(self.workers, len(tasks)))
+            finally:
+                _SHARED = {}
+        payloads = []
+        for task in tasks:
+            buf = io.BytesIO()
+            _TaskPickler(buf, self.shared).dump(task)
+            payloads.append(buf.getvalue())
+        return self.pool.map(_run_task, payloads, chunksize=1)
+
+    def close(self) -> None:
+        if self.pool is not None:
+            self.pool.close()
+            self.pool.join()
+
+    def terminate(self) -> None:
+        if self.pool is not None:
+            self.pool.terminate()
+
+
+@contextlib.contextmanager
+def worker_pool(workers: int, *shared):
+    """Fan every batch inside the block out over one pool of fork workers.
+
+    The workers fork at the first fan-out that has more than one batch, as
+    min(workers, n_batches) processes, and never when workers is 1.  They
+    reach the `shared` objects (model, noise, domains) through the fork, so
+    these need not pickle; everything else a task carries is pickled.  An
+    enclosing block with the same worker count is reused, unless its workers
+    already forked without one of `shared`.  On leaving the block the pool
+    is closed and joined, or terminated if the block raised.
+    """
+    global _ACTIVE_POOL
+    outer = _ACTIVE_POOL
+    if outer is not None and outer.workers == workers and outer.share(shared):
+        yield
+        return
+    pool = _ACTIVE_POOL = _ForkPool(workers, shared)
+    try:
+        yield
+    except BaseException:
+        pool.terminate()
+        raise
+    else:
+        pool.close()
+    finally:
+        _ACTIVE_POOL = outer
 
 
 def _map_batches(job, n_batches: int, workers: int) -> list:
-    """Run job(b) for every batch index b, in-order results.
+    """fn(*args) for every batch b, where job(b) = (fn, args), in batch order.
 
+    fn is a module-level function and args are its picklable arguments.
     Batches are keyed by global index, so fanning out over any number of
     fork workers reduces to the same ordered list a serial loop produces.
-    Workers inherit job through the fork; only batch indices are pickled.
+    Several batches on several workers run on the pool of the enclosing
+    worker_pool block, which forks the workers once for every fan-out in
+    it; without one, a pool is opened for this call.
     """
+    tasks = [job(b) for b in range(n_batches)]
     if workers <= 1 or n_batches <= 1:
-        return [job(b) for b in range(n_batches)]
-    global _ACTIVE_JOB
-    _ACTIVE_JOB = job
-    try:
-        ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(processes=min(workers, n_batches)) as pool:
-            gathered = dict(pool.imap_unordered(_run_job_batch, range(n_batches)))
-    finally:
-        _ACTIVE_JOB = None
-    return [gathered[b] for b in range(n_batches)]
+        return [fn(*args) for fn, args in tasks]
+    with worker_pool(workers):
+        return _ACTIVE_POOL.map(tasks)
 
 
-def _run_paths(run, n: int, batch_size: int, workers: int) -> list:
-    """run(start, stop) on each batch_size slice of path ids [0, n), in order."""
+def _run_paths(task, n: int, batch_size: int, workers: int) -> list:
+    """Run the task(start, stop) = (fn, args) of each batch_size slice of path
+    ids [0, n), in order."""
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
 
     def job(b: int):
         start = b * batch_size
-        return run(start, min(start + batch_size, n))
+        return task(start, min(start + batch_size, n))
     return _map_batches(job, -(-n // batch_size), workers)
 
 
 def _tally(res: dict) -> tuple[int, int]:
     """(path-steps, clamped paths) of one simulate_batch result."""
     return int(res["steps_used"].sum()), int(res["clamped"].sum())
+
+
+# The batch jobs below run one batch_size slice, in a worker or in-process.
+
+
+def _simulate(model, noise, domain, starts, epsilon, stop_time, dt, seed, ids):
+    """simulate_batch of the paths with ids `ids` from starts, which is one
+    row for every path or one row per path; also the paths' generators."""
+    gens = [make_generator(seed, pid) for pid in ids]
+    X0 = np.broadcast_to(starts, (len(ids), starts.shape[-1]))
+    return simulate_batch(model, noise, domain, X0, epsilon, stop_time, dt,
+                          gens), gens
+
+
+def _direct_batch(*args):
+    """(exited, path-steps, clamped) of _simulate(*args)."""
+    res, _ = _simulate(*args)
+    return (int(res["exited"].sum()), *_tally(res))
+
+
+def _level_batch(*args):
+    """(survivor end states, path-steps, clamped) of _simulate(*args)."""
+    res, _ = _simulate(*args)
+    return (res["end_state"][~res["exited"]], *_tally(res))
 
 
 def direct_tail_estimate(model: ConjugateFieldModel, noise: NoiseModel,
@@ -141,14 +264,12 @@ def direct_tail_estimate(model: ConjugateFieldModel, noise: NoiseModel,
     x0 = epsilon * np.atleast_1d(np.asarray(x, dtype=float))
     t0 = threshold_spec.time(epsilon)
 
-    def run(start, stop):
-        gens = [make_generator(seed, pid) for pid in range(start, stop)]
-        res = simulate_batch(model, noise, domain,
-                             np.broadcast_to(x0, (stop - start, x0.size)),
-                             epsilon, t0, config.dt, gens)
-        return (int(res["exited"].sum()), *_tally(res))
+    def task(start, stop):
+        return _direct_batch, (model, noise, domain, x0, epsilon, t0,
+                               config.dt, seed, range(start, stop))
 
-    parts = _run_paths(run, n_paths, batch_size, workers)
+    with worker_pool(workers, model, noise, domain):
+        parts = _run_paths(task, n_paths, batch_size, workers)
     n_exited, steps, clamps = (sum(col) for col in zip(*parts))
     return _binomial_estimate(n_paths - n_exited, n_paths, "direct",
                               path_steps=steps, n_clamped=clamps)
@@ -192,34 +313,35 @@ def splitting_tail_estimate(model: ConjugateFieldModel, noise: NoiseModel,
     clamps = 0
     prev_t = 0.0
     n_surv = budget
-    for level, t_level in enumerate(times, start=1):
-        duration = t_level - prev_t
-        base = level << _LEVEL_SHIFT
+    with worker_pool(workers, model, noise, domain):
+        for level, t_level in enumerate(times, start=1):
+            duration = t_level - prev_t
+            # level ids (level << _LEVEL_SHIFT) | slot are base + slot
+            base = level << _LEVEL_SHIFT
 
-        def run(start, stop):
-            gens = [make_generator(seed, base | slot) for slot in range(start, stop)]
-            res = simulate_batch(model, noise, domain, states[start:stop],
-                                 epsilon, duration, config.dt, gens)
-            return (res["end_state"][~res["exited"]], *_tally(res))
+            def task(start, stop):
+                return _level_batch, (model, noise, domain, states[start:stop],
+                                      epsilon, duration, config.dt, seed,
+                                      range(base + start, base + stop))
 
-        parts = _run_paths(run, budget, batch_size, workers)
-        surv_states = np.vstack([p[0] for p in parts])
-        steps += sum(p[1] for p in parts)
-        clamps += sum(p[2] for p in parts)
-        n_surv = surv_states.shape[0]
-        factors.append(n_surv / budget)
-        if n_surv == 0:
-            return TailEstimate(
-                p_hat=0.0, stderr=0.0, n_paths=budget * m, n_survived=0,
-                method="splitting", path_steps=steps,
-                zero_upper_bound=1.0 - 0.05 ** (1.0 / budget),
-                extinct_level=level, n_clamped=clamps)
-        if level < m:
-            surv_y = model.push_batch(surv_states)
-            rgen = make_generator(seed ^ _RESAMPLE_SALT, level)
-            idx = rgen.integers(0, n_surv, size=budget)
-            states = model.pull_batch(surv_y[idx])
-        prev_t = t_level
+            parts = _run_paths(task, budget, batch_size, workers)
+            surv_states = np.vstack([p[0] for p in parts])
+            steps += sum(p[1] for p in parts)
+            clamps += sum(p[2] for p in parts)
+            n_surv = surv_states.shape[0]
+            factors.append(n_surv / budget)
+            if n_surv == 0:
+                return TailEstimate(
+                    p_hat=0.0, stderr=0.0, n_paths=budget * m, n_survived=0,
+                    method="splitting", path_steps=steps,
+                    zero_upper_bound=1.0 - 0.05 ** (1.0 / budget),
+                    extinct_level=level, n_clamped=clamps)
+            if level < m:
+                surv_y = model.push_batch(surv_states)
+                rgen = make_generator(seed ^ _RESAMPLE_SALT, level)
+                idx = rgen.integers(0, n_surv, size=budget)
+                states = model.pull_batch(surv_y[idx])
+            prev_t = t_level
     p_hat = float(np.prod(factors))
     rel_var = sum((1.0 - f) / (f * budget) for f in factors)
     return TailEstimate(
@@ -251,6 +373,36 @@ def default_full_exit_cap(model: ConjugateFieldModel, epsilon: float,
     return max(10.0 * (base + 5.0) / lam_min, 100.0 * dt)
 
 
+def _adjusted_batch(model, noise, box, big_domain, starts, epsilon, stop_time,
+                    t_cap, dt, seed, ids):
+    """(adjusted survivors, enclosing survivors, path-steps, clamped, capped):
+    paths run from starts to their box exit, then on the same streams to
+    their big_domain exit, with survival judged at stop_time."""
+    res1, gens = _simulate(model, noise, box, starts, epsilon, t_cap, dt,
+                           seed, ids)
+    steps, clamps = _tally(res1)
+    capped = int((~res1["exited"]).sum())
+    ex = np.flatnonzero(res1["exited"])
+    n_adj = n_big = capped  # capped paths certainly outlast the threshold
+    if ex.size:
+        states = res1["end_state"][ex]
+        travel = flow_exit_times_batch(model, big_domain, states, dt=dt)
+        if np.any(np.isnan(travel)):
+            raise NoExit("a box exit state failed to leave the enclosing domain")
+        res2 = simulate_batch(model, noise, big_domain, states, epsilon,
+                              t_cap, dt, [gens[i] for i in ex])
+        steps2, clamps2 = _tally(res2)
+        steps += steps2
+        clamps += clamps2
+        capped2 = ~res2["exited"]
+        capped += int(capped2.sum())
+        tau_big = res1["tau"][ex] + res2["tau"]
+        # capped continuations certainly outlast the threshold as well
+        n_adj += int(np.sum(capped2 | (tau_big - travel > stop_time)))
+        n_big += int(np.sum(capped2 | (tau_big > stop_time)))
+    return n_adj, n_big, steps, clamps, capped
+
+
 def adjusted_tail_estimate(model: ConjugateFieldModel, noise: NoiseModel,
                            box: BoxDomain, big_domain, x, epsilon: float,
                            threshold_spec: ThresholdSpec, n_paths: int,
@@ -275,34 +427,12 @@ def adjusted_tail_estimate(model: ConjugateFieldModel, noise: NoiseModel,
         model, epsilon, config.dt)
     t_cap = max(t_cap, 1.5 * t0)
 
-    def run(start, stop):
-        gens = [make_generator(seed, pid) for pid in range(start, stop)]
-        res1 = simulate_batch(model, noise, box,
-                              np.broadcast_to(x0, (stop - start, x0.size)),
-                              epsilon, t_cap, config.dt, gens)
-        steps, clamps = _tally(res1)
-        capped = int((~res1["exited"]).sum())
-        ex = np.flatnonzero(res1["exited"])
-        n_adj = n_big = capped  # capped paths certainly outlast the threshold
-        if ex.size:
-            states = res1["end_state"][ex]
-            travel = flow_exit_times_batch(model, big_domain, states, dt=config.dt)
-            if np.any(np.isnan(travel)):
-                raise NoExit("a box exit state failed to leave the enclosing domain")
-            res2 = simulate_batch(model, noise, big_domain, states, epsilon,
-                                  t_cap, config.dt, [gens[i] for i in ex])
-            steps2, clamps2 = _tally(res2)
-            steps += steps2
-            clamps += clamps2
-            capped2 = ~res2["exited"]
-            capped += int(capped2.sum())
-            tau_big = res1["tau"][ex] + res2["tau"]
-            # capped continuations certainly outlast the threshold as well
-            n_adj += int(np.sum(capped2 | (tau_big - travel > t0)))
-            n_big += int(np.sum(capped2 | (tau_big > t0)))
-        return n_adj, n_big, steps, clamps, capped
+    def task(start, stop):
+        return _adjusted_batch, (model, noise, box, big_domain, x0, epsilon,
+                                 t0, t_cap, config.dt, seed, range(start, stop))
 
-    parts = _run_paths(run, n_paths, batch_size, workers)
+    with worker_pool(workers, model, noise, box, big_domain):
+        parts = _run_paths(task, n_paths, batch_size, workers)
     n_adj, n_big, steps, clamps, capped = (sum(col) for col in zip(*parts))
     counters = dict(path_steps=steps, n_clamped=clamps, n_capped=capped)
     return AdjustedTailResult(
@@ -366,6 +496,14 @@ def slope_regression(points) -> SlopeFit:
 # density diagnostics
 
 
+def _fluctuation_batch(model, noise, starts, y0, damp, epsilon, stop_time, dt,
+                       seed, ids):
+    """damp * f(X_T) / eps - y0 for paths run from starts, without exits."""
+    res, _ = _simulate(model, noise, None, starts, epsilon, stop_time, dt,
+                       seed, ids)
+    return damp * model.push_batch(res["end_state"]) / epsilon - y0
+
+
 def rescaled_fluctuation_samples(model: ConjugateFieldModel, noise: NoiseModel,
                                  y0, epsilon: float, T: float,
                                  config: PathConfig, seed: int,
@@ -394,14 +532,12 @@ def rescaled_fluctuation_samples(model: ConjugateFieldModel, noise: NoiseModel,
     x0 = model.pull_batch((epsilon * y0)[None, :])[0]
     damp = np.exp(-model.spectrum.as_array() * T)
 
-    def run(start, stop):
-        gens = [make_generator(seed, pid) for pid in range(start, stop)]
-        res = simulate_batch(model, noise, None,
-                             np.broadcast_to(x0, (stop - start, d)), epsilon,
-                             T, config.dt, gens)
-        return damp * model.push_batch(res["end_state"]) / epsilon - y0
+    def task(start, stop):
+        return _fluctuation_batch, (model, noise, x0, y0, damp, epsilon, T,
+                                    config.dt, seed, range(start, stop))
 
-    return np.vstack(_run_paths(run, n_samples, batch_size, workers))
+    with worker_pool(workers, model, noise):
+        return np.vstack(_run_paths(task, n_samples, batch_size, workers))
 
 
 @dataclass

@@ -35,6 +35,7 @@ from .estimator import (
     rescaled_prefactor,
     slope_regression,
     splitting_tail_estimate,
+    worker_pool,
 )
 from .exponents import tail_exponent
 from .gaussian import (
@@ -208,8 +209,15 @@ def _estimate_one(cfg: ExperimentConfig, x_eff: np.ndarray,
 
 
 def run_estimate(cfg: ExperimentConfig) -> RunRecord:
-    """Monte Carlo sweep over epsilons and start points per the config."""
-    record = _sweep(cfg, lambda x_eff, epsilon: _estimate_one(cfg, x_eff, epsilon))
+    """Monte Carlo sweep over epsilons and start points per the config.
+
+    Every cell and splitting level fans out over one pool of fork workers
+    (estimator.worker_pool), closed before this returns and terminated if
+    it raises.
+    """
+    with worker_pool(cfg.workers, cfg.model, cfg.noise, cfg.box, cfg.big):
+        record = _sweep(
+            cfg, lambda x_eff, epsilon: _estimate_one(cfg, x_eff, epsilon))
     fits: list[SlopeFit | None] = []
     for pi in range(len(cfg.points)):
         pts = [(r.epsilon, r.estimate) for r in record.rows if r.point_index == pi]

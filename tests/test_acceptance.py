@@ -326,7 +326,7 @@ def test_criterion_7_fluctuation_law_and_covariance_decay():
     assert tight >= 0.999
 
 
-def test_criterion_8_worker_determinism_and_estimator_coherence(bench):
+def test_criterion_8_worker_determinism_and_estimator_coherence(bench, pool_sizes):
     cfg = parse_config("""
 model.lambdas = 1.0
 domain.lower = -1.0
@@ -345,6 +345,8 @@ run.seed = 20260815
         texts.append("\n".join([lines[0]]
                                + [ln.rsplit(",", 1)[0] for ln in lines[1:]]))
     deterministic = texts[0] == texts[1] == texts[2]
+    # one pool per sweep, never more processes than its 8 batches
+    assert pool_sizes == [4, 8]
 
     split = splitting_tail_estimate(M1, N1, BOX1, np.zeros(1), 0.05, TH15,
                                     20_000, PathConfig(dt=5e-4),

@@ -20,7 +20,7 @@ from exitlab import (
     transversality_check,
     travel_time_bounds,
 )
-from exitlab.dynamics import _BISECT_ITERS
+from exitlab.dynamics import _BISECT_ITERS, check_inclusion
 from exitlab.harness import run_flow_report
 
 S1 = Spectrum([1.0])
@@ -529,6 +529,31 @@ class TestTravelTimeBounds:
                                     SmoothDomain.ball(1.0), SmoothDomain.ball(1.0))
         assert tm == pytest.approx(math.log(2.0), abs=1e-9)
         assert tp == pytest.approx(math.log(2.0), abs=1e-9)
+
+    @pytest.mark.parametrize("model_lines, domain_lines", [
+        ("model.lambdas = 1.0",
+         "domain.lower = -1.0\ndomain.upper = 1.0\n"
+         "domain.inner = ball:1.05\ndomain.outer = ball:1.5"),
+        ("model.lambdas = 1.0, 0.5",
+         "domain.lower = -1.0\ndomain.upper = 1.0\n"
+         "domain.inner = ball:1.5\ndomain.outer = ball:2.0"),
+        ("model.variant = component_quadratic\nmodel.lambdas = 1.0, 0.5\n"
+         "model.quad_coeff = 1.0, -0.5",
+         "domain.lower = -0.1, -0.05\ndomain.upper = 0.1, 0.05\n"
+         "domain.inner = ball:0.13\ndomain.outer = ball:0.18"),
+    ])
+    def test_bracket_is_the_full_flows_min_and_max(self, model_lines,
+                                                   domain_lines):
+        # the inner flow stops after its first crossings, yet T_minus keeps
+        # every bit of the minimum over full runs
+        cfg = parse_config(f"{model_lines}\n{domain_lines}\n"
+                           "threshold.alpha = 1.5\nsweep.epsilons = 0.1\n")
+        pts = check_inclusion(cfg.model, cfg.box, cfg.inner, cfg.outer)
+        full = [flow_exit_times_batch(cfg.model, dom, pts, dt=cfg.path.dt)
+                for dom in (cfg.inner, cfg.outer)]
+        assert travel_time_bounds(cfg.model, cfg.box, cfg.inner, cfg.outer,
+                                  dt=cfg.path.dt) == (
+            float(np.min(full[0])), float(np.max(full[1])))
 
     def test_equal_spectrum_rejected(self):
         with pytest.raises(SpectrumInvalid):

@@ -18,12 +18,15 @@ from exitlab import (
     density_diagnostic,
     direct_tail_estimate,
     finite_time_covariance,
+    parse_config,
     rescaled_fluctuation_samples,
     rescaled_prefactor,
+    run_estimate,
     slope_regression,
     splitting_tail_estimate,
 )
 from exitlab.estimator import MIN_DENSITY_SAMPLES
+from exitlab.harness import rows_csv_text
 
 S1 = Spectrum([1.0])
 ID1 = ConjugateFieldModel.identity(S1)
@@ -179,7 +182,7 @@ class TestSplitting:
         assert s.n_paths == 100 * m
 
     @pytest.mark.parametrize("workers, batch_size", [(1, 16384), (2, 64)])
-    def test_small_run_is_pinned(self, workers, batch_size):
+    def test_small_run_is_pinned(self, workers, batch_size, pool_sizes):
         # values computed when the levels came from SplittingPlan.uniform
         # (4 levels at T0 / 4); a shifted level time changes them
         s = splitting_tail_estimate(ID1, N1, BOX1, np.zeros(1), 0.2,
@@ -189,6 +192,8 @@ class TestSplitting:
         assert (s.p_hat, s.stderr, s.path_steps) == (
             0.554489, 0.03257568883861092, 455016)
         assert (s.n_paths, s.n_survived) == (800, 136)
+        # all 4 levels share one pool
+        assert pool_sizes == ([2] if workers == 2 else [])
 
     def test_single_level_agrees_with_direct(self):
         ts = ThresholdSpec(alpha=1.5)
@@ -282,6 +287,71 @@ class TestAdjusted:
                                      ts, n_paths=500, config=cfg, seed=11)
         assert res.adjusted.n_capped > 0
         assert res.adjusted.n_survived >= res.adjusted.n_capped
+
+
+SWEEP_2D = """
+model.lambdas = 1.0, 0.5
+domain.lower = -1.0
+domain.upper = 1.0
+threshold.alpha = 1.2
+sweep.epsilons = 0.3, 0.2, 0.1
+initial.points = 0,0; 0.5,0; -0.4,-0.3
+estimator.n_paths = 128
+estimator.batch_size = 64
+estimator.dt = 0.005
+run.workers = 2
+"""
+
+# a model and a domain built from lambdas, which pickle cannot send
+LAMBDA_MODEL = ConjugateFieldModel(
+    Spectrum([1.0, 0.5]), f=lambda X: X, f_inv=lambda Y: Y,
+    df=lambda X: np.broadcast_to(np.eye(2), (len(X), 2, 2)),
+    drift=lambda X: X * np.array([1.0, 0.5]))
+LAMBDA_BIG = SmoothDomain(lambda X: np.sum(X * X, axis=1) - 4.0, name="lambda")
+
+
+class TestWorkerPool:
+    @pytest.mark.parametrize("edit, expected", [
+        (("", ""), [2]),
+        (("run.workers = 2", "run.workers = 16"), [2]),
+        (("run.workers = 2", "run.workers = 1"), []),
+        (("batch_size = 64", "batch_size = 128"), []),
+    ])
+    def test_sweep_forks_at_most_one_pool(self, pool_sizes, edit, expected):
+        # 9 cells of 2 batches: one pool, never larger than a cell's batches
+        run_estimate(parse_config(SWEEP_2D.replace(*edit)))
+        assert pool_sizes == expected
+
+    def test_lambda_model_fans_out_by_reference(self, pool_sizes):
+        noise = NoiseModel(np.eye(2))
+        box = BoxDomain([-1.0, -1.0], [1.0, 1.0])
+        ts = ThresholdSpec(alpha=1.2)
+        x = np.array([0.5, 0.0])
+
+        def estimates(workers):
+            kw = dict(config=PathConfig(dt=5e-3), seed=11, workers=workers,
+                      batch_size=64)
+            return (
+                direct_tail_estimate(LAMBDA_MODEL, noise, box, x, 0.1, ts,
+                                     n_paths=192, **kw),
+                splitting_tail_estimate(LAMBDA_MODEL, noise, box, x, 0.1, ts,
+                                        192, **kw),
+                adjusted_tail_estimate(LAMBDA_MODEL, noise, box, LAMBDA_BIG,
+                                       x, 0.1, ts, n_paths=192, **kw))
+
+        assert estimates(2) == estimates(1)
+        assert pool_sizes == [2, 2, 2]
+        cfg = parse_config(SWEEP_2D.replace(
+            "threshold.alpha", "estimator.method = adjusted\n"
+            "domain.big = ball:2.0\nthreshold.alpha"))
+        cfg = dataclasses.replace(cfg, model=LAMBDA_MODEL, big=LAMBDA_BIG)
+        rows = [rows_csv_text(run_estimate(dataclasses.replace(cfg, workers=w)))
+                for w in (1, 2)]
+        # rows without the last column, wall_seconds
+        serial, fanned = ([ln.rsplit(",", 1)[0] for ln in r.splitlines()]
+                          for r in rows)
+        assert serial == fanned
+        assert pool_sizes == [2, 2, 2, 2]
 
 
 class TestRescaledPrefactor:

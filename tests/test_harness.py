@@ -394,6 +394,27 @@ class TestRunEstimate:
         assert any("partial run" in w for w in partial.warnings)
         assert json.loads(summary_json_text(partial))["partial"] is True
 
+    def test_worker_failure_leaves_no_worker(self, monkeypatch):
+        import multiprocessing
+        import os
+
+        import exitlab.estimator as est
+        parent = os.getpid()
+        real = est.simulate_batch
+
+        def fails_in_worker(model, noise, domain, X0, epsilon, *args):
+            if os.getpid() != parent and epsilon == 0.1:
+                raise NoExit("no exit in a worker")
+            return real(model, noise, domain, X0, epsilon, *args)
+
+        monkeypatch.setattr(est, "simulate_batch", fails_in_worker)
+        with pytest.raises(NoExit, match="in a worker") as exc:
+            run_estimate(_cfg(SMALL_RUN + "estimator.batch_size = 200\n"
+                              "run.workers = 2\n"))
+        assert len(exc.value.partial_record.rows) == 2
+        assert est._ACTIVE_POOL is None
+        assert multiprocessing.active_children() == []
+
     def test_splitting_method_runs(self):
         text = SMALL_RUN.replace("sweep.epsilons = 0.3, 0.2, 0.1",
                                  "sweep.epsilons = 0.2")
