@@ -6,6 +6,15 @@ and results are reduced in batch order.  Worker count therefore changes wall
 time only, never the estimate.  The workers are forked once per worker_pool
 block, which harness.run_estimate opens around a whole sweep and each
 estimator around its own call, and every batch in the block reuses them.
+
+The direct estimator takes all the (x, epsilon) cells of a sweep at once.
+Path p of every cell steps on the stream of (seed, p), so a batch builds
+its generators once and simulate_batch steps every cell's rows on them,
+drawing each stream once per block (common random numbers across cells).
+Each cell's counts are those it gets alone.  Splitting and
+the adjusted estimate run one cell per call: splitting resamples its start
+states at every level, and a continuation resumes each stream where its
+own box exit left it.
 """
 
 from __future__ import annotations
@@ -42,6 +51,11 @@ _LEVEL_SHIFT = 44
 _RESAMPLE_SALT = 0x5DEECE66D
 
 _Z95 = 1.959963984540054
+
+# Most rows (cells x paths) that one simulate_batch call of the direct
+# estimator holds.  A batch of a sweep with many cells runs its paths in
+# slices, so its memory does not grow with the number of cells.
+_DIRECT_ROWS = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -236,10 +250,26 @@ def _simulate(model, noise, domain, starts, epsilon, stop_time, dt, seed, ids):
                           gens), gens
 
 
-def _direct_batch(*args):
-    """(exited, path-steps, clamped) of _simulate(*args)."""
-    res, _ = _simulate(*args)
-    return (int(res["exited"].sum()), *_tally(res))
+def _direct_batch(model, noise, domain, starts, epsilons, stop_times, dt,
+                  seed, ids):
+    """The (exited, path-steps, clamped) counts of each cell, as a (3, cells)
+    array, over the paths with ids `ids`.  Cell c starts at starts[c] and
+    runs with epsilons[c] to stop_times[c], and every cell's rows step on
+    the same path streams.  The paths run in slices of at most _DIRECT_ROWS
+    rows, each built and drawn once."""
+    c = len(epsilons)
+    width = max(1, _DIRECT_ROWS // c)
+    counts = np.zeros((3, c), dtype=np.int64)
+    for a in range(0, len(ids), width):
+        gens = [make_generator(seed, pid) for pid in ids[a:a + width]]
+        b = len(gens)
+        res = simulate_batch(
+            model, noise, domain, np.repeat(starts, b, axis=0),
+            np.repeat(epsilons, b), np.repeat(stop_times, b), dt, gens,
+            np.tile(np.arange(b), c) if c > 1 else None)
+        counts += [res[key].reshape(c, b).sum(axis=1)
+                   for key in ("exited", "steps_used", "clamped")]
+    return counts
 
 
 def _level_batch(*args):
@@ -249,30 +279,42 @@ def _level_batch(*args):
 
 
 def direct_tail_estimate(model: ConjugateFieldModel, noise: NoiseModel,
-                         domain, x, epsilon: float,
-                         threshold_spec: ThresholdSpec, n_paths: int,
-                         config: PathConfig, seed: int, workers: int = 1,
-                         batch_size: int = DEFAULT_BATCH_SIZE) -> TailEstimate:
-    """Plain Monte Carlo estimate of P(no exit before the threshold time).
+                         domain, cells, threshold_spec: ThresholdSpec,
+                         n_paths: int, config: PathConfig, seed: int,
+                         workers: int = 1,
+                         batch_size: int = DEFAULT_BATCH_SIZE
+                         ) -> list[TailEstimate]:
+    """Plain Monte Carlo estimates of P(no exit before the threshold time).
 
-    Paths start at eps * x and run on the dt grid to the threshold.  With
-    threshold time 0 the estimate is exactly 1 (nothing can exit at t = 0
-    from a strict interior start).
+    cells is a sequence of (x, epsilon) pairs, and the result holds one
+    estimate per cell, in order.  Cell (x, epsilon) runs n_paths paths from
+    epsilon * x on the dt grid to threshold_spec.time(epsilon).  Path p of
+    every cell steps on the one stream of (seed, p), so the cells share
+    their normals (common random numbers): each batch of path ids draws
+    its streams once for all the cells, and every cell's estimate is the
+    one it gets alone.  A cell with threshold time 0 estimates exactly 1
+    (nothing can exit at t = 0 from a strict interior start).
     """
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
-    x0 = epsilon * np.atleast_1d(np.asarray(x, dtype=float))
-    t0 = threshold_spec.time(epsilon)
+    cells = list(cells)
+    if not cells:
+        return []
+    starts = np.array([eps * np.atleast_1d(np.asarray(x, dtype=float))
+                       for x, eps in cells])
+    epsilons = np.array([eps for _, eps in cells], dtype=float)
+    times = np.array([threshold_spec.time(eps) for _, eps in cells])
 
     def task(start, stop):
-        return _direct_batch, (model, noise, domain, x0, epsilon, t0,
+        return _direct_batch, (model, noise, domain, starts, epsilons, times,
                                config.dt, seed, range(start, stop))
 
     with worker_pool(workers, model, noise, domain):
         parts = _run_paths(task, n_paths, batch_size, workers)
-    n_exited, steps, clamps = (sum(col) for col in zip(*parts))
-    return _binomial_estimate(n_paths - n_exited, n_paths, "direct",
-                              path_steps=steps, n_clamped=clamps)
+    n_exited, steps, clamps = np.sum(parts, axis=0).tolist()
+    return [_binomial_estimate(n_paths - e, n_paths, "direct",
+                               path_steps=s, n_clamped=c)
+            for e, s, c in zip(n_exited, steps, clamps)]
 
 
 # ---------------------------------------------------------------------------

@@ -134,9 +134,14 @@ def _theory_columns(cfg, c0, beta, x_eff, t_minus, t_plus):
     return psi.value, lo.value, hi.value
 
 
-def _sweep(cfg: ExperimentConfig, estimate=None) -> RunRecord:
-    """One row per (epsilon, start point): theory columns, plus the Monte
-    Carlo columns from estimate(x_eff, epsilon) when it is given."""
+def _sweep(cfg: ExperimentConfig, estimate: bool = False) -> RunRecord:
+    """One row per (epsilon, start point): theory columns, plus with
+    estimate the Monte Carlo columns from _estimates.
+
+    A row's wall_seconds is its theory time plus its estimate's seconds.
+    If _estimates raises an ExitlabError, the rows of the cells it finished
+    go on a partial record hung on the error.
+    """
     c0 = limit_covariance(cfg.noise.sigma0, cfg.model.spectrum)
     beta = tail_exponent(cfg.model.spectrum, cfg.threshold.alpha)
     t_minus, t_plus = _travel_times(cfg)
@@ -144,43 +149,49 @@ def _sweep(cfg: ExperimentConfig, estimate=None) -> RunRecord:
 
     def record(warnings=(), partial=False) -> RunRecord:
         return RunRecord(
-            mode="predict" if estimate is None else "estimate",
+            mode="estimate" if estimate else "predict",
             config_echo=cfg.echo, config_hash=config_hash(cfg), rows=rows,
             slope_fits=(), warnings=list(cfg.warnings) + list(warnings),
             environment=_environment_stamp(), travel_times=(t_minus, t_plus),
             partial=partial)
 
+    cells = []  # (epsilon, point index, x_eff, theory columns, seconds)
     for epsilon in cfg.epsilons:
         for pi, point in enumerate(cfg.points):
             start = time.perf_counter()
             x_eff = _theory_point(cfg, point, epsilon)
-            psi, phi_minus, phi_plus = _theory_columns(
-                cfg, c0, beta, x_eff, t_minus, t_plus)
-            est = None
-            rescaled = rescaled_se = None
-            if estimate is not None:
-                try:
-                    est = estimate(x_eff, epsilon)
-                except ExitlabError as exc:
-                    # completed cells stay usable: hang them on the error so
-                    # the caller can still emit them
-                    exc.partial_record = record([
-                        f"partial run: failed at epsilon={epsilon!r} "
-                        f"point {pi}: {exc}"], partial=True)
-                    raise
-                rescaled, rescaled_se = rescaled_prefactor(est, epsilon, beta)
-            rows.append(RunRow(
-                epsilon=epsilon, x=tuple(x_eff.tolist()),
-                alpha=cfg.threshold.alpha, beta=beta,
-                p_hat=getattr(est, "p_hat", None),
-                stderr=getattr(est, "stderr", None),
-                n_paths=getattr(est, "n_paths", None),
-                n_survived=getattr(est, "n_survived", None),
-                rescaled=rescaled, rescaled_stderr=rescaled_se, psi=psi,
-                phi_minus=phi_minus, phi_plus=phi_plus,
-                method=getattr(est, "method", "predict"), dt=cfg.path.dt,
-                seed=cfg.seed, wall_seconds=time.perf_counter() - start,
-                point_index=pi, estimate=est))
+            theory = _theory_columns(cfg, c0, beta, x_eff, t_minus, t_plus)
+            cells.append((epsilon, pi, x_eff, theory,
+                          time.perf_counter() - start))
+    if estimate:
+        results = _estimates(cfg, [(x_eff, eps) for eps, _, x_eff, _, _ in cells])
+    for epsilon, pi, x_eff, (psi, phi_minus, phi_plus), seconds in cells:
+        est = None
+        rescaled = rescaled_se = None
+        if estimate:
+            try:
+                est, est_seconds = next(results)
+            except ExitlabError as exc:
+                # completed cells stay usable: hang them on the error so
+                # the caller can still emit them
+                exc.partial_record = record([
+                    f"partial run: failed at epsilon={epsilon!r} "
+                    f"point {pi}: {exc}"], partial=True)
+                raise
+            seconds += est_seconds
+            rescaled, rescaled_se = rescaled_prefactor(est, epsilon, beta)
+        rows.append(RunRow(
+            epsilon=epsilon, x=tuple(x_eff.tolist()),
+            alpha=cfg.threshold.alpha, beta=beta,
+            p_hat=getattr(est, "p_hat", None),
+            stderr=getattr(est, "stderr", None),
+            n_paths=getattr(est, "n_paths", None),
+            n_survived=getattr(est, "n_survived", None),
+            rescaled=rescaled, rescaled_stderr=rescaled_se, psi=psi,
+            phi_minus=phi_minus, phi_plus=phi_plus,
+            method=getattr(est, "method", "predict"), dt=cfg.path.dt,
+            seed=cfg.seed, wall_seconds=seconds, point_index=pi,
+            estimate=est))
     return record()
 
 
@@ -191,11 +202,7 @@ def run_predict(cfg: ExperimentConfig) -> RunRecord:
 
 def _estimate_one(cfg: ExperimentConfig, x_eff: np.ndarray,
                   epsilon: float) -> TailEstimate:
-    if cfg.method == "direct":
-        return direct_tail_estimate(
-            cfg.model, cfg.noise, cfg.box, x_eff, epsilon, cfg.threshold,
-            cfg.n_paths, cfg.path, cfg.seed, workers=cfg.workers,
-            batch_size=cfg.batch_size)
+    """The splitting or adjusted estimate of one cell."""
     if cfg.method == "splitting":
         return splitting_tail_estimate(
             cfg.model, cfg.noise, cfg.box, x_eff, epsilon, cfg.threshold,
@@ -208,16 +215,40 @@ def _estimate_one(cfg: ExperimentConfig, x_eff: np.ndarray,
     return result.adjusted
 
 
+def _estimates(cfg: ExperimentConfig, cells):
+    """(estimate, seconds) of each (x_eff, epsilon) cell, in order.
+
+    The direct cells run in one call, on shared path streams, and each gets
+    the share of its wall time that its path-steps are of the total, so the
+    seconds add up to the time spent.  Other methods run cell by cell.
+    """
+    if cfg.method == "direct":
+        start = time.perf_counter()
+        ests = direct_tail_estimate(
+            cfg.model, cfg.noise, cfg.box, cells, cfg.threshold, cfg.n_paths,
+            cfg.path, cfg.seed, workers=cfg.workers, batch_size=cfg.batch_size)
+        wall = time.perf_counter() - start
+        total = sum(est.path_steps for est in ests)
+        for est in ests:
+            yield est, (wall * est.path_steps / total if total
+                        else wall / len(ests))
+        return
+    for x_eff, epsilon in cells:
+        start = time.perf_counter()
+        est = _estimate_one(cfg, x_eff, epsilon)
+        yield est, time.perf_counter() - start
+
+
 def run_estimate(cfg: ExperimentConfig) -> RunRecord:
     """Monte Carlo sweep over epsilons and start points per the config.
 
-    Every cell and splitting level fans out over one pool of fork workers
+    The direct cells share one fan-out; every other cell and splitting
+    level fans out on its own.  All of them run on one pool of fork workers
     (estimator.worker_pool), closed before this returns and terminated if
     it raises.
     """
     with worker_pool(cfg.workers, cfg.model, cfg.noise, cfg.box, cfg.big):
-        record = _sweep(
-            cfg, lambda x_eff, epsilon: _estimate_one(cfg, x_eff, epsilon))
+        record = _sweep(cfg, estimate=True)
     fits: list[SlopeFit | None] = []
     for pi in range(len(cfg.points)):
         pts = [(r.epsilon, r.estimate) for r in record.rows if r.point_index == pi]

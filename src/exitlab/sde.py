@@ -8,35 +8,46 @@ size is a module constant, not a tunable: a continuation run resumes a
 path's stream at the block boundary where the previous phase stopped, and
 changing the constant would silently change continuations.
 
-Layout: ``simulate_batch`` holds only the paths still alive.  A block's
-normals are drawn per path and stored step-major, ``(kb, width, A)``, in
-one buffer per batch (``_noise_buffer``).  Constant noise stores the
-increments ``xi @ sig0.T`` (width d; a square diagonal ``sig0`` scales each
-coordinate instead); state-dependent noise stores the raw normals (width
-n).  The block is walked in sub-blocks of ``_SUB_STEPS`` steps, and a
-sub-block takes its noise columns once.  Constant increments are then
-scaled by ``eps * sqrt(dt)`` in place; state-dependent ones are mixed per
-step by ``sigma(x)``.  Each step writes its state in place into slot ``s``
-of a coordinate-major ``(d, S, A)`` trajectory, whose column ``i`` belongs
-to path ``ids[i]``.  Exits are checked once per sub-block, on all S steps
-as one ``(S*A, d)`` stack: ``argmax`` over the step axis gives each path's
+Layout: ``simulate_batch`` holds only the rows still alive.  Each row
+steps on one stream, and several rows may share one: the direct estimator
+stacks every cell of a sweep on the streams of the same path ids (common
+random numbers).  A block's normals are drawn once per stream that still
+has an alive row, to the longest grid left, and stored step-major,
+``(kb, width, A)``, in one buffer per batch (``_noise_buffer``).  Constant
+noise stores the increments ``xi @ sig0.T`` (width d; a square diagonal
+``sig0`` scales each coordinate instead); state-dependent noise stores the
+raw normals (width n).  The block is walked in sub-blocks of at most
+``_SUB_STEPS`` steps and ``_SUB_STEPS`` step-rows per stream, and a
+sub-block takes each row's noise column once: in place when every row has
+a stream of its own, else by one ``take`` into a buffer allocated once.
+Constant increments are then scaled by ``eps * sqrt(dt)`` in place, one
+scalar when the batch has one epsilon; state-dependent ones are mixed per
+step by ``sigma(x)``.  Each row has its own grid: its last step has its
+own size, and the steps past it, taken until the sub-block ends, neither
+exit nor clamp.  Each step writes its state in place into slot ``s`` of a
+coordinate-major ``(d, S, A)`` trajectory, whose column ``i`` belongs to
+row ``ids[i]``.  Exits are checked once per sub-block, on all S steps as
+one ``(S*A, d)`` stack: ``argmax`` over the step axis gives each row's
 first exit step, which sets ``tau``, ``steps_used`` and the end state.  The
-rest are then compacted with ``ndarray.take``.  A path that exits
-mid-sub-block keeps stepping (and clamping) to the sub-block's end; those
-later states are thrown away, and a clamp counts only on steps up to the
-exit.
+rows that exit or reach their stop time are then compacted out with
+``ndarray.take``.  A row that exits mid-sub-block keeps stepping (and
+clamping) to the sub-block's end; those later states are thrown away, and
+a clamp counts only on steps up to the exit.
 
-None of this changes an output byte.  Each path draws from its own stream in
-the same order, whole blocks at a time, so the generator state at an exit
-is the same as with a per-step check.  numpy's stacked ``matmul`` multiplies
-each path's ``(kb, n)`` block on its own, so grouping paths differently
-leaves the product unchanged; with a diagonal ``sig0`` each product is one
-nonzero term plus exact zeros.  Every later operation acts on each path on
-its own, in the same order on the same operands.  Model and box calls take
-column-major ``(m, d)`` views of the state.  ``SmoothDomain.outside`` and a
-state-dependent ``sigma_batch`` get row-major copies instead: their built-in
-forms sum over the coordinates, and numpy rounds such a sum by memory
-layout from d = 9 on.
+None of this changes an output byte.  Each row reads its stream in the same
+order, whole blocks at a time, and a block drawn longer has the shorter
+draw as its prefix.  Rows with different stop times may read a stream past
+one row's grid, which that row never uses; only a batch with one stop time
+leaves each generator where a continuation resumes it.  numpy's stacked
+``matmul`` multiplies each stream's ``(kb, n)`` block on its own, so
+grouping paths differently leaves the product unchanged; with a diagonal
+``sig0`` each product is one nonzero term plus exact zeros.  Every later operation acts
+on each row on its own, in the same order on the same operands: a per-row
+epsilon or step size multiplies as the scalar would.  Model and box calls
+take column-major ``(m, d)`` views of the state.  ``SmoothDomain.outside``
+and a state-dependent ``sigma_batch`` get row-major copies instead: their
+built-in forms sum over the coordinates, and numpy rounds such a sum by
+memory layout from d = 9 on.
 """
 
 from __future__ import annotations
@@ -52,7 +63,8 @@ from numpy.random.bit_generator import ISpawnableSeedSequence
 from .dynamics import BoxDomain, ConjugateFieldModel, NoiseModel
 
 BLOCK_STEPS = 512
-# Steps that alive paths take between two exit checks; divides BLOCK_STEPS.
+# Most steps that alive rows take between two exit checks; divides
+# BLOCK_STEPS.  Also the step-rows per stream in one sub-block.
 _SUB_STEPS = 32
 # Paths whose noise block is drawn, mixed and turned step-major together:
 # the two path-major buffers of a 64-path group (1 MB at 512 steps and
@@ -164,46 +176,60 @@ def _step_major_noise(gens: list, ids: np.ndarray, kb: int,
 
 
 def simulate_batch(model: ConjugateFieldModel, noise: NoiseModel, domain,
-                   X0: np.ndarray, epsilon: float, stop_time: float,
-                   dt: float, gens: list) -> dict:
-    """Advance a batch of paths on the shared grid until exit or stop_time.
+                   X0: np.ndarray, epsilon, stop_time, dt: float, gens: list,
+                   streams=None) -> dict:
+    """Advance a batch of paths on the dt grid until exit or their stop time.
 
-    X0 is (m, d); gens holds one Generator per row, consumed in order.
+    X0 is (m, d).  epsilon and stop_time are one value for every row or one
+    value per row; epsilon is 0 on every row or on none.  Row r reads the
+    normals of gens[streams[r]], or of gens[r] when streams is None, so rows
+    that share a stream step on the same normals.  A row's stop time sets
+    its own grid: ceil(stop / dt) steps, the last one of its own size.
     domain may be None to disable exit detection (pure propagation).
     Returns five arrays keyed exited/tau/steps_used/end_state/clamped.
     A row of end_state is the path's exit state (X0 for a start outside the
-    domain), or its state at stop_time if it did not exit.  steps_used is 0
-    for starts outside the domain, the 1-based step of the exit for paths
-    that leave, and the number of grid steps for the rest.  Both noise forms
+    domain), or its state at its stop time if it did not exit.  steps_used
+    is 0 for starts outside the domain, the 1-based step of the exit for
+    paths that leave, and the number of grid steps for the rest.  A stream
+    is drawn in whole blocks for as long as one of its rows is alive, to
+    the longest grid left in the batch; with one stop time that is the
+    grid, so a continuation can resume the generators.  Both noise forms
     are drawn step-major into one buffer (see the module docstring).
     """
     X0 = np.atleast_2d(np.asarray(X0, dtype=float))
     m, d = X0.shape
-    if not (0.0 <= epsilon < 1.0):
+    eps = np.broadcast_to(np.asarray(epsilon, dtype=float), (m,))
+    stop = np.broadcast_to(np.asarray(stop_time, dtype=float), (m,))
+    if not np.all((0.0 <= eps) & (eps < 1.0)):
         raise ValueError("epsilon must lie in [0, 1)")
-    if stop_time < 0.0 or not math.isfinite(stop_time):
+    draws = bool(eps.any())
+    if draws and not eps.all():
+        raise ValueError("epsilon must be 0 on every row or on none")
+    if not np.all((stop >= 0.0) & (stop < math.inf)):
         raise ValueError("stop_time must be finite and >= 0")
     if not 0.0 < dt < math.inf:
         raise ValueError("dt must be finite and > 0")
 
-    n_steps = int(math.ceil(stop_time / dt - 1e-12)) if stop_time > 0.0 else 0
+    n_steps = np.where(stop > 0.0, np.ceil(stop / dt - 1e-12),
+                       0.0).astype(np.int64)
+    h_last = stop - (n_steps - 1) * dt  # each row's final step size
     exited = np.zeros(m, dtype=bool)
     tau = np.full(m, np.nan)
-    steps_used = np.full(m, n_steps, dtype=np.int64)
+    steps_used = n_steps.copy()
     end_state = np.empty((m, d))  # every row is set below
     clamped = np.zeros(m, dtype=bool)
 
     detect = domain is not None
     box = isinstance(domain, BoxDomain)
-    ids = np.arange(m)
+    alive = n_steps > 0
     if detect:
         out0 = _initial_outside(model, domain, X0)
-        if out0.any():
-            exited[out0] = True
-            tau[out0] = 0.0
-            steps_used[out0] = 0
-            end_state[out0] = X0[out0]
-            ids = np.flatnonzero(~out0)
+        exited[out0] = True
+        tau[out0] = 0.0
+        steps_used[out0] = 0
+        alive &= ~out0
+    ids = np.flatnonzero(alive)
+    end_state[~alive] = X0[~alive]
     # Alive paths only, coordinate-major: X[:, i] is the state of path ids[i].
     X = np.ascontiguousarray(X0[ids].T)
 
@@ -212,43 +238,81 @@ def simulate_batch(model: ConjugateFieldModel, noise: NoiseModel, domain,
     sig0 = noise.sigma0 if const_noise else np.eye(noise.n)
     width = sig0.shape[0]  # noise numbers per path and step
     clamps = math.isfinite(model.validity_radius)  # nothing to clamp at inf
-    h_last = stop_time - (n_steps - 1) * dt  # the final step's own size
+    shared = streams is not None
+    stream = np.asarray(streams) if shared else None
+    # Step-rows per sub-block: _SUB_STEPS for each stream.  Stacked rows
+    # that share streams take shorter sub-blocks, so the trajectory stays
+    # the size of one row per stream.
+    cap = _SUB_STEPS * (len(gens) if shared else m)
+    n_rows = min(_SUB_STEPS * ids.size, max(cap, ids.size))
     # Flat buffers that every sub-block views at its own (S, A) shape.
-    traj_buf = np.empty(d * _SUB_STEPS * ids.size)
+    traj_buf = np.empty(d * n_rows)
     bh_buf = np.empty(d * ids.size)
-    over_buf = np.empty(_SUB_STEPS * ids.size, dtype=bool) if clamps else None
-    noise_buf = _noise_buffer(min(BLOCK_STEPS, n_steps) * width * ids.size
-                              if epsilon > 0.0 else 0)
+    over_buf = np.empty(n_rows, dtype=bool) if clamps else None
+    gather_buf = np.empty(width * n_rows) if shared and draws else None
+    n_max = int(n_steps[ids].max()) if ids.size else 0
+    n_live = np.unique(stream[ids]).size if shared else ids.size
+    noise_buf = _noise_buffer(min(BLOCK_STEPS, n_max) * width * n_live
+                              if draws else 0)
+    sdt = math.sqrt(dt)
+    # one epsilon for the whole batch scales its noise as a scalar
+    e_all = float(eps[0]) if m and (eps == eps[0]).all() else None
     k = 0
-    while ids.size and k < n_steps:
-        kb = min(BLOCK_STEPS, n_steps - k)
+    while ids.size:
+        kb = min(BLOCK_STEPS, int(n_steps[ids].max()) - k)
+        # the streams of the alive rows, and each row's block column
+        if shared:
+            live, cols = np.unique(stream[ids], return_inverse=True)
+        else:
+            live, cols = ids, np.arange(ids.size)
         dW = w = None
-        if epsilon > 0.0:
-            dW = _step_major_noise(gens, ids, kb, sig0, noise_buf[
-                :kb * width * ids.size].reshape(kb, width, ids.size))
-        # block column of each alive path, for reading this block's noise
-        cols = np.arange(ids.size)
-        for j0 in range(0, kb, _SUB_STEPS):
-            S = min(_SUB_STEPS, kb - j0)
+        if draws:
+            dW = _step_major_noise(gens, live, kb, sig0, noise_buf[
+                :kb * width * live.size].reshape(kb, width, live.size))
+        j0 = 0
+        next_end = int(n_steps[ids].min())  # the first step that ends a row
+        while j0 < kb and ids.size:
             A = ids.size
-            ends = k + j0 + S == n_steps  # this sub-block takes the final step
+            S = min(_SUB_STEPS, max(1, cap // A), kb - j0)
+            e = e_all if e_all is not None else eps[ids]
+            fin = None
+            h_at = {}
+            if k + j0 + S >= next_end:
+                # rows whose last step falls in this sub-block, at step fin_s
+                left = n_steps[ids] - (k + j0)
+                fin = np.flatnonzero(left <= S)
+                fin_s = left[fin] - 1
+                last = np.arange(S)[:, None] <= fin_s  # steps up to it
+                rows = ids[fin]
+                scale_last = eps[rows] * np.sqrt(h_last[rows])  # noise there
+                # each alive row's step size on a step where some row ends
+                for s in np.unique(fin_s).tolist():
+                    h = h_at[s] = np.full((A, 1), dt)
+                    at = fin_s == s
+                    h[fin[at], 0] = h_last[rows[at]]
             traj = traj_buf[:d * S * A].reshape(d, S, A)
             bh = bh_buf[:d * A].reshape(d, A).T
             if dW is not None:
                 w = dW[j0:j0 + S]
-                if cols.size != w.shape[2]:
+                if gather_buf is not None:
+                    w = np.take(w, cols, axis=2, mode="clip",
+                                out=gather_buf[:S * width * A].reshape(S, width, A))
+                elif cols.size != w.shape[2]:
                     w = w.take(cols, axis=2)
                 if const_noise:
                     # each slab is read once, so it is scaled where it lies
-                    tail = (epsilon * math.sqrt(h_last)) * w[-1] if ends else None
-                    np.multiply(w, epsilon * math.sqrt(dt), out=w)
-                    if ends:
-                        w[-1] = tail
+                    if fin is not None:
+                        tail = scale_last[:, None] * w[fin_s, :, fin]
+                    np.multiply(w, e * sdt, out=w)
+                    if fin is not None:
+                        w[fin_s, :, fin] = tail
+                elif e_all is None:
+                    e = e[:, None]
             if clamps:
                 over_s = over_buf[:S * A].reshape(S, A)
             prev = X
             for s in range(S):
-                h = h_last if ends and s == S - 1 else dt
+                h = h_at.get(s, dt)
                 x = prev.T
                 cur = traj[:, s]
                 xt = cur.T
@@ -260,7 +324,7 @@ def simulate_batch(model: ConjugateFieldModel, noise: NoiseModel, domain,
                     # einsum rounds by layout, so it gets a C-contiguous z
                     sig = noise.sigma_batch(np.ascontiguousarray(x))
                     z = np.ascontiguousarray(w[s].T)
-                    np.add(xt, (epsilon * math.sqrt(h)) * np.einsum(
+                    np.add(xt, (e * np.sqrt(h)) * np.einsum(
                         "rdn,rn->rd", sig, z), out=xt)
                 if clamps:
                     xc, over_s[s] = model.clamp(xt)
@@ -275,6 +339,8 @@ def simulate_batch(model: ConjugateFieldModel, noise: NoiseModel, domain,
                     out = domain.outside(model.push_batch(flat)).reshape(S, A)
                 else:
                     out = domain.outside(np.ascontiguousarray(flat)).reshape(S, A)
+                if fin is not None:
+                    out[:, fin] &= last  # steps past a row's grid do not count
                 if out.any():
                     gone = out.any(axis=0)
                     first = out.argmax(axis=0)  # first exit step in the sub-block
@@ -283,15 +349,25 @@ def simulate_batch(model: ConjugateFieldModel, noise: NoiseModel, domain,
                     hit_ids = ids[hit]
                     step = k + j0 + sh + 1
                     exited[hit_ids] = True
-                    tau[hit_ids] = np.where(step == n_steps, stop_time, step * dt)
+                    tau[hit_ids] = np.where(step == n_steps[hit_ids],
+                                            stop[hit_ids], step * dt)
                     steps_used[hit_ids] = step
                     end_state[hit_ids] = traj[:, sh, hit].T
             if clamps:
+                if fin is not None:
+                    over_s[:, fin] &= last
                 flag = over_s.any(axis=0)
                 if gone is not None and flag.any():
                     # a clamp after a path's exit step does not count
                     flag &= ~gone | (over_s.argmax(axis=0) <= first)
                 clamped[ids[flag]] = True
+            if fin is not None:
+                # rows that reach their stop time end there
+                done = fin if gone is None else fin[~gone[fin]]
+                end_state[ids[done]] = traj[:, left[done] - 1, done].T
+                if gone is None:
+                    gone = np.zeros(A, dtype=bool)
+                gone[fin] = True
             if gone is None:
                 X = traj[:, S - 1].copy()
             else:
@@ -299,10 +375,10 @@ def simulate_batch(model: ConjugateFieldModel, noise: NoiseModel, domain,
                 ids = ids.take(keep)
                 cols = cols.take(keep)
                 X = traj[:, S - 1].take(keep, axis=1)
-                if ids.size == 0:
-                    break
+                if ids.size:
+                    next_end = int(n_steps[ids].min())
+            j0 += S
         k += kb
 
-    end_state[ids] = X.T
     return {"exited": exited, "tau": tau, "steps_used": steps_used,
             "end_state": end_state, "clamped": clamped}

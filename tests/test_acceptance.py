@@ -84,12 +84,12 @@ def _rescaled(est, epsilon: float, beta: float) -> tuple[float, float]:
 def bench():
     """Criterion-2 benchmark runs, reused by criteria 8 and 9."""
     config = PathConfig(dt=5e-4)
-    runs = {}
     start = time.perf_counter()
-    for eps in (0.2, 0.05):
-        runs[eps] = direct_tail_estimate(
-            M1, N1, BOX1, np.array([0.0]), eps, TH15, 200_000, config,
-            GLOBAL_SEED)
+    # both epsilons in one call: their cells step on the same path streams
+    ests = direct_tail_estimate(
+        M1, N1, BOX1, [(np.array([0.0]), eps) for eps in (0.2, 0.05)], TH15,
+        200_000, config, GLOBAL_SEED)
+    runs = dict(zip((0.2, 0.05), ests))
     runs["wall"] = time.perf_counter() - start
     return runs
 
@@ -167,12 +167,11 @@ def test_criterion_2_linear_benchmark_prefactor(bench):
 def test_criterion_3_slope_across_epsilons():
     config = PathConfig(dt=1e-3)
     start = time.perf_counter()
-    points = []
-    for eps in (0.2, 0.1, 0.05, 0.025):
-        est = direct_tail_estimate(M1, N1, BOX1, np.array([0.0]), eps, TH15,
-                                   100_000, config, GLOBAL_SEED)
-        points.append((eps, est))
-    fit = slope_regression(points)
+    epsilons = (0.2, 0.1, 0.05, 0.025)
+    ests = direct_tail_estimate(M1, N1, BOX1,
+                                [(np.array([0.0]), eps) for eps in epsilons],
+                                TH15, 100_000, config, GLOBAL_SEED)
+    fit = slope_regression(list(zip(epsilons, ests)))
     elapsed = time.perf_counter() - start
     ok = 0.40 <= fit.slope <= 0.60 and elapsed <= 900.0
     _report(3, ok,
@@ -193,10 +192,10 @@ def test_criterion_4_anisotropic_2d_prefactor():
     c0 = limit_covariance(np.eye(2), spect)
     psi = survival_prefactor(spect, c0, box, 0.0, 1.2, np.zeros(2)).value
     start = time.perf_counter()
-    est = direct_tail_estimate(model, noise, box, np.zeros(2), 0.05,
+    est = direct_tail_estimate(model, noise, box, [(np.zeros(2), 0.05)],
                                threshold, 200_000,
                                PathConfig(dt=1e-3),
-                               GLOBAL_SEED)
+                               GLOBAL_SEED)[0]
     elapsed = time.perf_counter() - start
     resc, se = _rescaled(est, 0.05, beta)
     rel = abs(resc - psi) / psi
@@ -231,9 +230,9 @@ def test_criterion_5_quadratic_conjugacy():
 
     c0 = limit_covariance(np.array([[1.0]]), spect)
     psi = survival_prefactor(spect, c0, box, 0.0, 1.5, np.zeros(1)).value
-    est = direct_tail_estimate(model, noise, box, np.zeros(1), 0.05, TH15,
+    est = direct_tail_estimate(model, noise, box, [(np.zeros(1), 0.05)], TH15,
                                100_000, PathConfig(dt=1e-3),
-                               GLOBAL_SEED)
+                               GLOBAL_SEED)[0]
     resc, se = _rescaled(est, 0.05, 0.5)
     rel = abs(resc - psi) / psi
     ok = rel <= 0.25 and worst_flow <= 1e-6
@@ -260,10 +259,10 @@ def test_criterion_6_travel_time_adjusted_bracket():
     t_minus, t_plus = travel_time_bounds(M1, box, big, big)
     lo, hi = prefactor_bounds(S1, limit_covariance(np.array([[1.0]]), S1),
                               box, 0.0, 1.5, np.zeros(1), t_minus, t_plus)
-    raw = direct_tail_estimate(M1, N1, BoxDomain([-1.0], [1.0]), np.zeros(1),
-                               0.05, TH15, 20_000,
+    raw = direct_tail_estimate(M1, N1, BoxDomain([-1.0], [1.0]),
+                               [(np.zeros(1), 0.05)], TH15, 20_000,
                                PathConfig(dt=1e-3),
-                               GLOBAL_SEED)
+                               GLOBAL_SEED)[0]
     band = 3.0 * raw.stderr
     scale = 0.05 ** 0.5
     in_bracket = (lo.value * scale - band <= raw.p_hat
@@ -366,9 +365,9 @@ run.seed = 20260815
 def test_criterion_9_step_size_robustness(bench):
     coarse = bench[0.05]
     start = time.perf_counter()
-    fine = direct_tail_estimate(M1, N1, BOX1, np.zeros(1), 0.05, TH15,
+    fine = direct_tail_estimate(M1, N1, BOX1, [(np.zeros(1), 0.05)], TH15,
                                 200_000, PathConfig(dt=2.5e-4),
-                                GLOBAL_SEED + 9)
+                                GLOBAL_SEED + 9)[0]
     elapsed = time.perf_counter() - start
     comb = math.hypot(coarse.stderr, fine.stderr)
     ok = abs(coarse.p_hat - fine.p_hat) <= 2.0 * comb

@@ -240,6 +240,7 @@ class TestEstimate:
 
     def test_partial_outputs_flushed_on_midrun_failure(
             self, config_file, tmp_path, capsys, monkeypatch):
+        # splitting runs cell by cell, so the cells before the failure stay
         import exitlab.harness as hz
         real = hz._estimate_one
         seen = []
@@ -252,13 +253,45 @@ class TestEstimate:
 
         monkeypatch.setattr(hz, "_estimate_one", flaky)
         out_dir = tmp_path / "out"
-        code = main(["estimate", "--config", config_file(GOOD),
-                     "--out", str(out_dir)])
+        code = main(["estimate", "--config", config_file(
+            GOOD + "estimator.method = splitting\nestimator.budget = 200\n"),
+            "--out", str(out_dir)])
         assert code == 2
         assert "wrote partial" in capsys.readouterr().err
         rows = (out_dir / "rows.csv").read_text().splitlines()
         assert len(rows) == 3  # header + the two finished cells
         assert json.loads((out_dir / "summary.json").read_text())["partial"]
+
+    def test_direct_failure_leaves_a_partial_record_and_no_worker(
+            self, config_file, tmp_path, capsys, monkeypatch):
+        # the direct cells finish together, so a failure in their one run
+        # leaves no Monte Carlo row
+        import multiprocessing
+
+        import exitlab.estimator as est
+        parent = os.getpid()
+        real = est.simulate_batch
+
+        def fails_in_worker(*args):
+            if os.getpid() != parent:
+                raise NoExit("no exit in a worker")
+            return real(*args)
+
+        monkeypatch.setattr(est, "simulate_batch", fails_in_worker)
+        out_dir = tmp_path / "out"
+        code = main(["estimate", "--config", config_file(
+            GOOD + "estimator.batch_size = 100\nrun.workers = 2\n"),
+            "--out", str(out_dir)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "wrote partial" in err and "no exit in a worker" in err
+        rows = (out_dir / "rows.csv").read_text().splitlines()
+        assert rows == [",".join(exitlab.CSV_COLUMNS)]
+        summary = json.loads((out_dir / "summary.json").read_text())
+        assert summary["partial"] is True
+        assert any("partial run" in w for w in summary["warnings"])
+        assert est._ACTIVE_POOL is None
+        assert multiprocessing.active_children() == []
 
 
 # alpha * lambda = 1: the prefactor takes the boundary branch, whose normal

@@ -52,16 +52,16 @@ def bernoulli_setup(p_survive, dt=1e-3, epsilon=0.1):
 class TestDirectEstimate:
     def test_zero_threshold_is_certain_survival(self):
         ts = ThresholdSpec(alpha=0.0, r0=0.0)
-        est = direct_tail_estimate(ID1, N1, BOX1, np.zeros(1), 0.1, ts,
-                                   n_paths=500, config=CFG, seed=1)
+        est = direct_tail_estimate(ID1, N1, BOX1, [(np.zeros(1), 0.1)], ts,
+                                   n_paths=500, config=CFG, seed=1)[0]
         assert est.p_hat == 1.0
         assert est.stderr == 0.0
         assert est.n_survived == 500
 
     def test_estimate_fields_are_exact(self):
         box, ts = bernoulli_setup(0.3)
-        est = direct_tail_estimate(ID1, N1, box, np.zeros(1), 0.1, ts,
-                                   n_paths=2000, config=CFG, seed=8)
+        est = direct_tail_estimate(ID1, N1, box, [(np.zeros(1), 0.1)], ts,
+                                   n_paths=2000, config=CFG, seed=8)[0]
         assert est.method == "direct"
         assert est.p_hat == est.n_survived / est.n_paths
         assert est.stderr == math.sqrt(est.p_hat * (1 - est.p_hat) / est.n_paths)
@@ -69,8 +69,8 @@ class TestDirectEstimate:
     def test_known_bernoulli_probability(self):
         box, ts = bernoulli_setup(0.3)
         n = 10**5
-        est = direct_tail_estimate(ID1, N1, box, np.zeros(1), 0.1, ts,
-                                   n_paths=n, config=CFG, seed=31)
+        est = direct_tail_estimate(ID1, N1, box, [(np.zeros(1), 0.1)], ts,
+                                   n_paths=n, config=CFG, seed=31)[0]
         tol = 4.0 * math.sqrt(0.3 * 0.7 / n)
         assert abs(est.p_hat - 0.3) <= tol
 
@@ -80,8 +80,8 @@ class TestDirectEstimate:
         n = 500
         vals = []
         for r in range(reps):
-            est = direct_tail_estimate(ID1, N1, box, np.zeros(1), 0.1, ts,
-                                       n_paths=n, config=CFG, seed=1000 + r)
+            est = direct_tail_estimate(ID1, N1, box, [(np.zeros(1), 0.1)], ts,
+                                       n_paths=n, config=CFG, seed=1000 + r)[0]
             vals.append(est.p_hat)
         mean = float(np.mean(vals))
         se_mean = math.sqrt(0.3 * 0.7 / (n * reps))
@@ -90,9 +90,9 @@ class TestDirectEstimate:
     def test_seed_determinism_across_workers(self):
         box, ts = bernoulli_setup(0.25)
         runs = [
-            direct_tail_estimate(ID1, N1, box, np.zeros(1), 0.1, ts,
+            direct_tail_estimate(ID1, N1, box, [(np.zeros(1), 0.1)], ts,
                                  n_paths=5000, config=CFG, seed=77,
-                                 workers=w, batch_size=512)
+                                 workers=w, batch_size=512)[0]
             for w in (1, 2, 4)
         ]
         assert runs[0].p_hat == runs[1].p_hat == runs[2].p_hat
@@ -101,19 +101,19 @@ class TestDirectEstimate:
 
     def test_batch_size_is_invisible(self):
         box, ts = bernoulli_setup(0.25)
-        a = direct_tail_estimate(ID1, N1, box, np.zeros(1), 0.1, ts,
+        a = direct_tail_estimate(ID1, N1, box, [(np.zeros(1), 0.1)], ts,
                                  n_paths=3000, config=CFG, seed=7,
-                                 batch_size=3000)
-        b = direct_tail_estimate(ID1, N1, box, np.zeros(1), 0.1, ts,
+                                 batch_size=3000)[0]
+        b = direct_tail_estimate(ID1, N1, box, [(np.zeros(1), 0.1)], ts,
                                  n_paths=3000, config=CFG, seed=7,
-                                 batch_size=577)
+                                 batch_size=577)[0]
         assert a.p_hat == b.p_hat
         assert a.n_survived == b.n_survived
 
     def test_wilson_interval_for_rare_survival(self):
         box, ts = bernoulli_setup(0.004)
-        est = direct_tail_estimate(ID1, N1, box, np.zeros(1), 0.1, ts,
-                                   n_paths=2000, config=CFG, seed=15)
+        est = direct_tail_estimate(ID1, N1, box, [(np.zeros(1), 0.1)], ts,
+                                   n_paths=2000, config=CFG, seed=15)[0]
         assert 0 < est.n_survived < 30
         lo, hi = est.wilson_interval
         assert 0.0 < lo < est.p_hat < hi < 1.0
@@ -123,8 +123,8 @@ class TestDirectEstimate:
         box = BoxDomain([-1e-9], [1e-9])
         ts = ThresholdSpec(alpha=0.0, r0=1e-3)
         n = 400
-        est = direct_tail_estimate(ID1, N1, box, np.zeros(1), 0.1, ts,
-                                   n_paths=n, config=CFG, seed=4)
+        est = direct_tail_estimate(ID1, N1, box, [(np.zeros(1), 0.1)], ts,
+                                   n_paths=n, config=CFG, seed=4)[0]
         assert est.p_hat == 0.0
         assert est.zero_upper_bound == pytest.approx(
             1.0 - 0.05 ** (1.0 / n), rel=1e-12)
@@ -139,8 +139,8 @@ def test_batch_size_below_one_is_rejected(entry, batch_size):
     x0 = np.zeros(1)
     calls = {
         "direct": lambda: direct_tail_estimate(
-            ID1, N1, box, x0, 0.1, ts, n_paths=100, config=CFG, seed=1,
-            batch_size=batch_size),
+            ID1, N1, box, [(x0, 0.1)], ts, n_paths=100, config=CFG, seed=1,
+            batch_size=batch_size)[0],
         "splitting": lambda: splitting_tail_estimate(
             ID1, N1, box, x0, 0.1, ts, 100, CFG, seed=1,
             batch_size=batch_size),
@@ -198,8 +198,8 @@ class TestSplitting:
     def test_single_level_agrees_with_direct(self):
         ts = ThresholdSpec(alpha=1.5)
         T0 = ts.time(0.2)
-        d = direct_tail_estimate(ID1, N1, BOX1, np.zeros(1), 0.2, ts,
-                                 n_paths=4000, config=CFG, seed=21)
+        d = direct_tail_estimate(ID1, N1, BOX1, [(np.zeros(1), 0.2)], ts,
+                                 n_paths=4000, config=CFG, seed=21)[0]
         s = splitting_tail_estimate(ID1, N1, BOX1, np.zeros(1), 0.2, ts, 4000,
                                     config=CFG, seed=21, level_step=T0)
         assert s.n_paths == 4000
@@ -209,8 +209,8 @@ class TestSplitting:
     def test_coarse_plan_with_minimum_budget(self):
         ts = ThresholdSpec(alpha=1.5)
         T0 = ts.time(0.2)
-        d = direct_tail_estimate(ID1, N1, BOX1, np.zeros(1), 0.2, ts,
-                                 n_paths=4000, config=CFG, seed=21)
+        d = direct_tail_estimate(ID1, N1, BOX1, [(np.zeros(1), 0.2)], ts,
+                                 n_paths=4000, config=CFG, seed=21)[0]
         s = splitting_tail_estimate(ID1, N1, BOX1, np.zeros(1), 0.2, ts, 100,
                                     config=CFG, seed=77, level_step=T0 / 5)
         assert abs(d.p_hat - s.p_hat) <= 4.0 * math.hypot(d.stderr, s.stderr)
@@ -220,8 +220,8 @@ class TestSplitting:
         # should beat direct on work-normalized relative variance.
         ts = ThresholdSpec(alpha=2.5)
         eps = 0.05
-        d = direct_tail_estimate(ID1, N1, BOX1, np.zeros(1), eps, ts,
-                                 n_paths=20000, config=CFG, seed=13)
+        d = direct_tail_estimate(ID1, N1, BOX1, [(np.zeros(1), eps)], ts,
+                                 n_paths=20000, config=CFG, seed=13)[0]
         s = splitting_tail_estimate(ID1, N1, BOX1, np.zeros(1), eps, ts, 5000,
                                     config=CFG, seed=13)
         assert abs(d.p_hat - s.p_hat) <= 3.0 * math.hypot(d.stderr, s.stderr)
@@ -258,8 +258,8 @@ class TestAdjusted:
         # big domain equals the box: per-path travel time is 0 and the
         # adjusted indicator coincides with the direct one (grid-aligned T0)
         ts = ThresholdSpec(alpha=0.0, r0=3.0)
-        d = direct_tail_estimate(ID1, N1, BOX1, np.zeros(1), 0.1, ts,
-                                 n_paths=3000, config=CFG, seed=5)
+        d = direct_tail_estimate(ID1, N1, BOX1, [(np.zeros(1), 0.1)], ts,
+                                 n_paths=3000, config=CFG, seed=5)[0]
         res = adjusted_tail_estimate(ID1, N1, BOX1, SmoothDomain.ball(1.0),
                                      np.zeros(1), 0.1, ts, n_paths=3000,
                                      config=CFG, seed=5)
@@ -332,8 +332,8 @@ class TestWorkerPool:
             kw = dict(config=PathConfig(dt=5e-3), seed=11, workers=workers,
                       batch_size=64)
             return (
-                direct_tail_estimate(LAMBDA_MODEL, noise, box, x, 0.1, ts,
-                                     n_paths=192, **kw),
+                direct_tail_estimate(LAMBDA_MODEL, noise, box, [(x, 0.1)], ts,
+                                     n_paths=192, **kw)[0],
                 splitting_tail_estimate(LAMBDA_MODEL, noise, box, x, 0.1, ts,
                                         192, **kw),
                 adjusted_tail_estimate(LAMBDA_MODEL, noise, box, LAMBDA_BIG,
@@ -357,8 +357,8 @@ class TestWorkerPool:
 class TestRescaledPrefactor:
     def test_scaling(self):
         box, ts = bernoulli_setup(0.3)
-        est = direct_tail_estimate(ID1, N1, box, np.zeros(1), 0.1, ts,
-                                   n_paths=1000, config=CFG, seed=9)
+        est = direct_tail_estimate(ID1, N1, box, [(np.zeros(1), 0.1)], ts,
+                                   n_paths=1000, config=CFG, seed=9)[0]
         val, se = rescaled_prefactor(est, 0.05, 0.5)
         factor = 0.05 ** -0.5
         assert val == pytest.approx(est.p_hat * factor, rel=1e-15)
@@ -366,8 +366,8 @@ class TestRescaledPrefactor:
 
     def test_beta_zero_is_identity(self):
         box, ts = bernoulli_setup(0.3)
-        est = direct_tail_estimate(ID1, N1, box, np.zeros(1), 0.1, ts,
-                                   n_paths=1000, config=CFG, seed=9)
+        est = direct_tail_estimate(ID1, N1, box, [(np.zeros(1), 0.1)], ts,
+                                   n_paths=1000, config=CFG, seed=9)[0]
         val, se = rescaled_prefactor(est, 0.05, 0.0)
         assert val == est.p_hat
         assert se == est.stderr

@@ -46,6 +46,13 @@ estimator.dt = 0.002
 """
 
 
+# three splitting cells of 300 paths per level
+SMALL_SPLITTING = SMALL_RUN + """
+estimator.method = splitting
+estimator.budget = 300
+"""
+
+
 def _cfg(text):
     return parse_config(text)
 
@@ -375,6 +382,7 @@ class TestRunEstimate:
         assert record.rows[0].method == "adjusted"
 
     def test_partial_record_attached_on_cell_failure(self, monkeypatch):
+        # splitting runs cell by cell, so the cells before the failure stay
         import exitlab.harness as hz
         real = hz._estimate_one
         seen = []
@@ -387,7 +395,7 @@ class TestRunEstimate:
 
         monkeypatch.setattr(hz, "_estimate_one", flaky)
         with pytest.raises(NoExit) as exc:
-            run_estimate(_cfg(SMALL_RUN))
+            run_estimate(_cfg(SMALL_SPLITTING))
         partial = exc.value.partial_record
         assert partial.partial
         assert len(partial.rows) == 2
@@ -409,7 +417,7 @@ class TestRunEstimate:
 
         monkeypatch.setattr(est, "simulate_batch", fails_in_worker)
         with pytest.raises(NoExit, match="in a worker") as exc:
-            run_estimate(_cfg(SMALL_RUN + "estimator.batch_size = 200\n"
+            run_estimate(_cfg(SMALL_SPLITTING + "estimator.batch_size = 200\n"
                               "run.workers = 2\n"))
         assert len(exc.value.partial_record.rows) == 2
         assert est._ACTIVE_POOL is None
@@ -424,6 +432,97 @@ class TestRunEstimate:
         assert record.rows[0].method == "splitting"
         # T0 = 1.5*ln(5) splits into 3 levels of budget 300 each
         assert record.rows[0].n_paths == 900
+
+
+# 3 epsilons x 3 start points, all direct
+DIRECT_SWEEP = """
+model.lambdas = 1.0, 0.5
+domain.lower = -1.0
+domain.upper = 1.0
+threshold.alpha = 1.2
+sweep.epsilons = 0.3, 0.2, 0.1
+initial.points = 0,0; 0.5,0; -0.4,-0.3
+estimator.n_paths = 300
+estimator.dt = 0.005
+"""
+
+
+class TestDirectSweep:
+    """A sweep's direct cells run in one call on shared path streams."""
+
+    @pytest.fixture(scope="class")
+    def serial(self):
+        return run_estimate(_cfg(DIRECT_SWEEP))
+
+    @pytest.mark.parametrize("workers, batch_size", [
+        (1, 64), (1, 128), (2, 64), (2, 128), (2, 16384)])
+    def test_rows_do_not_depend_on_workers_or_batches(self, serial, workers,
+                                                      batch_size):
+        other = run_estimate(_cfg(
+            DIRECT_SWEEP + f"estimator.batch_size = {batch_size}\n"
+            f"run.workers = {workers}\n"))
+        assert _strip_wall(rows_csv_text(other)) == _strip_wall(
+            rows_csv_text(serial))
+
+    def test_each_cell_is_its_single_cell_estimate(self, serial):
+        from exitlab import direct_tail_estimate
+
+        cfg = _cfg(DIRECT_SWEEP)
+        assert len(serial.rows) == 9
+        assert len({row.p_hat for row in serial.rows}) > 1
+        for row in serial.rows:
+            alone = direct_tail_estimate(
+                cfg.model, cfg.noise, cfg.box, [(np.array(row.x), row.epsilon)],
+                cfg.threshold, cfg.n_paths, cfg.path, cfg.seed)
+            assert alone == [row.estimate]
+
+    @pytest.mark.parametrize("rows", [None, 100])
+    def test_builds_one_generator_per_path(self, serial, monkeypatch, rows):
+        # with rows, a call holds at most 100 rows: slices of 11 paths
+        import exitlab.estimator as est
+
+        made = []
+        real = est.make_generator
+
+        def counted(seed, path_id):
+            made.append(path_id)
+            return real(seed, path_id)
+
+        monkeypatch.setattr(est, "make_generator", counted)
+        if rows is not None:
+            monkeypatch.setattr(est, "_DIRECT_ROWS", rows)
+        record = run_estimate(_cfg(DIRECT_SWEEP + "estimator.batch_size = 128\n"))
+        assert sorted(made) == list(range(300))
+        assert _strip_wall(rows_csv_text(record)) == _strip_wall(
+            rows_csv_text(serial))
+
+    def test_wall_seconds_add_up_to_the_time_spent(self, monkeypatch):
+        # a clock that moves only in the theory columns (1 s per cell) and
+        # in the direct run (7 s for all nine cells)
+        import types
+
+        import exitlab.harness as hz
+        now = [0.0]
+        theory, direct = hz._theory_columns, hz.direct_tail_estimate
+
+        def slow_theory(*args):
+            now[0] += 1.0
+            return theory(*args)
+
+        def slow_direct(*args, **kwargs):
+            now[0] += 7.0
+            return direct(*args, **kwargs)
+
+        monkeypatch.setattr(hz, "time", types.SimpleNamespace(
+            perf_counter=lambda: now[0]))
+        monkeypatch.setattr(hz, "_theory_columns", slow_theory)
+        monkeypatch.setattr(hz, "direct_tail_estimate", slow_direct)
+        rows = run_estimate(_cfg(DIRECT_SWEEP)).rows
+        total = sum(row.estimate.path_steps for row in rows)
+        for row in rows:
+            assert row.wall_seconds == pytest.approx(
+                1.0 + 7.0 * row.estimate.path_steps / total, rel=1e-12)
+        assert sum(row.wall_seconds for row in rows) == pytest.approx(16.0, rel=1e-12)
 
 
 class TestOutputs:

@@ -267,6 +267,17 @@ class TestSimulateBatch:
             simulate_batch(ID1, N1, BOX1, np.full((2, 1), 0.1), 0.1, 1.0, dt,
                            [make_generator(1, p) for p in range(2)])
 
+    @pytest.mark.parametrize("epsilon, stop, match", [
+        ([0.1, 1.0], 1.0, "epsilon must lie in"),
+        ([0.0, 0.1], 1.0, "epsilon must be 0 on every row or on none"),
+        (0.1, [1.0, -1e-3], "stop_time must be finite"),
+        (0.1, [math.nan, 1.0], "stop_time must be finite"),
+    ])
+    def test_rejects_bad_per_row_values(self, epsilon, stop, match):
+        with pytest.raises(ValueError, match=match):
+            simulate_batch(ID1, N1, BOX1, np.full((2, 1), 0.1), epsilon, stop,
+                           1e-3, [make_generator(1, p) for p in range(2)])
+
     def test_epsilon_zero_no_draws(self):
         X0 = np.full((3, 1), 0.4)
         res = simulate_batch(ID1, N1, BOX1, X0, 0.0, 2.0, 1e-3,
@@ -610,6 +621,139 @@ class TestMappedNoiseBuffer:
         for k in RESULT_KEYS:
             assert got[k].tobytes() == want[k].tobytes(), k
         assert got["exited"].any() and not got["exited"].all()
+
+
+def _stacked_and_alone(model, noise, domain, cells, dt, seed=31):
+    """simulate_batch of every cell's rows stacked on one set of path
+    streams, checked bit for bit against each cell run alone.
+
+    A cell is (X0, epsilon, stop_time); row p of each cell steps on the
+    stream of path p.
+    """
+    n = cells[0][0].shape[0]
+    got = simulate_batch(
+        model, noise, domain, np.vstack([X0 for X0, _, _ in cells]),
+        np.repeat([eps for _, eps, _ in cells], n),
+        np.repeat([stop for _, _, stop in cells], n), dt,
+        [make_generator(seed, p) for p in range(n)],
+        np.tile(np.arange(n), len(cells)))
+    for c, (X0, eps, stop) in enumerate(cells):
+        alone = simulate_batch(model, noise, domain, X0, eps, stop, dt,
+                               [make_generator(seed, p) for p in range(n)])
+        for k in RESULT_KEYS:
+            assert got[k][c * n:(c + 1) * n].tobytes() == alone[k].tobytes(), (c, k)
+    return got
+
+
+_S3 = Spectrum([1.0, 0.7, 0.4])
+# 0 steps; 21 steps, which ends inside a sub-block; 550 steps, in the second
+# block with a 0.44 dt final step; 900 and 1100 steps, in the second and
+# third blocks
+_CELL_STOPS = (0.0, 0.0205, _STOP, 0.9, 1.1)
+
+
+def _cells(d, n, eps, seed, stops=_CELL_STOPS, edge=None):
+    """Cells of _box_starts rows, or with edge, of 1-d starts whose rows
+    1 and 4 lie on the edge and outside it."""
+    rng = np.random.default_rng(seed)
+    cells = []
+    for e, t in zip(eps, stops):
+        if edge is None:
+            X0 = _box_starts(d, n, rng)
+        else:
+            X0 = rng.uniform(-0.3, 0.3, (n, 1))
+            X0[1, 0], X0[4, 0] = edge, -1.5 * edge
+        cells.append((X0, e, t))
+    return cells
+
+
+# 5 cells of 24 rows on 24 streams: sub-blocks of 32 * 24 // 120 = 6 steps
+# until enough rows leave
+SHARED_CASES = {
+    "d1_identity": (ID1, N1, BOX1, _cells(1, 24, (0.3, 0.2, 0.25, 0.3, 0.15), 1,
+                                          edge=1.0), 1e-3),
+    "d2_diagonal": (ID2, NoiseModel(np.diag([0.5, 2.0])), _BOX2,
+                    _cells(2, 24, (0.3, 0.2, 0.25, 0.3, 0.15), 2), 1e-3),
+    "d2_non_diagonal": (ID2, NoiseModel([[1.0, 0.0], [1.0, 1.0]]), _BOX2,
+                        _cells(2, 24, (0.3, 0.2, 0.25, 0.3, 0.15), 3), 1e-3),
+    "d2_state_scaled": (ID2, NoiseModel.state_scaled(
+        [[1.0, 0.3, 0.2], [0.1, 1.0, 0.4]], 0.5), _BOX2,
+        _cells(2, 24, (0.3, 0.2, 0.25, 0.3, 0.15), 4), 1e-3),
+    "d2_no_domain": (ID2, NoiseModel([[1.0, 0.3, 0.2], [0.1, 1.0, 0.4]]), None,
+                     _cells(2, 24, (0.3, 0.2, 0.25, 0.3, 0.15), 5), 1e-3),
+    # the upper sides lie past the validity radius: paths there get clamped
+    "d2_quadratic_clamp": (_QUAD2, NoiseModel(np.eye(2)),
+                           BoxDomain([-0.15, -0.15], [0.3, 0.3]),
+                           [(np.zeros((24, 2)), e, t) for e, t in
+                            zip((0.3, 0.2, 0.25, 0.3, 0.15), _CELL_STOPS)], 1e-3),
+    # 17, 549 (a 0.36 dt final step) and 807 steps on a dt that divides no stop
+    "d3_non_diagonal_ball": (
+        ConjugateFieldModel.identity(_S3),
+        NoiseModel([[1.0, 0.2, 0.0], [0.3, 0.8, 0.1], [0.0, 0.5, 1.2]]),
+        SmoothDomain.ball(0.6),
+        _cells(3, 24, (0.2, 0.1, 0.15, 0.02), 6, (0.0, 0.05, 1.7, 2.5)), 0.0031),
+    # sigma 0.7, and every cell has a start on the box and one outside it
+    "d1_quadratic": (_Q1, NoiseModel([[0.7]]), BoxDomain([-0.12], [0.1]),
+                     [(np.vstack([rng_x, [[0.1]], [[-0.3]]]), e, t) for rng_x, e, t in
+                      zip(np.random.default_rng(7).uniform(-0.05, 0.05, (5, 22, 1)),
+                          (0.1, 0.05, 0.08, 0.1, 0.03), _CELL_STOPS)], 1e-3),
+    # 40 cells of 3 rows: more rows than step-rows, so one step per sub-block
+    "many_cells": (ID1, N1, BOX1, [
+        (np.random.default_rng(c).uniform(-0.5, 0.5, (3, 1)), 0.05 + 0.01 * c,
+         _CELL_STOPS[c % 5]) for c in range(40)], 1e-3),
+}
+
+
+class TestSharedStreams:
+    """Cells stacked on shared path streams step as each cell alone."""
+
+    @pytest.mark.parametrize("case", sorted(SHARED_CASES))
+    def test_stacked_cells_match_separate_runs(self, case):
+        _stacked_and_alone(*SHARED_CASES[case])
+
+    def test_cases_reach_their_branches(self):
+        def run(case):
+            return _stacked_and_alone(*SHARED_CASES[case])
+
+        res = run("d1_identity")
+        zero = slice(0, 24)  # the cell with stop time 0
+        assert (res["steps_used"][zero] == 0).all()
+        # only the starts on and outside the box exit, at tau = 0
+        np.testing.assert_array_equal(np.flatnonzero(res["exited"][zero]), [1, 4])
+        assert (res["tau"][zero][[1, 4]] == 0.0).all()
+        for c, n in enumerate((21, 550, 900, 1100), start=1):
+            rows = res["steps_used"][24 * c:24 * (c + 1)]
+            assert (rows == n).any() and (rows < n).any(), (c, n)
+        res = run("d2_quadratic_clamp")
+        assert (res["clamped"] & res["exited"]).any()
+        assert (res["clamped"] & ~res["exited"]).any()
+        res = run("d3_non_diagonal_ball")
+        assert (res["steps_used"] == 549).any() and (res["steps_used"] == 807).any()
+        assert res["exited"].any()
+        res = run("d1_quadratic")
+        assert (res["tau"].reshape(5, 24)[:, 22:] == 0.0).all()  # the last two
+
+    def test_each_stream_is_drawn_once_per_block(self):
+        drawn = []
+
+        class Counting:
+            def __init__(self, gen):
+                self.gen = gen
+
+            def standard_normal(self, out):
+                drawn.append((self, out.size))
+                return self.gen.standard_normal(out=out)
+
+        model, noise, domain, cells, dt = SHARED_CASES["d1_identity"]
+        gens = [Counting(make_generator(31, p)) for p in range(24)]
+        simulate_batch(model, noise, None, np.vstack([c[0] for c in cells]),
+                       np.repeat([c[1] for c in cells], 24),
+                       np.repeat([c[2] for c in cells], 24), dt, gens,
+                       np.tile(np.arange(24), 5))
+        # without exits every stream lives to the longest grid, 1100 steps
+        want = [BLOCK_STEPS, BLOCK_STEPS, 1100 - 2 * BLOCK_STEPS]
+        for g in gens:
+            assert [size for who, size in drawn if who is g] == want
 
 
 class TestStepBookkeeping:
