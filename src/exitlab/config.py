@@ -25,7 +25,7 @@ from .dynamics import (
     transversality_check,
 )
 from .errors import ExitlabError, ParseError, ValidationError
-from .estimator import MIN_DENSITY_SAMPLES
+from .estimator import DEFAULT_BATCH_SIZE, MIN_DENSITY_SAMPLES
 from .exponents import InitialScaleSpec, Spectrum, ThresholdSpec, classify_admissible
 from .sde import PathConfig
 
@@ -57,7 +57,7 @@ _SCHEMA: dict[str, tuple[str, object]] = {
     "estimator.n_paths": ("int", 100_000),
     "estimator.dt": ("float", 1e-3),
     "estimator.t_cap": ("float", 0.0),
-    "estimator.batch_size": ("int", 16384),
+    "estimator.batch_size": ("int", DEFAULT_BATCH_SIZE),
     "estimator.budget": ("int", 10_000),
     "estimator.level_step": ("float", 1.0),
     "diagnostic.time": ("float", 1.0),

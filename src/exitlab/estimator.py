@@ -7,14 +7,16 @@ time only, never the estimate.  The workers are forked once per worker_pool
 block, which harness.run_estimate opens around a whole sweep and each
 estimator around its own call, and every batch in the block reuses them.
 
-The direct estimator takes all the (x, epsilon) cells of a sweep at once.
-Path p of every cell steps on the stream of (seed, p), so a batch builds
-its generators once and simulate_batch steps every cell's rows on them,
-drawing each stream once per block (common random numbers across cells).
-Each cell's counts are those it gets alone.  Splitting and
-the adjusted estimate run one cell per call: splitting resamples its start
-states at every level, and a continuation resumes each stream where its
-own box exit left it.
+Every batch job runs its paths through _simulate, the one place that builds
+a batch's path generators.  The direct estimator takes all the (x, epsilon)
+cells of a sweep at once.  Path p of every cell steps on the stream of
+(seed, p), so a batch builds its generators once and simulate_batch steps
+every cell's rows on them, drawing each stream once per block (common
+random numbers across cells).  Its batches are cut smaller as the cells
+grow in number, to at most _DIRECT_ROWS rows each.  Each cell's counts
+are those it gets alone.  Splitting and the adjusted estimate run one
+cell per call: splitting resamples its start states at every level, and a
+continuation resumes each stream where its own box exit left it.
 """
 
 from __future__ import annotations
@@ -52,9 +54,8 @@ _RESAMPLE_SALT = 0x5DEECE66D
 
 _Z95 = 1.959963984540054
 
-# Most rows (cells x paths) that one simulate_batch call of the direct
-# estimator holds.  A batch of a sweep with many cells runs its paths in
-# slices, so its memory does not grow with the number of cells.
+# Most rows (cells x paths) that one batch of the direct estimator holds:
+# a sweep with many cells runs fewer paths per batch.
 _DIRECT_ROWS = 1 << 17
 
 
@@ -242,11 +243,14 @@ def _tally(res: dict) -> tuple[int, int]:
 
 
 def _simulate(model, noise, domain, starts, epsilon, stop_time, dt, seed, ids):
-    """simulate_batch of the paths with ids `ids` from starts, which is one
-    row for every path or one row per path; also the paths' generators."""
+    """simulate_batch of rows on the streams of the paths with ids `ids`,
+    and the paths' generators.  starts is one row for every path, or
+    k * len(ids) rows, of which row r steps on the stream of
+    ids[r % len(ids)]."""
     gens = [make_generator(seed, pid) for pid in ids]
-    X0 = np.broadcast_to(starts, (len(ids), starts.shape[-1]))
-    return simulate_batch(model, noise, domain, X0, epsilon, stop_time, dt,
+    if starts.ndim == 1:
+        starts = np.broadcast_to(starts, (len(gens), starts.size))
+    return simulate_batch(model, noise, domain, starts, epsilon, stop_time, dt,
                           gens), gens
 
 
@@ -254,22 +258,14 @@ def _direct_batch(model, noise, domain, starts, epsilons, stop_times, dt,
                   seed, ids):
     """The (exited, path-steps, clamped) counts of each cell, as a (3, cells)
     array, over the paths with ids `ids`.  Cell c starts at starts[c] and
-    runs with epsilons[c] to stop_times[c], and every cell's rows step on
-    the same path streams.  The paths run in slices of at most _DIRECT_ROWS
-    rows, each built and drawn once."""
-    c = len(epsilons)
-    width = max(1, _DIRECT_ROWS // c)
-    counts = np.zeros((3, c), dtype=np.int64)
-    for a in range(0, len(ids), width):
-        gens = [make_generator(seed, pid) for pid in ids[a:a + width]]
-        b = len(gens)
-        res = simulate_batch(
-            model, noise, domain, np.repeat(starts, b, axis=0),
-            np.repeat(epsilons, b), np.repeat(stop_times, b), dt, gens,
-            np.tile(np.arange(b), c) if c > 1 else None)
-        counts += [res[key].reshape(c, b).sum(axis=1)
-                   for key in ("exited", "steps_used", "clamped")]
-    return counts
+    runs with epsilons[c] to stop_times[c]; its rows are stacked cell-major,
+    so path p of every cell steps on the one stream of p."""
+    b = len(ids)
+    res, _ = _simulate(model, noise, domain, np.repeat(starts, b, axis=0),
+                       np.repeat(epsilons, b), np.repeat(stop_times, b), dt,
+                       seed, ids)
+    return np.array([res[key].reshape(-1, b).sum(axis=1)
+                     for key in ("exited", "steps_used", "clamped")])
 
 
 def _level_batch(*args):
@@ -280,7 +276,7 @@ def _level_batch(*args):
 
 def direct_tail_estimate(model: ConjugateFieldModel, noise: NoiseModel,
                          domain, cells, threshold_spec: ThresholdSpec,
-                         n_paths: int, config: PathConfig, seed: int,
+                         n_paths: int, config: PathConfig, seed: int, *,
                          workers: int = 1,
                          batch_size: int = DEFAULT_BATCH_SIZE
                          ) -> list[TailEstimate]:
@@ -309,6 +305,7 @@ def direct_tail_estimate(model: ConjugateFieldModel, noise: NoiseModel,
         return _direct_batch, (model, noise, domain, starts, epsilons, times,
                                config.dt, seed, range(start, stop))
 
+    batch_size = min(batch_size, max(1, _DIRECT_ROWS // len(cells)))
     with worker_pool(workers, model, noise, domain):
         parts = _run_paths(task, n_paths, batch_size, workers)
     n_exited, steps, clamps = np.sum(parts, axis=0).tolist()
@@ -324,7 +321,7 @@ def direct_tail_estimate(model: ConjugateFieldModel, noise: NoiseModel,
 def splitting_tail_estimate(model: ConjugateFieldModel, noise: NoiseModel,
                             domain, x, epsilon: float,
                             threshold_spec: ThresholdSpec, budget: int,
-                            config: PathConfig, seed: int, workers: int = 1,
+                            config: PathConfig, seed: int, *, workers: int = 1,
                             batch_size: int = DEFAULT_BATCH_SIZE,
                             level_step: float = 1.0) -> TailEstimate:
     """Fixed-effort multilevel splitting of the survival probability.
@@ -448,7 +445,7 @@ def _adjusted_batch(model, noise, box, big_domain, starts, epsilon, stop_time,
 def adjusted_tail_estimate(model: ConjugateFieldModel, noise: NoiseModel,
                            box: BoxDomain, big_domain, x, epsilon: float,
                            threshold_spec: ThresholdSpec, n_paths: int,
-                           config: PathConfig, seed: int, workers: int = 1,
+                           config: PathConfig, seed: int, *, workers: int = 1,
                            batch_size: int = DEFAULT_BATCH_SIZE
                            ) -> AdjustedTailResult:
     """Estimate box survival from exits observed through an enclosing domain.
@@ -549,9 +546,9 @@ def _fluctuation_batch(model, noise, starts, y0, damp, epsilon, stop_time, dt,
 def rescaled_fluctuation_samples(model: ConjugateFieldModel, noise: NoiseModel,
                                  y0, epsilon: float, T: float,
                                  config: PathConfig, seed: int,
-                                 n_samples: int,
-                                 batch_size: int = DEFAULT_BATCH_SIZE,
-                                 workers: int = 1) -> np.ndarray:
+                                 n_samples: int, *, workers: int = 1,
+                                 batch_size: int = DEFAULT_BATCH_SIZE
+                                 ) -> np.ndarray:
     """Deviations of pushed-forward states from the deterministic ray.
 
     Path id p starts at f_inv(eps * y0), runs to time T without exit

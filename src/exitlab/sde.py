@@ -8,18 +8,20 @@ size is a module constant, not a tunable: a continuation run resumes a
 path's stream at the block boundary where the previous phase stopped, and
 changing the constant would silently change continuations.
 
-Layout: ``simulate_batch`` holds only the rows still alive.  Each row
-steps on one stream, and several rows may share one: the direct estimator
-stacks every cell of a sweep on the streams of the same path ids (common
-random numbers).  A block's normals are drawn once per stream that still
+Layout: ``simulate_batch`` holds only the rows still alive.  One stream
+rule: of ``G`` generators, row ``r`` steps on ``gens[r % G]``, so the row
+count is a multiple of ``G`` and rows ``r``, ``r + G``, ... share a stream.
+The direct estimator stacks the cells of a sweep cell-major on the streams
+of one set of path ids (common random numbers); every other caller has one
+row per stream.  A block's normals are drawn once per stream that still
 has an alive row, to the longest grid left, and stored step-major,
 ``(kb, width, A)``, in one buffer per batch (``_noise_buffer``).  Constant
 noise stores the increments ``xi @ sig0.T`` (width d; a square diagonal
 ``sig0`` scales each coordinate instead); state-dependent noise stores the
 raw normals (width n).  The block is walked in sub-blocks of at most
-``_SUB_STEPS`` steps and ``_SUB_STEPS`` step-rows per stream, and a
-sub-block takes each row's noise column once: in place when every row has
-a stream of its own, else by one ``take`` into a buffer allocated once.
+``_SUB_STEPS`` steps and ``_SUB_STEPS`` step-rows per stream.  One read
+rule: a sub-block reads the block in place while the alive rows are its
+columns in order, and otherwise takes its rows' columns with one ``take``.
 Constant increments are then scaled by ``eps * sqrt(dt)`` in place, one
 scalar when the batch has one epsilon; state-dependent ones are mixed per
 step by ``sigma(x)``.  Each row has its own grid: its last step has its
@@ -176,15 +178,15 @@ def _step_major_noise(gens: list, ids: np.ndarray, kb: int,
 
 
 def simulate_batch(model: ConjugateFieldModel, noise: NoiseModel, domain,
-                   X0: np.ndarray, epsilon, stop_time, dt: float, gens: list,
-                   streams=None) -> dict:
+                   X0: np.ndarray, epsilon, stop_time, dt: float,
+                   gens: list) -> dict:
     """Advance a batch of paths on the dt grid until exit or their stop time.
 
     X0 is (m, d).  epsilon and stop_time are one value for every row or one
-    value per row; epsilon is 0 on every row or on none.  Row r reads the
-    normals of gens[streams[r]], or of gens[r] when streams is None, so rows
-    that share a stream step on the same normals.  A row's stop time sets
-    its own grid: ceil(stop / dt) steps, the last one of its own size.
+    value per row; epsilon is 0 on every row or on none.  m is a multiple
+    of len(gens), and row r reads the normals of gens[r % len(gens)], so
+    rows that share a stream step on the same normals.  A row's stop time
+    sets its own grid: ceil(stop / dt) steps, the last one of its own size.
     domain may be None to disable exit detection (pure propagation).
     Returns five arrays keyed exited/tau/steps_used/end_state/clamped.
     A row of end_state is the path's exit state (X0 for a start outside the
@@ -209,6 +211,9 @@ def simulate_batch(model: ConjugateFieldModel, noise: NoiseModel, domain,
         raise ValueError("stop_time must be finite and >= 0")
     if not 0.0 < dt < math.inf:
         raise ValueError("dt must be finite and > 0")
+    G = len(gens)
+    if G == 0 or m % G:
+        raise ValueError(f"{m} rows are not a multiple of {G} generators")
 
     n_steps = np.where(stop > 0.0, np.ceil(stop / dt - 1e-12),
                        0.0).astype(np.int64)
@@ -238,35 +243,31 @@ def simulate_batch(model: ConjugateFieldModel, noise: NoiseModel, domain,
     sig0 = noise.sigma0 if const_noise else np.eye(noise.n)
     width = sig0.shape[0]  # noise numbers per path and step
     clamps = math.isfinite(model.validity_radius)  # nothing to clamp at inf
-    shared = streams is not None
-    stream = np.asarray(streams) if shared else None
     # Step-rows per sub-block: _SUB_STEPS for each stream.  Stacked rows
     # that share streams take shorter sub-blocks, so the trajectory stays
     # the size of one row per stream.
-    cap = _SUB_STEPS * (len(gens) if shared else m)
+    cap = _SUB_STEPS * G
     n_rows = min(_SUB_STEPS * ids.size, max(cap, ids.size))
     # Flat buffers that every sub-block views at its own (S, A) shape.
     traj_buf = np.empty(d * n_rows)
     bh_buf = np.empty(d * ids.size)
     over_buf = np.empty(n_rows, dtype=bool) if clamps else None
-    gather_buf = np.empty(width * n_rows) if shared and draws else None
-    n_max = int(n_steps[ids].max()) if ids.size else 0
-    n_live = np.unique(stream[ids]).size if shared else ids.size
-    noise_buf = _noise_buffer(min(BLOCK_STEPS, n_max) * width * n_live
-                              if draws else 0)
+    noise_buf = None
     sdt = math.sqrt(dt)
     # one epsilon for the whole batch scales its noise as a scalar
     e_all = float(eps[0]) if m and (eps == eps[0]).all() else None
     k = 0
     while ids.size:
         kb = min(BLOCK_STEPS, int(n_steps[ids].max()) - k)
-        # the streams of the alive rows, and each row's block column
-        if shared:
-            live, cols = np.unique(stream[ids], return_inverse=True)
-        else:
-            live, cols = ids, np.arange(ids.size)
+        # the streams of the alive rows, and each row's block column; None
+        # while the alive rows are the block's columns in order
+        live, cols = np.unique(ids % G, return_inverse=True)
+        if np.array_equal(cols, np.arange(cols.size)):
+            cols = None
         dW = w = None
         if draws:
+            if noise_buf is None:  # the first block is the largest
+                noise_buf = _noise_buffer(kb * width * live.size)
             dW = _step_major_noise(gens, live, kb, sig0, noise_buf[
                 :kb * width * live.size].reshape(kb, width, live.size))
         j0 = 0
@@ -294,10 +295,7 @@ def simulate_batch(model: ConjugateFieldModel, noise: NoiseModel, domain,
             bh = bh_buf[:d * A].reshape(d, A).T
             if dW is not None:
                 w = dW[j0:j0 + S]
-                if gather_buf is not None:
-                    w = np.take(w, cols, axis=2, mode="clip",
-                                out=gather_buf[:S * width * A].reshape(S, width, A))
-                elif cols.size != w.shape[2]:
+                if cols is not None:
                     w = w.take(cols, axis=2)
                 if const_noise:
                     # each slab is read once, so it is scaled where it lies
@@ -373,7 +371,7 @@ def simulate_batch(model: ConjugateFieldModel, noise: NoiseModel, domain,
             else:
                 keep = np.flatnonzero(~gone)
                 ids = ids.take(keep)
-                cols = cols.take(keep)
+                cols = keep if cols is None else cols.take(keep)
                 X = traj[:, S - 1].take(keep, axis=1)
                 if ids.size:
                     next_end = int(n_steps[ids].min())

@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import math
 
 import numpy as np
@@ -153,6 +154,17 @@ def test_batch_size_below_one_is_rejected(entry, batch_size):
     }
     with pytest.raises(ValueError, match="batch_size must be >= 1"):
         calls[entry]()
+
+
+@pytest.mark.parametrize("entry", [
+    direct_tail_estimate, splitting_tail_estimate, adjusted_tail_estimate,
+    rescaled_fluctuation_samples])
+def test_workers_and_batch_size_are_keyword_only(entry):
+    # a positional call could swap them, and a batch size taken as a worker
+    # count would fork that many processes
+    params = inspect.signature(entry).parameters
+    for name in ("workers", "batch_size"):
+        assert params[name].kind is inspect.Parameter.KEYWORD_ONLY, name
 
 
 class TestSplitting:

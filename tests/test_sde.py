@@ -278,6 +278,12 @@ class TestSimulateBatch:
             simulate_batch(ID1, N1, BOX1, np.full((2, 1), 0.1), epsilon, stop,
                            1e-3, [make_generator(1, p) for p in range(2)])
 
+    @pytest.mark.parametrize("rows", [3, 1])
+    def test_rejects_rows_not_a_multiple_of_the_streams(self, rows):
+        with pytest.raises(ValueError, match="not a multiple of 2 generators"):
+            simulate_batch(ID1, N1, BOX1, np.full((rows, 1), 0.1), 0.1, 1.0,
+                           1e-3, [make_generator(1, p) for p in range(2)])
+
     def test_epsilon_zero_no_draws(self):
         X0 = np.full((3, 1), 0.4)
         res = simulate_batch(ID1, N1, BOX1, X0, 0.0, 2.0, 1e-3,
@@ -635,8 +641,7 @@ def _stacked_and_alone(model, noise, domain, cells, dt, seed=31):
         model, noise, domain, np.vstack([X0 for X0, _, _ in cells]),
         np.repeat([eps for _, eps, _ in cells], n),
         np.repeat([stop for _, _, stop in cells], n), dt,
-        [make_generator(seed, p) for p in range(n)],
-        np.tile(np.arange(n), len(cells)))
+        [make_generator(seed, p) for p in range(n)])
     for c, (X0, eps, stop) in enumerate(cells):
         alone = simulate_batch(model, noise, domain, X0, eps, stop, dt,
                                [make_generator(seed, p) for p in range(n)])
@@ -697,6 +702,16 @@ SHARED_CASES = {
                      [(np.vstack([rng_x, [[0.1]], [[-0.3]]]), e, t) for rng_x, e, t in
                       zip(np.random.default_rng(7).uniform(-0.05, 0.05, (5, 22, 1)),
                           (0.1, 0.05, 0.08, 0.1, 0.03), _CELL_STOPS)], 1e-3),
+    # 6 cells of 1 row: every row shares stream 0, and two rows reach the
+    # third block, so every sub-block takes its rows' columns
+    "one_stream": (ID1, N1, BOX1, [
+        (np.array([[0.05 * (c % 3) - 0.05]]), 0.1 + 0.02 * c, t)
+        for c, t in enumerate(_CELL_STOPS + (1.1,))], 1e-3),
+    # 2 cells of 2 rows, each with one start outside the box: the alive rows
+    # have a stream each, but in the order 1, 0, so they are taken
+    "crossed_streams": (ID1, N1, BOX1, [(np.array([[1.5], [0.1]]), 0.2, 0.9),
+                                        (np.array([[-0.1], [-1.5]]), 0.2, 0.9)],
+                        1e-3),
     # 40 cells of 3 rows: more rows than step-rows, so one step per sub-block
     "many_cells": (ID1, N1, BOX1, [
         (np.random.default_rng(c).uniform(-0.5, 0.5, (3, 1)), 0.05 + 0.01 * c,
@@ -732,6 +747,10 @@ class TestSharedStreams:
         assert res["exited"].any()
         res = run("d1_quadratic")
         assert (res["tau"].reshape(5, 24)[:, 22:] == 0.0).all()  # the last two
+        res = run("crossed_streams")
+        np.testing.assert_array_equal(res["steps_used"], [0, 900, 900, 0])
+        res = run("one_stream")
+        assert (res["steps_used"][-2:] == 1100).all()  # two rows in block 3
 
     def test_each_stream_is_drawn_once_per_block(self):
         drawn = []
@@ -748,8 +767,7 @@ class TestSharedStreams:
         gens = [Counting(make_generator(31, p)) for p in range(24)]
         simulate_batch(model, noise, None, np.vstack([c[0] for c in cells]),
                        np.repeat([c[1] for c in cells], 24),
-                       np.repeat([c[2] for c in cells], 24), dt, gens,
-                       np.tile(np.arange(24), 5))
+                       np.repeat([c[2] for c in cells], 24), dt, gens)
         # without exits every stream lives to the longest grid, 1100 steps
         want = [BLOCK_STEPS, BLOCK_STEPS, 1100 - 2 * BLOCK_STEPS]
         for g in gens:
