@@ -6,7 +6,10 @@ diagnose.  Exit codes:
 - 0: success, also when stdout is closed before everything is printed
   (``exitlab predict ... | head -1``); ``--out`` files are written before
   anything is printed, so they are complete.
-- 1: the config cannot be read, parsed or validated.
+- 1: the config cannot be read, parsed or validated.  ``validate`` also
+  computes the travel-time bracket of ``domain.inner``/``domain.outer``
+  and refuses one with t_minus > t_plus, which ``predict`` and
+  ``estimate`` would fail on; ``parse_config`` leaves that flow out.
 - 2: a runtime failure (partial results still go to ``--out``) or a
   command-line usage error.
 """
@@ -23,6 +26,7 @@ from pathlib import Path
 from .config import parse_config
 from .errors import ExitlabError, ParseError, ValidationError
 from .harness import (
+    _travel_times,
     density_csv_text,
     emit_outputs,
     run_density_report,
@@ -64,6 +68,15 @@ def _print_validate(cfg) -> None:
         print(f"warning: {warning}", file=sys.stderr)
 
 
+def _check_travel_times(cfg) -> None:
+    t_minus, t_plus = _travel_times(cfg)
+    if t_minus > t_plus:
+        raise ValidationError(
+            f"domain.inner and domain.outer: the flow leaves domain.inner at "
+            f"t_minus = {t_minus!r}, after it leaves domain.outer at t_plus = "
+            f"{t_plus!r}; the travel-time bracket needs t_minus <= t_plus")
+
+
 def _print_rows(record, paths) -> None:
     for row in record.rows:
         bits = [f"eps={row.epsilon!r}", f"x={';'.join(repr(c) for c in row.x)}",
@@ -92,6 +105,7 @@ def _run(args, cfg):
     cannot lose a finished run.
     """
     if args.command == "validate":
+        _check_travel_times(cfg)
         return partial(_print_validate, cfg)
     if args.command in ("predict", "estimate", "sweep"):
         record = (run_predict(cfg) if args.command == "predict"
@@ -148,6 +162,9 @@ def main(argv=None) -> int:
 
     try:
         show = _run(args, cfg)
+    except ValidationError as exc:  # validate's travel-time bracket
+        print(f"config error: {exc}", file=sys.stderr)
+        return 1
     except ExitlabError as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         partial_record = getattr(exc, "partial_record", None)

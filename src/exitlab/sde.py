@@ -22,11 +22,12 @@ raw normals (width n).  The block is walked in sub-blocks of at most
 ``_SUB_STEPS`` steps and ``_SUB_STEPS`` step-rows per stream.  One read
 rule: a sub-block reads the block in place while the alive rows are its
 columns in order, and otherwise takes its rows' columns with one ``take``.
-Constant increments are then scaled by ``eps * sqrt(dt)`` in place, one
-scalar when the batch has one epsilon; state-dependent ones are mixed per
-step by ``sigma(x)``.  Each row has its own grid: its last step has its
-own size, and the steps past it, taken until the sub-block ends, neither
-exit nor clamp.  Each step writes its state in place into slot ``s`` of a
+Constant increments are then scaled by ``eps * sqrt(dt)`` in place: rows
+stay in order, so each run of rows with one epsilon is a column range,
+scaled by its scalar.  State-dependent increments are mixed per step by
+``sigma(x)``.  Each row has its own grid: its last step has its own size,
+and the steps past it, taken until the sub-block ends, neither exit nor
+clamp.  Each step writes its state in place into slot ``s`` of a
 coordinate-major ``(d, S, A)`` trajectory, whose column ``i`` belongs to
 row ``ids[i]``.  Exits are checked once per sub-block, on all S steps as
 one ``(S*A, d)`` stack: ``argmax`` over the step axis gives each row's
@@ -35,6 +36,26 @@ rows that exit or reach their stop time are then compacted out with
 ``ndarray.take``.  A row that exits mid-sub-block keeps stepping (and
 clamping) to the sub-block's end; those later states are thrown away, and
 a clamp counts only on steps up to the exit.
+
+Power-of-two families: on the identity model (drift ``lambda * x``) with
+an infinite validity radius, constant noise and a box, a row whose
+epsilon and start are exactly ``2**k`` times those of another row on its
+stream (equal ``frexp`` mantissas, starts bitwise equal after scaling)
+is not stepped.  Each such family steps one row, its carrier: the member
+with the longest grid.  The carrier steps while any member is undecided.
+Member ``i`` is judged on the carrier's states against the box scaled by
+``2**-k_i``, and its state is ``2**k_i`` times the carrier's.  Its last
+step, of its own size, branches off the carrier's state before it, on the
+same increment, in the member's own coordinates.  The boxes are nested,
+so a sub-block judges only the members of carriers that left their
+tightest member's box, and the branches.  A row that folds nothing is a
+family of one, and without a family the batch runs exactly as above.
+Multiplying by a power of two is exact and commutes with IEEE rounding:
+each Euler step of the carrier, scaled by ``2**k``, is the member's own
+step bit for bit, and ``2**k x > b`` holds exactly when ``x > 2**-k b``.
+This holds while states stay in the normal range, which states of order
+epsilon do by hundreds of decades.  A family's result rows are therefore
+the ones its members get alone.
 
 None of this changes an output byte.  Each row reads its stream in the same
 order, whole blocks at a time, and a block drawn longer has the shorter
@@ -68,6 +89,8 @@ BLOCK_STEPS = 512
 # Most steps that alive rows take between two exit checks; divides
 # BLOCK_STEPS.  Also the step-rows per stream in one sub-block.
 _SUB_STEPS = 32
+# Most epsilon runs whose noise is scaled by one scalar each.
+_SCALAR_RUNS = 16
 # Paths whose noise block is drawn, mixed and turned step-major together:
 # the two path-major buffers of a 64-path group (1 MB at 512 steps and
 # d = n = 2) stay in L2 while they are transposed.
@@ -177,6 +200,86 @@ def _step_major_noise(gens: list, ids: np.ndarray, kb: int,
     return dW
 
 
+def _families(model: ConjugateFieldModel, noise: NoiseModel, domain,
+              X0: np.ndarray, eps: np.ndarray, n_steps: np.ndarray,
+              G: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """Each row's carrier row and scale exponent, or None if no row folds.
+
+    Only the identity model with an infinite validity radius, constant
+    noise and a box fold.  Rows form one family when they share a stream,
+    their epsilons have the same frexp mantissa and their starts scaled by
+    2**-exponent are the same bits: row r then has epsilon and start
+    2**k[r] times its carrier's.  The carrier is the member with the
+    longest grid, the first such row on a tie.
+    """
+    m = X0.shape[0]
+    # with one row per stream, no row has another to fold onto
+    if m == G or not (model.variant == "identity"
+                      and math.isinf(model.validity_radius)
+                      and noise.constant and isinstance(domain, BoxDomain)):
+        return None
+    mant, ex = np.frexp(eps)
+    # epsilon < 1 makes -ex >= 0, so this is exact unless it overflows
+    norm = np.ldexp(X0, -ex[:, None])
+    keys = [np.arange(m) % G, mant.view(np.int64), *norm.view(np.int64).T]
+    # lexsort is stable: on a tie in grid length the first row leads
+    order = np.lexsort([-n_steps, *keys[::-1]])
+    # a family starts where a key changes; a row that overflowed is alone
+    new = ~np.isfinite(norm).all(axis=1)[order]
+    new[1:] |= new[:-1]
+    new[0] = True
+    for key in keys:
+        key = key[order]
+        new[1:] |= key[1:] != key[:-1]
+    if new.all():
+        return None
+    car = np.empty(m, dtype=np.int64)
+    car[order] = order[np.flatnonzero(new)][np.cumsum(new) - 1]
+    return car, ex - ex[car]
+
+
+def _noise_scales(eps: np.ndarray, ids: np.ndarray, runs: np.ndarray,
+                  sdt: float) -> list:
+    """(columns, factor) pairs that scale the increments of the rows ids by
+    eps * sdt; columns None means all of them.
+
+    runs are the rows where epsilon changes.  Rows stay in order, so the
+    columns of one run are one range, scaled by its scalar; past
+    _SCALAR_RUNS ranges, one (A,) vector factor does the same arithmetic.
+    """
+    bounds = [0, *np.searchsorted(ids, runs).tolist(), ids.size]
+    spans = [(a, b) for a, b in zip(bounds, bounds[1:]) if b > a]
+    if len(spans) > _SCALAR_RUNS:
+        return [(None, eps[ids] * sdt)]
+    if len(spans) == 1:
+        return [(None, float(eps[ids[0]]) * sdt)]
+    return [(slice(a, b), float(eps[ids[a]]) * sdt) for a, b in spans]
+
+
+def _outside_scaled(Y: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """(S, M) flags: column i of Y, (d, S, M), is outside [lo[:, i], hi[:, i]]."""
+    out = (Y[0] < lo[0]) | (Y[0] > hi[0])
+    for j in range(1, Y.shape[0]):
+        out |= Y[j] < lo[j]
+        out |= Y[j] > hi[j]
+    return out
+
+
+def _spread(v: np.ndarray, J: np.ndarray, M: int) -> np.ndarray:
+    """v, one value per judged member J, as M values with zeros elsewhere."""
+    full = np.zeros(M, dtype=v.dtype)
+    full[J] = v
+    return full
+
+
+def _member_states(traj: np.ndarray, steps: np.ndarray, cols: np.ndarray,
+                   k: np.ndarray | None) -> np.ndarray:
+    """The states at the given sub-block steps and carrier columns, each
+    scaled by 2**k into its member's coordinates."""
+    state = traj[:, steps, cols].T
+    return state if k is None else np.ldexp(state, k[:, None])
+
+
 def simulate_batch(model: ConjugateFieldModel, noise: NoiseModel, domain,
                    X0: np.ndarray, epsilon, stop_time, dt: float,
                    gens: list) -> dict:
@@ -196,7 +299,9 @@ def simulate_batch(model: ConjugateFieldModel, noise: NoiseModel, domain,
     is drawn in whole blocks for as long as one of its rows is alive, to
     the longest grid left in the batch; with one stop time that is the
     grid, so a continuation can resume the generators.  Both noise forms
-    are drawn step-major into one buffer (see the module docstring).
+    are drawn step-major into one buffer, and rows whose epsilon and start
+    are a power-of-two multiple of another row's on its stream fold onto
+    that row's steps (see the module docstring).
     """
     X0 = np.atleast_2d(np.asarray(X0, dtype=float))
     m, d = X0.shape
@@ -233,9 +338,24 @@ def simulate_batch(model: ConjugateFieldModel, noise: NoiseModel, domain,
         tau[out0] = 0.0
         steps_used[out0] = 0
         alive &= ~out0
-    ids = np.flatnonzero(alive)
     end_state[~alive] = X0[~alive]
-    # Alive paths only, coordinate-major: X[:, i] is the state of path ids[i].
+    # mem: the rows not yet decided; ids: the rows that step, their
+    # carriers.  Without folding they are one array.
+    mem = ids = np.flatnonzero(alive)
+    fams = _families(model, noise, domain, X0, eps, n_steps, G) if draws else None
+    folded = fams is not None
+    if folded:
+        car, kexp = fams
+        # mcol: the column of each member's carrier.  Members stay grouped
+        # by carrier, the tightest box (the largest k) first.
+        ids, mcol = np.unique(car[mem], return_inverse=True)
+        order = np.lexsort((-kexp[mem], mcol))
+        mem, mcol = mem[order], mcol[order]
+        # each row's box in its carrier's coordinates: a member 2**k times
+        # its carrier leaves the box when the carrier leaves the box / 2**k
+        lo_all = np.ldexp(domain.lower[:, None], -kexp)
+        hi_all = np.ldexp(domain.upper[:, None], -kexp)
+    # Carriers only, coordinate-major: X[:, i] is the state of row ids[i].
     X = np.ascontiguousarray(X0[ids].T)
 
     const_noise = noise.constant
@@ -254,11 +374,13 @@ def simulate_batch(model: ConjugateFieldModel, noise: NoiseModel, domain,
     over_buf = np.empty(n_rows, dtype=bool) if clamps else None
     noise_buf = None
     sdt = math.sqrt(dt)
-    # one epsilon for the whole batch scales its noise as a scalar
-    e_all = float(eps[0]) if m and (eps == eps[0]).all() else None
+    # the rows where epsilon changes: each run of rows between two of them
+    # scales its noise by one scalar
+    runs = np.flatnonzero(eps[1:] != eps[:-1]) + 1
+    scales = lead_lo = None  # set for the alive rows, again when they change
     k = 0
     while ids.size:
-        kb = min(BLOCK_STEPS, int(n_steps[ids].max()) - k)
+        kb = min(BLOCK_STEPS, int(n_steps[mem].max()) - k)
         # the streams of the alive rows, and each row's block column; None
         # while the alive rows are the block's columns in order
         live, cols = np.unique(ids % G, return_inverse=True)
@@ -271,41 +393,69 @@ def simulate_batch(model: ConjugateFieldModel, noise: NoiseModel, domain,
             dW = _step_major_noise(gens, live, kb, sig0, noise_buf[
                 :kb * width * live.size].reshape(kb, width, live.size))
         j0 = 0
-        next_end = int(n_steps[ids].min())  # the first step that ends a row
+        next_end = int(n_steps[mem].min())  # the first step that ends a member
         while j0 < kb and ids.size:
             A = ids.size
             S = min(_SUB_STEPS, max(1, cap // A), kb - j0)
-            e = e_all if e_all is not None else eps[ids]
-            fin = None
+            if scales is None:  # the carriers changed
+                scales = _noise_scales(eps, ids, runs, sdt)
+            if folded and lead_lo is None:  # the members changed
+                # the first, tightest member of each carrier's group
+                lead = np.ones(mcol.size, dtype=bool)
+                np.not_equal(mcol[1:], mcol[:-1], out=lead[1:])
+                lead = mem[lead]
+                lead_lo = lo_all.take(lead, axis=1)
+                lead_hi = hi_all.take(lead, axis=1)
+            fin = mfin = br = None
             h_at = {}
             if k + j0 + S >= next_end:
-                # rows whose last step falls in this sub-block, at step fin_s
-                left = n_steps[ids] - (k + j0)
-                fin = np.flatnonzero(left <= S)
-                fin_s = left[fin] - 1
-                last = np.arange(S)[:, None] <= fin_s  # steps up to it
-                rows = ids[fin]
-                scale_last = eps[rows] * np.sqrt(h_last[rows])  # noise there
-                # each alive row's step size on a step where some row ends
-                for s in np.unique(fin_s).tolist():
-                    h = h_at[s] = np.full((A, 1), dt)
-                    at = fin_s == s
-                    h[fin[at], 0] = h_last[rows[at]]
+                # members whose last step falls in this sub-block, at mfin_s
+                mleft = n_steps[mem] - (k + j0)
+                mfin = np.flatnonzero(mleft <= S)
+                mfin_s = mleft[mfin] - 1
+                fin, fin_s = mfin, mfin_s
+                if folded:
+                    # the carriers' own last steps; other members branch off
+                    left = n_steps[ids] - (k + j0)
+                    fin = np.flatnonzero(left <= S)
+                    fin_s = left[fin] - 1
+                    br = mfin[car[mem[mfin]] != mem[mfin]]
+                    if br.size:
+                        bs = mleft[br] - 1
+                        bc = mcol[br]
+                    else:
+                        br = None
+                if fin.size:
+                    rows = ids[fin]
+                    scale_last = eps[rows] * np.sqrt(h_last[rows])  # noise there
+                    # each alive row's step size on a step where some row ends
+                    for s in np.unique(fin_s).tolist():
+                        h = h_at[s] = np.full((A, 1), dt)
+                        at = fin_s == s
+                        h[fin[at], 0] = h_last[rows[at]]
+                else:
+                    fin = None
             traj = traj_buf[:d * S * A].reshape(d, S, A)
             bh = bh_buf[:d * A].reshape(d, A).T
             if dW is not None:
                 w = dW[j0:j0 + S]
                 if cols is not None:
                     w = w.take(cols, axis=2)
+                if br is not None:
+                    braw = w[bs, :, bc]  # the branches' last increments
                 if const_noise:
                     # each slab is read once, so it is scaled where it lies
                     if fin is not None:
                         tail = scale_last[:, None] * w[fin_s, :, fin]
-                    np.multiply(w, e * sdt, out=w)
+                    for c, f in scales:
+                        if c is None:
+                            np.multiply(w, f, out=w)
+                        else:
+                            np.multiply(w[:, :, c], f, out=w[:, :, c])
                     if fin is not None:
                         w[fin_s, :, fin] = tail
-                elif e_all is None:
-                    e = e[:, None]
+                else:
+                    e = float(eps[0]) if runs.size == 0 else eps[ids][:, None]
             if clamps:
                 over_s = over_buf[:S * A].reshape(S, A)
             prev = X
@@ -331,50 +481,107 @@ def simulate_batch(model: ConjugateFieldModel, noise: NoiseModel, domain,
                 prev = cur
 
             gone = None
-            if detect:
+            # out: the exit flags (S, J.size) of the judged members J, or of
+            # every member when J is None; None when no member can leave
+            out = J = None
+            if folded:
+                # a member can leave only where its carrier's state leaves
+                # the box of its group's tightest member
+                near = ((traj.max(axis=1) > lead_hi)
+                        | (traj.min(axis=1) < lead_lo)).any(axis=0)
+                if br is not None or near.any():
+                    judged = near[mcol]
+                    if br is not None:
+                        judged[br] = True
+                    J = np.flatnonzero(judged)
+                    out = _outside_scaled(traj.take(mcol[J], axis=2),
+                                          lo_all.take(mem[J], axis=1),
+                                          hi_all.take(mem[J], axis=1))
+            elif detect:
                 flat = traj.reshape(d, S * A).T  # row s*A + i: path i at step s
                 if box:
                     out = domain.outside(model.push_batch(flat)).reshape(S, A)
                 else:
                     out = domain.outside(np.ascontiguousarray(flat)).reshape(S, A)
-                if fin is not None:
-                    out[:, fin] &= last  # steps past a row's grid do not count
+            if out is not None:
+                if mfin is not None:
+                    # steps past a member's grid do not count
+                    togo = mleft if J is None else mleft[J]
+                    at = np.flatnonzero(togo <= S)
+                    out[:, at] &= np.arange(S)[:, None] < togo[at]
+                if br is not None:
+                    # a branch takes its last step, of its own size, off its
+                    # carrier's state before it, in its own coordinates
+                    brows = mem[br]
+                    before = np.where(bs == 0, X[:, bc], traj[:, bs - 1, bc]).T
+                    xb = np.ldexp(before, kexp[brows][:, None])
+                    xb = (xb + model.drift_batch(xb) * h_last[brows][:, None]) + (
+                        eps[brows] * np.sqrt(h_last[brows]))[:, None] * braw
+                    out[bs, np.searchsorted(J, br)] = domain.outside(xb)
                 if out.any():
                     gone = out.any(axis=0)
                     first = out.argmax(axis=0)  # first exit step in the sub-block
+                    if J is not None:  # spread over every member
+                        gone = _spread(gone, J, mem.size)
+                        first = _spread(first, J, mem.size)
                     hit = np.flatnonzero(gone)
                     sh = first[hit]
-                    hit_ids = ids[hit]
+                    hit_ids = mem[hit]
                     step = k + j0 + sh + 1
                     exited[hit_ids] = True
                     tau[hit_ids] = np.where(step == n_steps[hit_ids],
                                             stop[hit_ids], step * dt)
                     steps_used[hit_ids] = step
-                    end_state[hit_ids] = traj[:, sh, hit].T
+                    end_state[hit_ids] = _member_states(
+                        traj, sh, mcol[hit] if folded else hit,
+                        kexp[hit_ids] if folded else None)
             if clamps:
-                if fin is not None:
-                    over_s[:, fin] &= last
+                # no row folds, so the members are the carriers
+                if mfin is not None:
+                    over_s[:, mfin] &= np.arange(S)[:, None] <= mfin_s
                 flag = over_s.any(axis=0)
                 if gone is not None and flag.any():
                     # a clamp after a path's exit step does not count
                     flag &= ~gone | (over_s.argmax(axis=0) <= first)
                 clamped[ids[flag]] = True
-            if fin is not None:
-                # rows that reach their stop time end there
-                done = fin if gone is None else fin[~gone[fin]]
-                end_state[ids[done]] = traj[:, left[done] - 1, done].T
+            if mfin is not None:
+                # members that reach their stop time end there
+                done = mfin if gone is None else mfin[~gone[mfin]]
+                end_state[mem[done]] = _member_states(
+                    traj, mleft[done] - 1, mcol[done] if folded else done,
+                    kexp[mem[done]] if folded else None)
+                if br is not None:
+                    # a branch decided on its last step ends in its own state
+                    own = slice(None) if gone is None else ~gone[br] | (first[br] == bs)
+                    end_state[brows[own]] = xb[own]
                 if gone is None:
-                    gone = np.zeros(A, dtype=bool)
-                gone[fin] = True
+                    gone = np.zeros(mem.size, dtype=bool)
+                gone[mfin] = True
             if gone is None:
                 X = traj[:, S - 1].copy()
             else:
                 keep = np.flatnonzero(~gone)
-                ids = ids.take(keep)
-                cols = keep if cols is None else cols.take(keep)
-                X = traj[:, S - 1].take(keep, axis=1)
-                if ids.size:
-                    next_end = int(n_steps[ids].min())
+                if folded:
+                    # a carrier steps on while one of its members is left
+                    mem = mem.take(keep)
+                    mcol = mcol.take(keep)
+                    stays = np.zeros(A, dtype=bool)
+                    stays[mcol] = True
+                    keep = None if stays.all() else np.flatnonzero(stays)
+                    if keep is not None:
+                        mcol = (np.cumsum(stays) - 1)[mcol]
+                    lead_lo = None
+                if keep is None:
+                    X = traj[:, S - 1].copy()
+                else:
+                    ids = ids.take(keep)
+                    cols = keep if cols is None else cols.take(keep)
+                    X = traj[:, S - 1].take(keep, axis=1)
+                    scales = None
+                if not folded:
+                    mem = ids
+                if mem.size:
+                    next_end = int(n_steps[mem].min())
             j0 += S
         k += kb
 

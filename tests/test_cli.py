@@ -150,16 +150,23 @@ def test_domain_past_validity_radius_is_a_config_error(config_file, capsys,
                           f"|x|_inf = 0.5 exceeds validity radius 0.2")
 
 
+# the inner ball is slower to leave than the outer one, so t_minus > t_plus
+MISORDERED = GOOD.replace("domain.lower = -1.0\ndomain.upper = 1.0",
+                          "domain.lower = -0.5\ndomain.upper = 0.5") + (
+    "domain.inner = ball:1.0\ndomain.outer = ball:0.6\n")
+
+
+def test_misordered_travel_times_fail_validate(config_file, capsys):
+    assert main(["validate", "--config", config_file(MISORDERED)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: domain.inner and domain.outer: ")
+    assert "t_minus <= t_plus" in err
+
+
 @pytest.mark.parametrize("command", ["predict", "sweep"])
 def test_misordered_travel_times_are_a_runtime_error(config_file, capsys, command):
-    # the inner ball is slower to leave than the outer one, so t_minus >
-    # t_plus; validate passes (the bracket is not computed at parse time)
-    text = GOOD.replace("domain.lower = -1.0\ndomain.upper = 1.0",
-                        "domain.lower = -0.5\ndomain.upper = 0.5")
-    text += "domain.inner = ball:1.0\ndomain.outer = ball:0.6\n"
-    assert main(["validate", "--config", config_file(text)]) == 0
-    capsys.readouterr()
-    assert main([command, "--config", config_file(text)]) == 2
+    # parse_config does not compute the bracket, so only validate refuses it
+    assert main([command, "--config", config_file(MISORDERED)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("runtime error: travel times must satisfy "
                           "0 <= t_minus <= t_plus < inf")

@@ -525,6 +525,38 @@ class TestDirectSweep:
         assert sum(row.wall_seconds for row in rows) == pytest.approx(16.0, rel=1e-12)
 
 
+def test_engine_results_add_up_to_the_cells_counters(monkeypatch):
+    # A folding sweep (0.2, 0.1 and 0.05 from two points, 0.07 unfolded):
+    # summed over every simulate_batch call, the engine's steps_used and
+    # clamped equal the cells' path_steps and n_clamped, which is what
+    # perfbench's traced count check compares.
+    import exitlab.estimator as est
+
+    sums = np.zeros(2, dtype=np.int64)
+    real = est.simulate_batch
+
+    def summed(*args, **kwargs):
+        res = real(*args, **kwargs)
+        sums[:] += res["steps_used"].sum(), res["clamped"].sum()
+        return res
+
+    monkeypatch.setattr(est, "simulate_batch", summed)
+    record = run_estimate(_cfg("""
+model.lambdas = 1.0
+domain.lower = -1.0
+domain.upper = 1.0
+threshold.alpha = 1.5
+sweep.epsilons = 0.2, 0.1, 0.07, 0.05
+initial.points = 0; 1.5
+estimator.n_paths = 300
+estimator.batch_size = 128
+"""))
+    cells = [row.estimate for row in record.rows]
+    assert len(cells) == 8 and sums[0] > 0
+    assert sums.tolist() == [sum(c.path_steps for c in cells),
+                             sum(c.n_clamped for c in cells)]
+
+
 class TestOutputs:
     def test_csv_columns_exact(self, small_record):
         header = rows_csv_text(small_record).splitlines()[0]

@@ -9,10 +9,13 @@ from exitlab import (
     BLOCK_STEPS,
     BoxDomain,
     ConjugateFieldModel,
+    InitialScaleSpec,
     NoiseModel,
     PathConfig,
     SmoothDomain,
     Spectrum,
+    ThresholdSpec,
+    direct_tail_estimate,
     finite_time_covariance,
     flow_exit_times_batch,
     rescaled_fluctuation_samples,
@@ -672,6 +675,35 @@ def _cells(d, n, eps, seed, stops=_CELL_STOPS, edge=None):
     return cells
 
 
+def _family(x, eps, stops):
+    """Cells that start at epsilon * x: those whose epsilons differ by a
+    power of two fold onto one carrier row per stream."""
+    return [(e * x, e, t) for e, t in zip(eps, stops)]
+
+
+# 24 starts x: for epsilon 0.2, row 1 starts on the box face, row 4
+# outside it and rows 2 and 3 just inside it; the rest lie in (-4, 4)
+_FOLD_X = np.vstack([[[0.3], [5.0], [4.97], [-4.98], [-7.0]],
+                     np.random.default_rng(10).uniform(-4.0, 4.0, (19, 1))])
+_CHAIN = (0.2, 0.1, 0.05, 0.025)
+
+
+def _crossing_stops(eps, dt):
+    """Stop times whose last step is the one on which the noiseless path
+    from epsilon crosses 1: (1 + dt)**s * epsilon = 1 at s = n + f, and the
+    last step, of size (f + 1/2) dt capped at dt, takes the path past 1."""
+    stops = []
+    for e in eps:
+        s = math.log(1.0 / e) / math.log1p(dt)
+        n = math.floor(s)
+        stops.append(n * dt + dt * min(1.0, s - n + 0.5))
+    return stops
+
+
+_S3_MODEL = ConjugateFieldModel.identity(Spectrum([1.0, 0.7, 0.4]))
+_S3_NOISE = NoiseModel([[1.0, 0.2, 0.0], [0.3, 0.8, 0.1], [0.0, 0.5, 1.2]])
+_S3_BOX = BoxDomain([-0.5, -1.0, -0.7], [0.6, 0.8, 1.0])
+
 # 5 cells of 24 rows on 24 streams: sub-blocks of 32 * 24 // 120 = 6 steps
 # until enough rows leave
 SHARED_CASES = {
@@ -716,6 +748,31 @@ SHARED_CASES = {
     "many_cells": (ID1, N1, BOX1, [
         (np.random.default_rng(c).uniform(-0.5, 0.5, (3, 1)), 0.05 + 0.01 * c,
          _CELL_STOPS[c % 5]) for c in range(40)], 1e-3),
+    # a power-of-two chain: the smallest epsilon has the longest grid and
+    # carries the family; 21 steps ends inside a sub-block, 550 ends in the
+    # second block on a 0.44 dt step
+    "fold_chain": (ID1, N1, BOX1, _family(_FOLD_X, _CHAIN,
+                                          (0.0205, _STOP, 1.9, 2.6)), 1e-3),
+    # alpha = 0 with r_coeff > 0: the largest epsilon has the longest grid,
+    # so it carries, its start 5 * 0.2 lies on the face and -7 * 0.2
+    # outside, and epsilon 0.025 has a one-step grid
+    "fold_base_not_smallest": (ID1, N1, BOX1, _family(
+        _FOLD_X, _CHAIN, (2.6, 1.9, _STOP, 0.001)), 1e-3),
+    # 0.1 folds onto 0.05, 0.07 keeps its rows, on 2-d non-diagonal noise
+    "fold_mixed": (ID2, NoiseModel([[1.0, 0.0], [1.0, 1.0]]), _BOX2, _family(
+        np.random.default_rng(11).uniform(-3.0, 3.0, (24, 2)), (0.1, 0.07, 0.05),
+        (1.2, 1.5, 1.9)), 1e-3),
+    # sigma 1e-8: the rows from x = 1 and -1 of every cell leave on that
+    # cell's last, partial step, rows 2 and 3 stay inside, and so does row
+    # 4, which a full last step would take past 1 at epsilon 0.1 and 0.05
+    "fold_last_step": (ID1, NoiseModel([[1e-8]]), BOX1, _family(
+        np.array([[1.0], [-1.0], [0.5], [-0.25], [1.01 ** -0.545]]), (0.2, 0.1, 0.05),
+        _crossing_stops((0.2, 0.1, 0.05), 1e-2)), 1e-2),
+    # d = 3, non-diagonal sigma, a dt that divides no stop, the carrier in
+    # the middle of the stack and a cell that is a copy of another
+    "fold_d3": (_S3_MODEL, _S3_NOISE, _S3_BOX, _family(
+        np.random.default_rng(12).uniform(-2.0, 2.0, (24, 3)),
+        (0.2, 0.05, 0.1, 0.2), (0.05, 1.7, 2.5, 0.05)), 0.0031),
 }
 
 
@@ -751,6 +808,102 @@ class TestSharedStreams:
         np.testing.assert_array_equal(res["steps_used"], [0, 900, 900, 0])
         res = run("one_stream")
         assert (res["steps_used"][-2:] == 1100).all()  # two rows in block 3
+
+    @staticmethod
+    def _families(model, noise, domain, cells, dt):
+        """sde._families of the stacked rows of cells, as _stacked_and_alone
+        stacks them."""
+        n = cells[0][0].shape[0]
+        stops = np.repeat([stop for _, _, stop in cells], n)
+        return sde._families(
+            model, noise, domain, np.vstack([X0 for X0, _, _ in cells]),
+            np.repeat([eps for _, eps, _ in cells], n),
+            np.ceil(stops / dt - 1e-12).astype(np.int64), n)
+
+    @pytest.mark.parametrize("case, carriers, exponents", [
+        ("fold_chain", 24, [0, 1, 2, 3]),
+        ("fold_base_not_smallest", 24, [-3, -2, -1, 0]),
+        ("fold_mixed", 48, [0, 1]),  # 24 carry 0.1 and 0.05, 24 carry 0.07
+        ("fold_d3", 24, [-1, 0, 1]),
+        ("fold_last_step", 5, [0, 1, 2])])
+    def test_fold_cases_fold(self, case, carriers, exponents):
+        car, k = self._families(*SHARED_CASES[case])
+        assert np.unique(car).size == carriers
+        np.testing.assert_array_equal(np.unique(k), exponents)
+
+    def test_fold_cases_reach_their_branches(self):
+        def run(case):
+            res = _stacked_and_alone(*SHARED_CASES[case])
+            cells = SHARED_CASES[case][3]
+            return {key: v.reshape(len(cells), -1, *v.shape[1:])
+                    for key, v in res.items()}
+
+        res = run("fold_chain")
+        # epsilon 0.2: the start on the face and the one outside leave at 0
+        np.testing.assert_array_equal(np.flatnonzero(res["tau"][0] == 0.0), [1, 4])
+        for c, n in enumerate((21, 550, 1900, 2600)):
+            rows = res["steps_used"][c]
+            assert (rows == n).any() and ((0 < rows) & (rows < n)).any(), (c, n)
+        res = run("fold_base_not_smallest")
+        # the carrier, epsilon 0.2, leaves at once from rows 1 and 4 and
+        # later from every row; its members step on past its exits
+        np.testing.assert_array_equal(np.flatnonzero(res["tau"][0] == 0.0), [1, 4])
+        assert res["exited"][0].all() and not res["exited"][1].all()
+        assert (res["steps_used"][1] > res["steps_used"][0]).any()
+        assert (res["steps_used"][3] == 1).all()  # the one-step grid
+        res = run("fold_mixed")
+        assert all(res["exited"][c].any() and not res["exited"][c].all()
+                   for c in range(3))
+        res = run("fold_last_step")
+        n = [162, 232, 302]
+        np.testing.assert_array_equal(res["steps_used"][:, :2], np.c_[n, n])
+        assert res["exited"][:, :2].all() and not res["exited"][:, 2:].any()
+        np.testing.assert_array_equal(
+            res["tau"][:, :2], np.c_[_crossing_stops((0.2, 0.1, 0.05), 1e-2)][:, [0, 0]])
+        res = run("fold_d3")
+        assert (res["steps_used"][1] == 549).any() and (res["steps_used"][2] == 807).any()
+        assert res["exited"][2].sum() > res["exited"][1].sum() > 0
+
+    def test_what_does_not_fold(self):
+        """Folding needs the identity model with an infinite validity
+        radius, constant noise, a box, and power-of-two starts."""
+        x = _FOLD_X
+        chain = _family(x, _CHAIN, (0.5, 0.6, 0.7, 0.8))
+        assert self._families(ID1, N1, BOX1, chain, 1e-3) is not None
+        bounded = ConjugateFieldModel.identity(S1)
+        bounded.validity_radius = 2.0
+        for model, noise, domain in [
+                (_Q1, N1, BOX1),
+                (ID1, NoiseModel.state_scaled([[1.0]], 0.5), BOX1),
+                (bounded, N1, BOX1),
+                (ID1, N1, SmoothDomain.ball(1.0))]:
+            assert self._families(model, noise, domain, chain, 1e-3) is None
+        # initial.rho = 0.3: the start epsilon * x * epsilon**-rho is no
+        # power-of-two multiple across epsilons, though the mantissas match
+        scale = InitialScaleSpec(rho=0.3)
+        cells = [(e * scale.value(e) * x, e, t) for _, e, t in chain]
+        assert self._families(ID1, N1, BOX1, cells, 1e-3) is None
+
+    def test_direct_1d_steps_one_row_per_path(self, monkeypatch):
+        # the direct-1d shape: epsilon 0.2, 0.1 and 0.05 from x = 0 fold
+        # onto the 0.05 rows, which leave last: the engine steps those rows
+        # to their exit, on to their sub-block's end, and one branch step
+        # for each of the other two cells
+        rows = []
+        real = ConjugateFieldModel.drift_batch
+
+        def counted(self, X):
+            rows.append(X.shape[0])
+            return real(self, X)
+
+        monkeypatch.setattr(ConjugateFieldModel, "drift_batch", counted)
+        n = 256
+        ests = direct_tail_estimate(
+            ID1, N1, BOX1, [(np.zeros(1), e) for e in (0.2, 0.1, 0.05)],
+            ThresholdSpec(alpha=1.5), n, PathConfig(), 1)
+        steps = [est.path_steps for est in ests]
+        assert steps[2] < sum(rows) <= steps[2] + (_SUB_STEPS + 2) * n
+        assert sum(rows) < 0.5 * sum(steps)
 
     def test_each_stream_is_drawn_once_per_block(self):
         drawn = []
