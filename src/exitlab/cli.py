@@ -8,8 +8,10 @@ diagnose.  Exit codes:
   anything is printed, so they are complete.
 - 1: the config cannot be read, parsed or validated.  ``validate`` also
   computes the travel-time bracket of ``domain.inner``/``domain.outer``
-  and refuses one with t_minus > t_plus, which ``predict`` and
-  ``estimate`` would fail on; ``parse_config`` leaves that flow out.
+  and refuses one that cannot be computed (the box boundary is not inside
+  both domains, or the flow does not leave them) or has t_minus > t_plus,
+  which ``predict`` and ``estimate`` would fail on; ``parse_config``
+  leaves that flow out.
 - 2: a runtime failure (partial results still go to ``--out``) or a
   command-line usage error.
 """
@@ -69,7 +71,10 @@ def _print_validate(cfg) -> None:
 
 
 def _check_travel_times(cfg) -> None:
-    t_minus, t_plus = _travel_times(cfg)
+    try:
+        t_minus, t_plus = _travel_times(cfg)
+    except ExitlabError as exc:
+        raise ValidationError(f"domain.inner and domain.outer: {exc}") from exc
     if t_minus > t_plus:
         raise ValidationError(
             f"domain.inner and domain.outer: the flow leaves domain.inner at "
@@ -105,7 +110,6 @@ def _run(args, cfg):
     cannot lose a finished run.
     """
     if args.command == "validate":
-        _check_travel_times(cfg)
         return partial(_print_validate, cfg)
     if args.command in ("predict", "estimate", "sweep"):
         record = (run_predict(cfg) if args.command == "predict"
@@ -156,15 +160,14 @@ def main(argv=None) -> int:
         cfg = parse_config(text)
         if args.seed is not None or args.workers is not None:
             cfg = cfg.with_overrides(seed=args.seed, workers=args.workers)
+        if args.command == "validate":
+            _check_travel_times(cfg)
     except (ParseError, ValidationError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
 
     try:
         show = _run(args, cfg)
-    except ValidationError as exc:  # validate's travel-time bracket
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
     except ExitlabError as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         partial_record = getattr(exc, "partial_record", None)

@@ -317,7 +317,14 @@ class ConjugateFieldModel:
         self.validity_radius = validity_radius
         self.variant = variant
         self._lam = spectrum.as_array()
+        self._linear = False
         self._self_check()
+
+    @property
+    def linear(self) -> bool:
+        """True only for a model built by ``identity``: its f is the identity
+        and its drift is exactly ``lambda * x``, whatever ``variant`` says."""
+        return self._linear
 
     @property
     def validity_radius(self) -> float:
@@ -398,7 +405,7 @@ class ConjugateFieldModel:
         """Linear model b(x) = lambda o x; valid everywhere."""
         d = spectrum.d
         lam = spectrum.as_array()
-        return cls(
+        model = cls(
             spectrum,
             f=lambda X: np.asarray(X, dtype=float),
             f_inv=lambda Y: np.asarray(Y, dtype=float),
@@ -407,6 +414,8 @@ class ConjugateFieldModel:
             validity_radius=math.inf,
             variant="identity",
         )
+        model._linear = True
+        return model
 
     @classmethod
     def component_quadratic(cls, spectrum: Spectrum, coeffs,

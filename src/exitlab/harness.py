@@ -220,7 +220,9 @@ def _estimates(cfg: ExperimentConfig, cells):
 
     The direct cells run in one call, on shared path streams, and each gets
     the share of its wall time that its path-steps are of the total, so the
-    seconds add up to the time spent.  Other methods run cell by cell.
+    seconds add up to the time spent.  Path-steps count each cell's own
+    grid, so a cell whose rows fold onto another cell's is charged as if
+    stepped alone.  Other methods run cell by cell.
     """
     if cfg.method == "direct":
         start = time.perf_counter()

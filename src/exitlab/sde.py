@@ -37,12 +37,13 @@ rows that exit or reach their stop time are then compacted out with
 clamping) to the sub-block's end; those later states are thrown away, and
 a clamp counts only on steps up to the exit.
 
-Power-of-two families: on the identity model (drift ``lambda * x``) with
-an infinite validity radius, constant noise and a box, a row whose
-epsilon and start are exactly ``2**k`` times those of another row on its
-stream (equal ``frexp`` mantissas, starts bitwise equal after scaling)
-is not stepped.  Each such family steps one row, its carrier: the member
-with the longest grid.  The carrier steps while any member is undecided.
+Power-of-two families: on a model built by ``ConjugateFieldModel.identity``
+(``model.linear``: drift ``lambda * x``) with an infinite validity radius,
+constant noise and a box, a row whose epsilon and start are exactly
+``2**k`` times those of another row on its stream (equal ``frexp``
+mantissas, starts bitwise equal after scaling) is not stepped.  Each such
+family steps one row, its carrier: the member with the longest grid.  The
+carrier steps while any member is undecided.
 Member ``i`` is judged on the carrier's states against the box scaled by
 ``2**-k_i``, and its state is ``2**k_i`` times the carrier's.  Its last
 step, of its own size, branches off the carrier's state before it, on the
@@ -89,8 +90,6 @@ BLOCK_STEPS = 512
 # Most steps that alive rows take between two exit checks; divides
 # BLOCK_STEPS.  Also the step-rows per stream in one sub-block.
 _SUB_STEPS = 32
-# Most epsilon runs whose noise is scaled by one scalar each.
-_SCALAR_RUNS = 16
 # Paths whose noise block is drawn, mixed and turned step-major together:
 # the two path-major buffers of a 64-path group (1 MB at 512 steps and
 # d = n = 2) stay in L2 while they are transposed.
@@ -205,16 +204,16 @@ def _families(model: ConjugateFieldModel, noise: NoiseModel, domain,
               G: int) -> tuple[np.ndarray, np.ndarray] | None:
     """Each row's carrier row and scale exponent, or None if no row folds.
 
-    Only the identity model with an infinite validity radius, constant
-    noise and a box fold.  Rows form one family when they share a stream,
-    their epsilons have the same frexp mantissa and their starts scaled by
-    2**-exponent are the same bits: row r then has epsilon and start
-    2**k[r] times its carrier's.  The carrier is the member with the
-    longest grid, the first such row on a tie.
+    Only a model built by ``identity`` (``model.linear``) with an infinite
+    validity radius, constant noise and a box fold.  Rows form one family
+    when they share a stream, their epsilons have the same frexp mantissa
+    and their starts scaled by 2**-exponent are the same bits: row r then
+    has epsilon and start 2**k[r] times its carrier's.  The carrier is the
+    member with the longest grid, the first such row on a tie.
     """
     m = X0.shape[0]
     # with one row per stream, no row has another to fold onto
-    if m == G or not (model.variant == "identity"
+    if m == G or not (model.linear
                       and math.isinf(model.validity_radius)
                       and noise.constant and isinstance(domain, BoxDomain)):
         return None
@@ -241,19 +240,14 @@ def _families(model: ConjugateFieldModel, noise: NoiseModel, domain,
 def _noise_scales(eps: np.ndarray, ids: np.ndarray, runs: np.ndarray,
                   sdt: float) -> list:
     """(columns, factor) pairs that scale the increments of the rows ids by
-    eps * sdt; columns None means all of them.
+    eps * sdt.
 
     runs are the rows where epsilon changes.  Rows stay in order, so the
-    columns of one run are one range, scaled by its scalar; past
-    _SCALAR_RUNS ranges, one (A,) vector factor does the same arithmetic.
+    columns of one run are one range, scaled by its scalar.
     """
     bounds = [0, *np.searchsorted(ids, runs).tolist(), ids.size]
-    spans = [(a, b) for a, b in zip(bounds, bounds[1:]) if b > a]
-    if len(spans) > _SCALAR_RUNS:
-        return [(None, eps[ids] * sdt)]
-    if len(spans) == 1:
-        return [(None, float(eps[ids[0]]) * sdt)]
-    return [(slice(a, b), float(eps[ids[a]]) * sdt) for a, b in spans]
+    return [(slice(a, b), float(eps[ids[a]]) * sdt)
+            for a, b in zip(bounds, bounds[1:]) if b > a]
 
 
 def _outside_scaled(Y: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -448,10 +442,7 @@ def simulate_batch(model: ConjugateFieldModel, noise: NoiseModel, domain,
                     if fin is not None:
                         tail = scale_last[:, None] * w[fin_s, :, fin]
                     for c, f in scales:
-                        if c is None:
-                            np.multiply(w, f, out=w)
-                        else:
-                            np.multiply(w[:, :, c], f, out=w[:, :, c])
+                        np.multiply(w[:, :, c], f, out=w[:, :, c])
                     if fin is not None:
                         w[fin_s, :, fin] = tail
                 else:

@@ -163,6 +163,29 @@ def test_misordered_travel_times_fail_validate(config_file, capsys):
     assert "t_minus <= t_plus" in err
 
 
+def test_inner_domain_without_the_box_fails_validate(config_file, capsys):
+    # the box face at 1 lies outside domain.inner = ball:0.5
+    text = GOOD + "domain.inner = ball:0.5\ndomain.outer = ball:2.0\n"
+    assert main(["validate", "--config", config_file(text)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: domain: box boundary point ")
+    assert "not strictly inside the inner domain 'ball:0.5'" in err
+
+
+def test_travel_time_failure_fails_validate(config_file, capsys, monkeypatch):
+    # parse_config checks the nesting; an error that only computing the
+    # bracket finds is a config error of validate too, not a runtime error
+    def no_exit(cfg):
+        raise NoExit("a boundary sample failed to exit a comparison domain")
+
+    monkeypatch.setattr("exitlab.cli._travel_times", no_exit)
+    text = GOOD + "domain.inner = ball:1.5\ndomain.outer = ball:2.0\n"
+    assert main(["validate", "--config", config_file(text)]) == 1
+    assert capsys.readouterr().err == (
+        "config error: domain.inner and domain.outer: a boundary sample "
+        "failed to exit a comparison domain\n")
+
+
 @pytest.mark.parametrize("command", ["predict", "sweep"])
 def test_misordered_travel_times_are_a_runtime_error(config_file, capsys, command):
     # parse_config does not compute the bracket, so only validate refuses it

@@ -872,7 +872,14 @@ class TestSharedStreams:
         assert self._families(ID1, N1, BOX1, chain, 1e-3) is not None
         bounded = ConjugateFieldModel.identity(S1)
         bounded.validity_radius = 2.0
+        # a model that only says it is the identity: its drift is not
+        # checked to be lambda * x, so it does not fold
+        labelled = ConjugateFieldModel(
+            S1, f=lambda X: X, f_inv=lambda Y: Y,
+            df=lambda X: np.ones((X.shape[0], 1, 1)), variant="identity")
+        assert ID1.linear and not labelled.linear
         for model, noise, domain in [
+                (labelled, N1, BOX1),
                 (_Q1, N1, BOX1),
                 (ID1, NoiseModel.state_scaled([[1.0]], 0.5), BOX1),
                 (bounded, N1, BOX1),
