@@ -9,9 +9,9 @@ diagnose.  Exit codes:
 - 1: the config cannot be read, parsed or validated.  ``validate`` also
   computes the travel-time bracket of ``domain.inner``/``domain.outer``
   and refuses one that cannot be computed (the box boundary is not inside
-  both domains, or the flow does not leave them) or has t_minus > t_plus,
-  which ``predict`` and ``estimate`` would fail on; ``parse_config``
-  leaves that flow out.
+  both domains, or the flow does not leave them); ``parse_config`` leaves
+  that flow out.  A bracket with t_minus > t_plus is a config error of
+  every command that computes it, found where it is computed.
 - 2: a runtime failure (partial results still go to ``--out``) or a
   command-line usage error.
 """
@@ -72,14 +72,11 @@ def _print_validate(cfg) -> None:
 
 def _check_travel_times(cfg) -> None:
     try:
-        t_minus, t_plus = _travel_times(cfg)
+        _travel_times(cfg)
+    except ValidationError:
+        raise
     except ExitlabError as exc:
         raise ValidationError(f"domain.inner and domain.outer: {exc}") from exc
-    if t_minus > t_plus:
-        raise ValidationError(
-            f"domain.inner and domain.outer: the flow leaves domain.inner at "
-            f"t_minus = {t_minus!r}, after it leaves domain.outer at t_plus = "
-            f"{t_plus!r}; the travel-time bracket needs t_minus <= t_plus")
 
 
 def _print_rows(record, paths) -> None:
@@ -168,6 +165,9 @@ def main(argv=None) -> int:
 
     try:
         show = _run(args, cfg)
+    except ValidationError as exc:  # an inverted travel-time bracket
+        print(f"config error: {exc}", file=sys.stderr)
+        return 1
     except ExitlabError as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         partial_record = getattr(exc, "partial_record", None)

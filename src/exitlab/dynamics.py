@@ -243,8 +243,11 @@ class SmoothDomain:
         if not (radius > 0.0 and 0.0 < inv2 < math.inf):
             raise ValueError("radius and 1/radius^2 must be finite and positive")
 
+        r2 = radius * radius
+
         def g(X):
-            return np.sum(X * X, axis=-1) - radius * radius
+            # np.sum without its wrapper: the same reduction, bit for bit
+            return np.add.reduce(X * X, axis=-1) - r2
 
         return cls(g, grad=lambda X: 2.0 * X, name=f"ball:{radius!r}")
 
@@ -473,8 +476,13 @@ def _solve_rows(J: np.ndarray, B: np.ndarray) -> np.ndarray:
 def _rk4_block(model: ConjugateFieldModel, X: np.ndarray, h) -> np.ndarray:
     """One classical Runge-Kutta step for every row of X.
 
-    h may be a scalar or a per-row array (used when refining crossings).
-    An infinite validity radius has nothing to clamp, so clamp is skipped.
+    h is a float, or an (m, 1) column of per-row steps (used when refining
+    crossings).  An infinite validity radius has nothing to clamp, so clamp
+    is skipped.  The result has the bits of
+    ``X + (h / 6) * (k1 + 2 k2 + 2 k3 + k4)``: each sum and product takes the
+    same operands, and IEEE addition and multiplication commute.  Only
+    arrays made here are written in place; a clamp or a custom drift may
+    return its input.
     """
     clamps = math.isfinite(model.validity_radius)
 
@@ -483,14 +491,23 @@ def _rk4_block(model: ConjugateFieldModel, X: np.ndarray, h) -> np.ndarray:
             Z, _ = model.clamp(Z)
         return model.drift_batch(Z)
 
-    h = np.asarray(h, dtype=float)
-    if h.ndim == 1:
-        h = h[:, None]
+    half = 0.5 * h
     k1 = rhs(X)
-    k2 = rhs(X + (0.5 * h) * k1)
-    k3 = rhs(X + (0.5 * h) * k2)
-    k4 = rhs(X + h * k3)
-    return X + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    Z = k1 * half
+    Z += X
+    k2 = rhs(Z)
+    acc = k2 * 2.0
+    acc += k1
+    Z = k2 * half
+    Z += X
+    k3 = rhs(Z)
+    acc += k3 * 2.0
+    Z = k3 * h
+    Z += X
+    acc += rhs(Z)
+    acc *= h / 6.0
+    acc += X
+    return acc
 
 
 def flow_exit_times_batch(model: ConjugateFieldModel, domain, X0: np.ndarray,
@@ -567,6 +584,7 @@ def _smooth_exit_times(model: ConjugateFieldModel, domain: SmoothDomain,
     ids = np.flatnonzero(g0 < 0.0)
     X = X0[ids]
     bounded = math.isfinite(model.validity_radius)
+    h = float(dt)
     rows, steps, starts = [], [], []
     n_steps = stop = int(math.ceil(t_cap / dt - 1e-12))
     for k in range(n_steps):
@@ -574,7 +592,7 @@ def _smooth_exit_times(model: ConjugateFieldModel, domain: SmoothDomain,
             break
         if bounded and np.max(np.abs(X)) > model.validity_radius:
             raise OutsideValidity("trajectory left the validity region")
-        nxt = _rk4_block(model, X, dt)
+        nxt = _rk4_block(model, X, h)
         crossed = domain.values(nxt) > 0.0
         if crossed.any():
             rows.append(ids[crossed])
@@ -594,7 +612,7 @@ def _smooth_exit_times(model: ConjugateFieldModel, domain: SmoothDomain,
         for _ in range(_BISECT_ITERS):
             mid = 0.5 * (lo + hi)
             # one partial step per row with its own fraction of dt
-            trial = _rk4_block(model, start, mid * dt)
+            trial = _rk4_block(model, start, (mid * dt)[:, None])
             outside = domain.values(trial) > 0.0
             hi[outside] = mid[outside]
             lo[~outside] = mid[~outside]

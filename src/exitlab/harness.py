@@ -23,7 +23,7 @@ import numpy as np
 from . import __version__
 from .config import ExperimentConfig, config_hash
 from .dynamics import flow_exit_times_batch, transversality_check, travel_time_bounds
-from .errors import DegenerateFit, ExitlabError, NoExit
+from .errors import DegenerateFit, ExitlabError, NoExit, ValidationError
 from .estimator import (
     DensityDiagnostic,
     SlopeFit,
@@ -119,10 +119,22 @@ def _theory_point(cfg: ExperimentConfig, point: np.ndarray,
 
 
 def _travel_times(cfg: ExperimentConfig) -> tuple[float, float]:
+    """The travel-time bracket of domain.inner and domain.outer, (0, 0)
+    without them.
+
+    An inverted bracket is the config's fault, so it raises
+    ValidationError, which every command reports as a config error.
+    """
     if cfg.inner is None or cfg.outer is None:
         return 0.0, 0.0
-    return travel_time_bounds(cfg.model, cfg.box, cfg.inner, cfg.outer,
-                              dt=cfg.path.dt)
+    t_minus, t_plus = travel_time_bounds(cfg.model, cfg.box, cfg.inner,
+                                         cfg.outer, dt=cfg.path.dt)
+    if t_minus > t_plus:
+        raise ValidationError(
+            f"domain.inner and domain.outer: the flow leaves domain.inner at "
+            f"t_minus = {t_minus!r}, after it leaves domain.outer at t_plus = "
+            f"{t_plus!r}; the travel-time bracket needs t_minus <= t_plus")
+    return t_minus, t_plus
 
 
 def _theory_columns(cfg, c0, beta, x_eff, t_minus, t_plus):

@@ -19,9 +19,12 @@ has an alive row, to the longest grid left, and stored step-major,
 noise stores the increments ``xi @ sig0.T`` (width d; a square diagonal
 ``sig0`` scales each coordinate instead); state-dependent noise stores the
 raw normals (width n).  The block is walked in sub-blocks of at most
-``_SUB_STEPS`` steps and ``_SUB_STEPS`` step-rows per stream.  One read
-rule: a sub-block reads the block in place while the alive rows are its
-columns in order, and otherwise takes its rows' columns with one ``take``.
+``_SUB_STEPS`` steps, and of at most ``_SUB_STEPS`` step-rows per stream or
+``_SUB_ROWS`` step-rows in all, whichever is more: a batch with one row per
+stream takes ``_SUB_STEPS`` steps, and stacked rows take fewer only once
+they pass both budgets.  One read rule: a sub-block reads the block in
+place while the alive rows are its columns in order, and otherwise takes
+its rows' columns with one ``take``.
 Constant increments are then scaled by ``eps * sqrt(dt)`` in place: rows
 stay in order, so each run of rows with one epsilon is a column range,
 scaled by its scalar.  State-dependent increments are mixed per step by
@@ -88,8 +91,11 @@ from .dynamics import BoxDomain, ConjugateFieldModel, NoiseModel
 
 BLOCK_STEPS = 512
 # Most steps that alive rows take between two exit checks; divides
-# BLOCK_STEPS.  Also the step-rows per stream in one sub-block.
+# BLOCK_STEPS.
 _SUB_STEPS = 32
+# Step-rows of one sub-block: _SUB_STEPS per stream, but at least this many,
+# so a small stacked batch does not pay an exit check every few steps.
+_SUB_ROWS = 1 << 16
 # Paths whose noise block is drawn, mixed and turned step-major together:
 # the two path-major buffers of a 64-path group (1 MB at 512 steps and
 # d = n = 2) stay in L2 while they are transposed.
@@ -357,10 +363,10 @@ def simulate_batch(model: ConjugateFieldModel, noise: NoiseModel, domain,
     sig0 = noise.sigma0 if const_noise else np.eye(noise.n)
     width = sig0.shape[0]  # noise numbers per path and step
     clamps = math.isfinite(model.validity_radius)  # nothing to clamp at inf
-    # Step-rows per sub-block: _SUB_STEPS for each stream.  Stacked rows
-    # that share streams take shorter sub-blocks, so the trajectory stays
-    # the size of one row per stream.
-    cap = _SUB_STEPS * G
+    # Step-rows per sub-block: _SUB_STEPS for each stream, or _SUB_ROWS if
+    # that is more.  Stacked rows that share streams take shorter sub-blocks
+    # once they pass the budget.
+    cap = max(_SUB_STEPS * G, _SUB_ROWS)
     n_rows = min(_SUB_STEPS * ids.size, max(cap, ids.size))
     # Flat buffers that every sub-block views at its own (S, A) shape.
     traj_buf = np.empty(d * n_rows)

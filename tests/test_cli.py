@@ -186,13 +186,17 @@ def test_travel_time_failure_fails_validate(config_file, capsys, monkeypatch):
         "failed to exit a comparison domain\n")
 
 
-@pytest.mark.parametrize("command", ["predict", "sweep"])
-def test_misordered_travel_times_are_a_runtime_error(config_file, capsys, command):
-    # parse_config does not compute the bracket, so only validate refuses it
-    assert main([command, "--config", config_file(MISORDERED)]) == 2
+@pytest.mark.parametrize("command", ["predict", "estimate", "sweep", "flow"])
+def test_misordered_travel_times_are_a_config_error(config_file, capsys, tmp_path,
+                                                   command):
+    # the run refuses the bracket where it computes it, with validate's words
+    out_dir = tmp_path / "out"
+    assert main([command, "--config", config_file(MISORDERED),
+                 "--out", str(out_dir)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("runtime error: travel times must satisfy "
-                          "0 <= t_minus <= t_plus < inf")
+    assert err.startswith("config error: domain.inner and domain.outer: ")
+    assert err.endswith("the travel-time bracket needs t_minus <= t_plus\n")
+    assert not out_dir.exists()
 
 
 @pytest.mark.parametrize("command", ["predict", "sweep", "flow"])

@@ -20,6 +20,7 @@ from exitlab import (
     transversality_check,
     travel_time_bounds,
 )
+from exitlab import dynamics
 from exitlab.dynamics import _BISECT_ITERS, check_inclusion
 from exitlab.harness import run_flow_report
 
@@ -523,6 +524,102 @@ class TestFlowExitBatchInvariance:
         assert calls[0] <= 4 * (grid_steps + _BISECT_ITERS)
 
 
+def _rk4_reference(model, X, h):
+    """One RK4 step written as one expression: the bits that
+    dynamics._rk4_block must give.  h is a scalar, an (m,) array or an
+    (m, 1) column."""
+    clamps = math.isfinite(model.validity_radius)
+
+    def rhs(Z):
+        if clamps:
+            Z, _ = model.clamp(Z)
+        return model.drift_batch(Z)
+
+    h = np.asarray(h, dtype=float)
+    if h.ndim == 1:
+        h = h[:, None]
+    k1 = rhs(X)
+    k2 = rhs(X + (0.5 * h) * k1)
+    k3 = rhs(X + (0.5 * h) * k2)
+    k4 = rhs(X + h * k3)
+    return X + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _rk4_models(d):
+    spectrum = Spectrum(list(np.linspace(3.0, 1.0, d))) if d > 1 else S1
+    return {"identity": ConjugateFieldModel.identity(spectrum),
+            # default validity radius 0.2: starts beyond it get clamped
+            "quadratic": ConjugateFieldModel.component_quadratic(
+                spectrum, np.linspace(1.0, -0.5, d))}
+
+
+# drift b(x) = x hands back its input, and clamp hands back a row stack
+# with nothing over the radius: a step must not write into either
+_SELF_DRIFT = ConjugateFieldModel(
+    S1, f=lambda X: X, f_inv=lambda Y: Y,
+    df=lambda X: np.ones((X.shape[0], 1, 1)), drift=lambda X: X,
+    validity_radius=0.5)
+
+
+class TestRK4Step:
+    """The RK4 step keeps the bits of its one-expression form."""
+
+    @staticmethod
+    def _check(model, X, h, h_ref):
+        X_before = X.copy()
+        got = dynamics._rk4_block(model, X, h)
+        want = _rk4_reference(model, X, h_ref)
+        assert got.tobytes() == want.tobytes()
+        assert X.tobytes() == X_before.tobytes()  # the input is untouched
+        return got
+
+    @pytest.mark.parametrize("kind", ["identity", "quadratic"])
+    @pytest.mark.parametrize("d", [1, 2, 9])
+    def test_scalar_and_per_row_steps(self, kind, d):
+        model = _rk4_models(d)[kind]
+        rng = np.random.default_rng(d)
+        X = rng.uniform(-0.3, 0.3, (40, d))
+        if kind == "quadratic":  # some rows start past the radius
+            assert (np.abs(X).max(axis=1) > model.validity_radius).any()
+            assert (np.abs(X).max(axis=1) < model.validity_radius).any()
+        self._check(model, X, 0.05, 0.05)
+        h = rng.uniform(0.0, 0.1, 40)
+        self._check(model, X, h[:, None], h)
+        # a Fortran-ordered stack takes the same operands
+        self._check(model, np.asfortranarray(X), 0.05, 0.05)
+
+    @pytest.mark.parametrize("reach", [0.4, 0.7])
+    def test_drift_that_returns_its_input(self, reach):
+        # within 0.4 no stage passes the radius, so k1 is X itself; out to
+        # 0.7 the ends get clamped
+        X = np.linspace(-reach, reach, 15)[:, None]
+        got = self._check(_SELF_DRIFT, X, 0.1, 0.1)
+        h = np.linspace(0.0, 0.2, 15)
+        self._check(_SELF_DRIFT, X, h[:, None], h)
+        # b(x) = x: a step whose stages stay inside the radius multiplies
+        # by the degree-4 Taylor polynomial of exp(h)
+        inside = np.abs(X[:, 0]) <= 0.4
+        np.testing.assert_allclose(
+            got[inside, 0], X[inside, 0] * (1 + 0.1 + 0.1**2 / 2 + 0.1**3 / 6
+                                            + 0.1**4 / 24), rtol=1e-14)
+
+    @pytest.mark.parametrize("case", ["identity_ball", "quadratic_ball",
+                                      "d9_ellipsoid", "custom_ellipse",
+                                      "t_cap_nan"])
+    def test_flow_exit_times_match_the_reference_step(self, case, monkeypatch):
+        m = FLOW_CASES[case][2].shape[0]
+        got = _flow_taus(case, np.arange(m))
+        monkeypatch.setattr(dynamics, "_rk4_block", _rk4_reference)
+        assert got.tobytes() == _flow_taus(case, np.arange(m)).tobytes()
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_ball_values_are_the_sum_of_squares(self, order):
+        X = np.asarray(np.random.default_rng(9).uniform(-1.0, 1.0, (30, 9)),
+                       order=order)
+        got = SmoothDomain.ball(1.7).values(X)
+        assert got.tobytes() == (np.sum(X * X, axis=-1) - 1.7 * 1.7).tobytes()
+
+
 class TestTravelTimeBounds:
     def test_one_dimensional_log_two(self):
         tm, tp = travel_time_bounds(ID1, BoxDomain([-0.5], [0.5]),
@@ -570,6 +667,14 @@ class TestTravelTimeBounds:
         assert abs(tp64 - tp640) <= 1e-3
         # slowest escape to the unit circle starts at the face center (0, 0.25)
         assert tp64 == pytest.approx(2.0 * math.log(4.0), abs=1e-9)
+
+    def test_perfbench_2d_bracket_is_pinned(self):
+        # the bracket of direct-2d-w2 and many-small-cells, whose bits
+        # reach phi_minus and phi_plus in the recorded digests
+        box = BoxDomain([-1.0, -1.0], [1.0, 1.0])
+        assert travel_time_bounds(ID2, box, SmoothDomain.ball(1.5),
+                                  SmoothDomain.ball(2.0)) == (
+            0.09328662923427052, 1.386294361119891)
 
     def test_ordering(self):
         box = BoxDomain([-0.25, -0.25], [0.25, 0.25])

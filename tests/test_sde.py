@@ -632,19 +632,22 @@ class TestMappedNoiseBuffer:
         assert got["exited"].any() and not got["exited"].all()
 
 
-def _stacked_and_alone(model, noise, domain, cells, dt, seed=31):
+def _stacked(model, noise, domain, cells, dt, seed=31):
     """simulate_batch of every cell's rows stacked on one set of path
-    streams, checked bit for bit against each cell run alone.
-
-    A cell is (X0, epsilon, stop_time); row p of each cell steps on the
-    stream of path p.
-    """
+    streams.  A cell is (X0, epsilon, stop_time); row p of each cell steps
+    on the stream of path p."""
     n = cells[0][0].shape[0]
-    got = simulate_batch(
+    return simulate_batch(
         model, noise, domain, np.vstack([X0 for X0, _, _ in cells]),
         np.repeat([eps for _, eps, _ in cells], n),
         np.repeat([stop for _, _, stop in cells], n), dt,
         [make_generator(seed, p) for p in range(n)])
+
+
+def _stacked_and_alone(model, noise, domain, cells, dt, seed=31):
+    """_stacked, checked bit for bit against each cell run alone."""
+    n = cells[0][0].shape[0]
+    got = _stacked(model, noise, domain, cells, dt, seed)
     for c, (X0, eps, stop) in enumerate(cells):
         alone = simulate_batch(model, noise, domain, X0, eps, stop, dt,
                                [make_generator(seed, p) for p in range(n)])
@@ -704,8 +707,8 @@ _S3_MODEL = ConjugateFieldModel.identity(Spectrum([1.0, 0.7, 0.4]))
 _S3_NOISE = NoiseModel([[1.0, 0.2, 0.0], [0.3, 0.8, 0.1], [0.0, 0.5, 1.2]])
 _S3_BOX = BoxDomain([-0.5, -1.0, -0.7], [0.6, 0.8, 1.0])
 
-# 5 cells of 24 rows on 24 streams: sub-blocks of 32 * 24 // 120 = 6 steps
-# until enough rows leave
+# 5 cells of 24 rows on 24 streams; TestSubBlockLength also runs every case
+# on sub-blocks of 1 and 3 step-rows per stream and of whole blocks
 SHARED_CASES = {
     "d1_identity": (ID1, N1, BOX1, _cells(1, 24, (0.3, 0.2, 0.25, 0.3, 0.15), 1,
                                           edge=1.0), 1e-3),
@@ -744,7 +747,8 @@ SHARED_CASES = {
     "crossed_streams": (ID1, N1, BOX1, [(np.array([[1.5], [0.1]]), 0.2, 0.9),
                                         (np.array([[-0.1], [-1.5]]), 0.2, 0.9)],
                         1e-3),
-    # 40 cells of 3 rows: more rows than step-rows, so one step per sub-block
+    # 40 cells of 3 rows on 3 streams: with _SUB_STEPS step-rows per stream
+    # alone, more rows than step-rows, so one step per sub-block
     "many_cells": (ID1, N1, BOX1, [
         (np.random.default_rng(c).uniform(-0.5, 0.5, (3, 1)), 0.05 + 0.01 * c,
          _CELL_STOPS[c % 5]) for c in range(40)], 1e-3),
@@ -932,6 +936,65 @@ class TestSharedStreams:
         want = [BLOCK_STEPS, BLOCK_STEPS, 1100 - 2 * BLOCK_STEPS]
         for g in gens:
             assert [size for who, size in drawn if who is g] == want
+
+
+# (_SUB_STEPS, _SUB_ROWS): one step per sub-block; 3 step-rows per stream;
+# the per-stream budget alone; whole blocks
+_SUB_BLOCK_SIZES = [(1, 1), (3, 3), (_SUB_STEPS, 1), (BLOCK_STEPS, 1 << 40)]
+_SUB_BLOCK_RUNS = ([("shared", case) for case in sorted(SHARED_CASES)]
+                   + [("batch", case) for case in ("quadratic_clamp", "ball",
+                                                   "state_scaled")]
+                   + [("sub_block", "clamp_after_exit")])
+
+
+def _sub_block_run(table, case):
+    """simulate_batch on a case of SHARED_CASES (stacked), BATCH_CASES or
+    SUB_BLOCK_CASES (one row per stream)."""
+    if table == "shared":
+        return _stacked(*SHARED_CASES[case])
+    if table == "batch":
+        model, noise, domain, X0, eps, stop = BATCH_CASES[case]
+        return _run_ids(model, noise, domain, X0, eps, stop, 17,
+                        np.arange(X0.shape[0]))
+    model, noise, domain, X0, eps, stop, dt = SUB_BLOCK_CASES[case]
+    return simulate_batch(model, noise, domain, X0, eps, stop, dt,
+                          [make_generator(23, p) for p in range(X0.shape[0])])
+
+
+class TestSubBlockLength:
+    """No output depends on how many steps a sub-block takes."""
+
+    @pytest.mark.parametrize("steps, rows", _SUB_BLOCK_SIZES)
+    @pytest.mark.parametrize("table, case", _SUB_BLOCK_RUNS)
+    def test_outputs_do_not_depend_on_sub_block_length(self, table, case,
+                                                      steps, rows, monkeypatch):
+        want = _sub_block_run(table, case)
+        monkeypatch.setattr(sde, "_SUB_STEPS", steps)
+        monkeypatch.setattr(sde, "_SUB_ROWS", rows)
+        got = _sub_block_run(table, case)
+        for k in RESULT_KEYS:
+            assert got[k].tobytes() == want[k].tobytes(), k
+
+    def test_small_stacks_take_whole_sub_blocks(self, monkeypatch):
+        # many_cells: 120 rows on 3 streams, no fold, one exit check per
+        # sub-block.  The row budget gives them _SUB_STEPS steps; the
+        # per-stream budget alone gives them one step at a time.
+        checks = [0]
+        real = BoxDomain.outside
+
+        def counted(self, Y):
+            checks[0] += 1
+            return real(self, Y)
+
+        monkeypatch.setattr(BoxDomain, "outside", counted)
+        _sub_block_run("shared", "many_cells")
+        grid = 1100  # the longest grid, in blocks of 512, 512 and 76 steps
+        assert checks[0] <= 2 * (BLOCK_STEPS // _SUB_STEPS) + math.ceil(
+            (grid - 2 * BLOCK_STEPS) / _SUB_STEPS)
+        checks[0] = 0
+        monkeypatch.setattr(sde, "_SUB_ROWS", 1)
+        _sub_block_run("shared", "many_cells")
+        assert checks[0] > 4 * grid // _SUB_STEPS
 
 
 class TestStepBookkeeping:
