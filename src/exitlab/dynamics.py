@@ -543,6 +543,12 @@ def flow_exit_times_batch(model: ConjugateFieldModel, domain, X0: np.ndarray,
     own, so a row's operands do not depend on which rows share its batch,
     and the stacks stay C-contiguous, since numpy rounds a sum over
     coordinates by memory layout from d = 9 on.
+
+    The loop also drops a row whose first step returns its start bit for
+    bit, as from a subnormal start: that row would take the same step until
+    t_cap, so it stays nan.  A row that moves keeps moving, since its linear
+    coordinates grow and its increments with them, so later steps are not
+    checked.
     """
     X0 = np.atleast_2d(np.asarray(X0, dtype=float))
     if dt <= 0.0:
@@ -594,15 +600,23 @@ def _smooth_exit_times(model: ConjugateFieldModel, domain: SmoothDomain,
             raise OutsideValidity("trajectory left the validity region")
         nxt = _rk4_block(model, X, h)
         crossed = domain.values(nxt) > 0.0
+        keep = None
         if crossed.any():
             rows.append(ids[crossed])
             steps.append(np.full(rows[-1].size, k))
             starts.append(X[crossed])
-            keep = np.flatnonzero(~crossed)
-            ids = ids.take(keep)
-            nxt = nxt.take(keep, axis=0)
             if first_only:
                 stop = min(stop, k + 2)
+            keep = ~crossed
+        if k == 0:
+            # a row whose first step returns its start bit for bit takes
+            # that step again until t_cap and never crosses, so it stays nan
+            moved = ~(nxt == X).all(axis=1)
+            keep = moved if keep is None else keep & moved
+        if keep is not None:
+            keep = np.flatnonzero(keep)
+            ids = ids.take(keep)
+            nxt = nxt.take(keep, axis=0)
         X = nxt
     if rows:
         rows = np.concatenate(rows)

@@ -28,9 +28,9 @@ its rows' columns with one ``take``.
 Constant increments are then scaled by ``eps * sqrt(dt)`` in place: rows
 stay in order, so each run of rows with one epsilon is a column range,
 scaled by its scalar.  State-dependent increments are mixed per step by
-``sigma(x)``.  Each row has its own grid: its last step has its own size,
-and the steps past it, taken until the sub-block ends, neither exit nor
-clamp.  Each step writes its state in place into slot ``s`` of a
+``sigma(x)``.  One Euler update, ``_euler``, takes every step: x + b(x) h
+plus the noise term, then the clamp to the validity radius.  The grid
+steps every row by dt, writing each state in place into slot ``s`` of a
 coordinate-major ``(d, S, A)`` trajectory, whose column ``i`` belongs to
 row ``ids[i]``.  Exits are checked once per sub-block, on all S steps as
 one ``(S*A, d)`` stack: ``argmax`` over the step axis gives each row's
@@ -40,20 +40,24 @@ rows that exit or reach their stop time are then compacted out with
 clamping) to the sub-block's end; those later states are thrown away, and
 a clamp counts only on steps up to the exit.
 
-Power-of-two families: on a model built by ``ConjugateFieldModel.identity``
+Families and last steps: every row is a member of a family that steps one
+row, its carrier, while any member is undecided; member ``i`` has epsilon
+and start ``2**k_i`` times its carrier's.  Without a fold each row carries
+itself, with k = 0.  On a model built by ``ConjugateFieldModel.identity``
 (``model.linear``: drift ``lambda * x``) with an infinite validity radius,
 constant noise and a box, a row whose epsilon and start are exactly
 ``2**k`` times those of another row on its stream (equal ``frexp``
-mantissas, starts bitwise equal after scaling) is not stepped.  Each such
-family steps one row, its carrier: the member with the longest grid.  The
-carrier steps while any member is undecided.
-Member ``i`` is judged on the carrier's states against the box scaled by
-``2**-k_i``, and its state is ``2**k_i`` times the carrier's.  Its last
-step, of its own size, branches off the carrier's state before it, on the
-same increment, in the member's own coordinates.  The boxes are nested,
-so a sub-block judges only the members of carriers that left their
-tightest member's box, and the branches.  A row that folds nothing is a
-family of one, and without a family the batch runs exactly as above.
+mantissas, starts bitwise equal after scaling) folds: the carrier is the
+member with the longest grid.  Branch rule: each member's last step, of
+its own size, branches off its carrier's state before it, on the same
+increment, in the member's own coordinates, through ``_euler`` (sigma of
+the state before it, and the clamp).  Its exit and clamp flags replace
+those of the grid's dt step in that slot, and a member that reaches its
+last step ends in its branch's state.  Members are judged on their
+carrier's states: where some row folds, member ``i`` against the box
+scaled by ``2**-k_i`` (the boxes are nested, so a sub-block judges only
+the members of carriers that left their tightest member's box, and the
+branches); elsewhere by ``domain.outside`` (``_outside``).
 Multiplying by a power of two is exact and commutes with IEEE rounding:
 each Euler step of the carrier, scaled by ``2**k``, is the member's own
 step bit for bit, and ``2**k x > b`` holds exactly when ``x > 2**-k b``.
@@ -265,6 +269,14 @@ def _outside_scaled(Y: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray
     return out
 
 
+def _outside(model: ConjugateFieldModel, domain, X: np.ndarray) -> np.ndarray:
+    """Exit flags of the states X, (m, d): a box judges their images f(x),
+    a smooth domain a row-major copy, since its g may sum over coordinates."""
+    if isinstance(domain, BoxDomain):
+        return domain.outside(model.push_batch(X))
+    return domain.outside(np.ascontiguousarray(X))
+
+
 def _spread(v: np.ndarray, J: np.ndarray, M: int) -> np.ndarray:
     """v, one value per judged member J, as M values with zeros elsewhere."""
     full = np.zeros(M, dtype=v.dtype)
@@ -272,12 +284,31 @@ def _spread(v: np.ndarray, J: np.ndarray, M: int) -> np.ndarray:
     return full
 
 
-def _member_states(traj: np.ndarray, steps: np.ndarray, cols: np.ndarray,
-                   k: np.ndarray | None) -> np.ndarray:
-    """The states at the given sub-block steps and carrier columns, each
-    scaled by 2**k into its member's coordinates."""
-    state = traj[:, steps, cols].T
-    return state if k is None else np.ldexp(state, k[:, None])
+def _euler(model: ConjugateFieldModel, x: np.ndarray, h, out: np.ndarray,
+           dw, sigma: NoiseModel | None, c, clamps: bool, bh=None):
+    """One Euler step of the states x, (m, d), into out: x + b(x) h, plus
+    the noise term, then clamped to the validity radius.
+
+    h is a float or an (m, 1) column.  The noise term is dw itself where
+    sigma is None (constant noise: the scaled increments), or c times
+    sigma(x) applied to the raw normals dw, (m, n), where sigma is the
+    state-dependent noise; dw None adds none.  Returns the clamp flags, or
+    None without clamps.  bh, an (m, d) buffer, takes the drift term.
+    """
+    bh = np.multiply(model.drift_batch(x), h, out=bh)
+    if sigma is not None and dw is not None:
+        # einsum rounds by layout, so it gets C-contiguous operands
+        dw = c * np.einsum("rdn,rn->rd", sigma.sigma_batch(np.ascontiguousarray(x)),
+                           np.ascontiguousarray(dw))
+    np.add(x, bh, out=out)
+    if dw is not None:
+        np.add(out, dw, out=out)
+    if not clamps:
+        return None
+    xc, over = model.clamp(out)
+    if xc is not out:
+        out[...] = xc
+    return over
 
 
 def simulate_batch(model: ConjugateFieldModel, noise: NoiseModel, domain,
@@ -299,9 +330,10 @@ def simulate_batch(model: ConjugateFieldModel, noise: NoiseModel, domain,
     is drawn in whole blocks for as long as one of its rows is alive, to
     the longest grid left in the batch; with one stop time that is the
     grid, so a continuation can resume the generators.  Both noise forms
-    are drawn step-major into one buffer, and rows whose epsilon and start
-    are a power-of-two multiple of another row's on its stream fold onto
-    that row's steps (see the module docstring).
+    are drawn step-major into one buffer.  Rows whose epsilon and start are
+    a power-of-two multiple of another row's on its stream step as one
+    carrier row, the others each as its own; the grid steps dt, and each
+    row's last step branches off its carrier's (see the module docstring).
     """
     X0 = np.atleast_2d(np.asarray(X0, dtype=float))
     m, d = X0.shape
@@ -330,7 +362,6 @@ def simulate_batch(model: ConjugateFieldModel, noise: NoiseModel, domain,
     clamped = np.zeros(m, dtype=bool)
 
     detect = domain is not None
-    box = isinstance(domain, BoxDomain)
     alive = n_steps > 0
     if detect:
         out0 = _initial_outside(model, domain, X0)
@@ -339,28 +370,30 @@ def simulate_batch(model: ConjugateFieldModel, noise: NoiseModel, domain,
         steps_used[out0] = 0
         alive &= ~out0
     end_state[~alive] = X0[~alive]
-    # mem: the rows not yet decided; ids: the rows that step, their
-    # carriers.  Without folding they are one array.
-    mem = ids = np.flatnonzero(alive)
+    # mem: the rows not yet decided; ids: the rows that step, their carriers
+    mem = np.flatnonzero(alive)
     fams = _families(model, noise, domain, X0, eps, n_steps, G) if draws else None
-    folded = fams is not None
-    if folded:
-        car, kexp = fams
-        # mcol: the column of each member's carrier.  Members stay grouped
-        # by carrier, the tightest box (the largest k) first.
-        ids, mcol = np.unique(car[mem], return_inverse=True)
-        order = np.lexsort((-kexp[mem], mcol))
-        mem, mcol = mem[order], mcol[order]
-        # each row's box in its carrier's coordinates: a member 2**k times
-        # its carrier leaves the box when the carrier leaves the box / 2**k
+    # without a fold each row carries itself, with k = 0
+    car, kexp = fams or (np.arange(m), np.zeros(m, dtype=np.int32))
+    # mcol: the column of each member's carrier.  Members stay grouped by
+    # carrier, the tightest box (the largest k) first.
+    ids, mcol = np.unique(car[mem], return_inverse=True)
+    order = np.lexsort((-kexp[mem], mcol))
+    mem, mcol = mem[order], mcol[order]
+    lo_all = None
+    if fams is not None:
+        # some row folds, so members are judged on their boxes in carrier
+        # coordinates: a member 2**k times its carrier leaves the box when
+        # the carrier leaves the box / 2**k
         lo_all = np.ldexp(domain.lower[:, None], -kexp)
         hi_all = np.ldexp(domain.upper[:, None], -kexp)
     # Carriers only, coordinate-major: X[:, i] is the state of row ids[i].
     X = np.ascontiguousarray(X0[ids].T)
 
-    const_noise = noise.constant
-    # Constant noise stores its increments; state noise stores raw normals.
-    sig0 = noise.sigma0 if const_noise else np.eye(noise.n)
+    # Constant noise stores its increments; state noise stores raw normals
+    # and is mixed by sigma(x) on every step.
+    sigma = None if noise.constant else noise
+    sig0 = noise.sigma0 if sigma is None else np.eye(noise.n)
     width = sig0.shape[0]  # noise numbers per path and step
     clamps = math.isfinite(model.validity_radius)  # nothing to clamp at inf
     # Step-rows per sub-block: _SUB_STEPS for each stream, or _SUB_ROWS if
@@ -377,7 +410,7 @@ def simulate_batch(model: ConjugateFieldModel, noise: NoiseModel, domain,
     # the rows where epsilon changes: each run of rows between two of them
     # scales its noise by one scalar
     runs = np.flatnonzero(eps[1:] != eps[:-1]) + 1
-    scales = lead_lo = None  # set for the alive rows, again when they change
+    scales = lead_lo = c = None  # set for the alive rows, again when they change
     k = 0
     while ids.size:
         kb = min(BLOCK_STEPS, int(n_steps[mem].max()) - k)
@@ -386,7 +419,7 @@ def simulate_batch(model: ConjugateFieldModel, noise: NoiseModel, domain,
         live, cols = np.unique(ids % G, return_inverse=True)
         if np.array_equal(cols, np.arange(cols.size)):
             cols = None
-        dW = w = None
+        dW = None
         if draws:
             if noise_buf is None:  # the first block is the largest
                 noise_buf = _noise_buffer(kb * width * live.size)
@@ -399,89 +432,67 @@ def simulate_batch(model: ConjugateFieldModel, noise: NoiseModel, domain,
             S = min(_SUB_STEPS, max(1, cap // A), kb - j0)
             if scales is None:  # the carriers changed
                 scales = _noise_scales(eps, ids, runs, sdt)
-            if folded and lead_lo is None:  # the members changed
+                if sigma is not None:  # state noise scales per step
+                    c = eps[ids][:, None] * sdt
+            if lo_all is not None and lead_lo is None:  # the members changed
                 # the first, tightest member of each carrier's group
                 lead = np.ones(mcol.size, dtype=bool)
                 np.not_equal(mcol[1:], mcol[:-1], out=lead[1:])
                 lead = mem[lead]
                 lead_lo = lo_all.take(lead, axis=1)
                 lead_hi = hi_all.take(lead, axis=1)
-            fin = mfin = br = None
-            h_at = {}
+            # br: the members whose last step, at bs, falls in this sub-block
+            br = None
             if k + j0 + S >= next_end:
-                # members whose last step falls in this sub-block, at mfin_s
                 mleft = n_steps[mem] - (k + j0)
-                mfin = np.flatnonzero(mleft <= S)
-                mfin_s = mleft[mfin] - 1
-                fin, fin_s = mfin, mfin_s
-                if folded:
-                    # the carriers' own last steps; other members branch off
-                    left = n_steps[ids] - (k + j0)
-                    fin = np.flatnonzero(left <= S)
-                    fin_s = left[fin] - 1
-                    br = mfin[car[mem[mfin]] != mem[mfin]]
-                    if br.size:
-                        bs = mleft[br] - 1
-                        bc = mcol[br]
-                    else:
-                        br = None
-                if fin.size:
-                    rows = ids[fin]
-                    scale_last = eps[rows] * np.sqrt(h_last[rows])  # noise there
-                    # each alive row's step size on a step where some row ends
-                    for s in np.unique(fin_s).tolist():
-                        h = h_at[s] = np.full((A, 1), dt)
-                        at = fin_s == s
-                        h[fin[at], 0] = h_last[rows[at]]
-                else:
-                    fin = None
+                br = np.flatnonzero(mleft <= S)
+                bs = mleft[br] - 1
+                bc = mcol[br]
+                brows = mem[br]
             traj = traj_buf[:d * S * A].reshape(d, S, A)
             bh = bh_buf[:d * A].reshape(d, A).T
+            ws = None  # ws[..., s], (A, width): the noise of step s
             if dW is not None:
                 w = dW[j0:j0 + S]
                 if cols is not None:
                     w = w.take(cols, axis=2)
                 if br is not None:
-                    braw = w[bs, :, bc]  # the branches' last increments
-                if const_noise:
+                    braw = w[bs, :, bc]  # the branches' raw increments
+                if sigma is None:
                     # each slab is read once, so it is scaled where it lies
-                    if fin is not None:
-                        tail = scale_last[:, None] * w[fin_s, :, fin]
-                    for c, f in scales:
-                        np.multiply(w[:, :, c], f, out=w[:, :, c])
-                    if fin is not None:
-                        w[fin_s, :, fin] = tail
-                else:
-                    e = float(eps[0]) if runs.size == 0 else eps[ids][:, None]
+                    for cs, f in scales:
+                        np.multiply(w[:, :, cs], f, out=w[:, :, cs])
+                ws = w.T
             if clamps:
                 over_s = over_buf[:S * A].reshape(S, A)
-            prev = X
+            xs = traj.T  # xs[:, s], (A, d): the states after step s
+            x = X.T
             for s in range(S):
-                h = h_at.get(s, dt)
-                x = prev.T
-                cur = traj[:, s]
-                xt = cur.T
-                np.multiply(model.drift_batch(x), h, out=bh)
-                np.add(x, bh, out=xt)
-                if w is not None and const_noise:
-                    np.add(cur, w[s], out=cur)
-                elif w is not None:
-                    # einsum rounds by layout, so it gets a C-contiguous z
-                    sig = noise.sigma_batch(np.ascontiguousarray(x))
-                    z = np.ascontiguousarray(w[s].T)
-                    np.add(xt, (e * np.sqrt(h)) * np.einsum(
-                        "rdn,rn->rd", sig, z), out=xt)
+                xt = xs[:, s]
+                over = _euler(model, x, dt, xt, None if ws is None else ws[..., s],
+                              sigma, c, clamps, bh)
                 if clamps:
-                    xc, over_s[s] = model.clamp(xt)
-                    if xc is not xt:
-                        xt[...] = xc
-                prev = cur
+                    over_s[s] = over
+                x = xt
+            w = ws = None  # a taken slab goes before the next is taken or drawn
+            if br is not None:
+                # each member's last step, of its own size, branches off its
+                # carrier's state before it, in the member's own coordinates
+                before = np.where(bs == 0, X[:, bc], traj[:, bs - 1, bc]).T
+                before = np.ldexp(before, kexp[brows][:, None])
+                hb = h_last[brows][:, None]
+                cb = dwb = None
+                if draws:
+                    cb = eps[brows][:, None] * np.sqrt(hb)
+                    dwb = cb * braw if sigma is None else braw
+                xb = np.empty_like(before)
+                over_b = _euler(model, before, hb, xb, dwb, sigma, cb, clamps)
 
             gone = None
             # out: the exit flags (S, J.size) of the judged members J, or of
             # every member when J is None; None when no member can leave
             out = J = None
-            if folded:
+            if lo_all is not None:
                 # a member can leave only where its carrier's state leaves
                 # the box of its group's tightest member
                 near = ((traj.max(axis=1) > lead_hi)
@@ -495,26 +506,15 @@ def simulate_batch(model: ConjugateFieldModel, noise: NoiseModel, domain,
                                           lo_all.take(mem[J], axis=1),
                                           hi_all.take(mem[J], axis=1))
             elif detect:
-                flat = traj.reshape(d, S * A).T  # row s*A + i: path i at step s
-                if box:
-                    out = domain.outside(model.push_batch(flat)).reshape(S, A)
-                else:
-                    out = domain.outside(np.ascontiguousarray(flat)).reshape(S, A)
+                # row s*A + i: path i at step s
+                out = _outside(model, domain, traj.reshape(d, S * A).T).reshape(S, A)
             if out is not None:
-                if mfin is not None:
-                    # steps past a member's grid do not count
-                    togo = mleft if J is None else mleft[J]
-                    at = np.flatnonzero(togo <= S)
-                    out[:, at] &= np.arange(S)[:, None] < togo[at]
                 if br is not None:
-                    # a branch takes its last step, of its own size, off its
-                    # carrier's state before it, in its own coordinates
-                    brows = mem[br]
-                    before = np.where(bs == 0, X[:, bc], traj[:, bs - 1, bc]).T
-                    xb = np.ldexp(before, kexp[brows][:, None])
-                    xb = (xb + model.drift_batch(xb) * h_last[brows][:, None]) + (
-                        eps[brows] * np.sqrt(h_last[brows]))[:, None] * braw
-                    out[bs, np.searchsorted(J, br)] = domain.outside(xb)
+                    # a member's steps before its last count; its last step
+                    # is its branch's
+                    at = br if J is None else np.searchsorted(J, br)
+                    out[:, at] &= np.arange(S)[:, None] < bs
+                    out[bs, at] = _outside(model, domain, xb)
                 if out.any():
                     gone = out.any(axis=0)
                     first = out.argmax(axis=0)  # first exit step in the sub-block
@@ -529,54 +529,52 @@ def simulate_batch(model: ConjugateFieldModel, noise: NoiseModel, domain,
                     tau[hit_ids] = np.where(step == n_steps[hit_ids],
                                             stop[hit_ids], step * dt)
                     steps_used[hit_ids] = step
-                    end_state[hit_ids] = _member_states(
-                        traj, sh, mcol[hit] if folded else hit,
-                        kexp[hit_ids] if folded else None)
+                    end_state[hit_ids] = np.ldexp(traj[:, sh, mcol[hit]].T,
+                                                  kexp[hit_ids][:, None])
             if clamps:
-                # no row folds, so the members are the carriers
-                if mfin is not None:
-                    over_s[:, mfin] &= np.arange(S)[:, None] <= mfin_s
+                # a fold needs an infinite validity radius, so here every
+                # member is its own carrier
+                if br is not None:
+                    over_s[:, bc] &= np.arange(S)[:, None] < bs
+                    over_s[bs, bc] = over_b
                 flag = over_s.any(axis=0)
                 if gone is not None and flag.any():
                     # a clamp after a path's exit step does not count
                     flag &= ~gone | (over_s.argmax(axis=0) <= first)
                 clamped[ids[flag]] = True
-            if mfin is not None:
-                # members that reach their stop time end there
-                done = mfin if gone is None else mfin[~gone[mfin]]
-                end_state[mem[done]] = _member_states(
-                    traj, mleft[done] - 1, mcol[done] if folded else done,
-                    kexp[mem[done]] if folded else None)
-                if br is not None:
-                    # a branch decided on its last step ends in its own state
-                    own = slice(None) if gone is None else ~gone[br] | (first[br] == bs)
-                    end_state[brows[own]] = xb[own]
+            if br is not None:
+                # a member decided on its last step ends in its branch's state
+                own = slice(None) if gone is None else ~gone[br] | (first[br] == bs)
+                end_state[brows[own]] = xb[own]
                 if gone is None:
                     gone = np.zeros(mem.size, dtype=bool)
-                gone[mfin] = True
+                gone[br] = True
             if gone is None:
                 X = traj[:, S - 1].copy()
             else:
-                keep = np.flatnonzero(~gone)
-                if folded:
-                    # a carrier steps on while one of its members is left
-                    mem = mem.take(keep)
-                    mcol = mcol.take(keep)
+                # a carrier steps on while one of its members is left
+                left = ~gone
+                mem = mem[left]
+                if mcol.size == A:
+                    # one member per carrier: mcol is the identity, and the
+                    # carriers that stay are the members left
+                    stays = left
+                    mcol = np.arange(mem.size)
+                else:
+                    mcol = mcol[left]
                     stays = np.zeros(A, dtype=bool)
                     stays[mcol] = True
-                    keep = None if stays.all() else np.flatnonzero(stays)
-                    if keep is not None:
+                    if not stays.all():
                         mcol = (np.cumsum(stays) - 1)[mcol]
-                    lead_lo = None
-                if keep is None:
+                if stays.all():
                     X = traj[:, S - 1].copy()
                 else:
+                    keep = np.flatnonzero(stays)
                     ids = ids.take(keep)
                     cols = keep if cols is None else cols.take(keep)
                     X = traj[:, S - 1].take(keep, axis=1)
                     scales = None
-                if not folded:
-                    mem = ids
+                lead_lo = None
                 if mem.size:
                     next_end = int(n_steps[mem].min())
             j0 += S

@@ -321,6 +321,21 @@ _BOX2 = BoxDomain([-0.5, -0.5], [0.5, 0.5])
 _QUAD2 = ConjugateFieldModel.component_quadratic(S2, [1.0, -0.5],
                                                  validity_radius=0.2)
 _STOP = (BLOCK_STEPS + 37) * 1e-3 + 4.4e-4  # not a multiple of the block
+_C2 = np.array([1.0, -0.5])
+
+
+def _quad_jacobians(X):
+    J = np.zeros(X.shape + (2,))
+    J[:, [0, 1], [0, 1]] = 1.0 + 2.0 * _C2 * X
+    return J
+
+
+# _QUAD2's map without its closed-form drift: drift_batch solves the
+# stacked system Df(x) b = lambda f(x) on every step
+_SOLVED2 = ConjugateFieldModel(
+    S2, f=lambda X: X + _C2 * X * X,
+    f_inv=lambda Y: 2.0 * Y / (1.0 + np.sqrt(1.0 + 4.0 * _C2 * Y)),
+    df=_quad_jacobians, validity_radius=0.2)
 BATCH_CASES = {
     "box": (ID2, NoiseModel([[1.0, 0.0], [1.0, 1.0]]),
             _BOX2, _box_starts(2, 24, _RNG), 0.3, 0.9),
@@ -340,6 +355,10 @@ BATCH_CASES = {
         _box_starts(2, 24, _RNG), 0.3, _STOP),
     "epsilon_zero": (ID1, N1, BOX1, np.linspace(-1.2, 0.9, 12)[:, None],
                      0.0, 2.0),
+    # as quadratic_clamp, on a grid that ends in a 0.44 dt step
+    "solved_drift": (_SOLVED2, NoiseModel(np.eye(2)),
+                     BoxDomain([-0.15, -0.15], [0.3, 0.3]),
+                     np.zeros((16, 2)), 0.3, _STOP),
 }
 
 
@@ -383,9 +402,11 @@ class TestBatchInvariance:
             assert (res["tau"] > 0.0).any(), case
         for case in ("state_scaled", "state_scaled_rect"):
             assert not run(case)["exited"].all(), case  # some reach _STOP
-        res = run("quadratic_clamp")
-        assert (res["clamped"] & res["exited"]).any()
-        assert (res["clamped"] & ~res["exited"]).any()
+        for case in ("quadratic_clamp", "solved_drift"):
+            res = run(case)
+            assert (res["clamped"] & res["exited"]).any(), case
+            assert (res["clamped"] & ~res["exited"]).any(), case
+        assert (res["steps_used"][~res["exited"]] == 550).any()  # the 0.44 dt step
         res = run("no_domain")
         assert not res["exited"].any()
         for case in BATCH_CASES:  # every row of end_state is set
@@ -412,11 +433,14 @@ class TestClampSkip:
         assert tau_after.tobytes() == tau_before.tobytes()
 
     def test_quadratic_model_still_clamps_and_flags(self, monkeypatch):
-        # Each path alone: clamp runs on every step up to the exit (and on to
-        # the end of that sub-block), and the path is flagged exactly when
-        # clamp reported it over the radius on a step at or before its exit.
+        # Each path alone: clamp runs on every grid step up to the exit (and
+        # on to the end of that sub-block), then on the branch of the last
+        # step if it falls in that sub-block, and the path is flagged exactly
+        # when clamp reported it over the radius on a step at or before its
+        # exit; the last step's report is the branch's.
         model, noise, domain, X0, eps, stop = BATCH_CASES["quadratic_clamp"]
         m = X0.shape[0]
+        n = math.ceil(stop / 1e-3 - 1e-12)
         whole = _run_ids(model, noise, domain, X0, eps, stop, 17, np.arange(m))
         original = ConjugateFieldModel.clamp
         overs = []
@@ -432,9 +456,12 @@ class TestClampSkip:
             overs.clear()
             one = _run_ids(model, noise, domain, X0, eps, stop, 17, np.array([p]))
             used = one["steps_used"][0]
-            assert used <= len(overs) < used + _SUB_STEPS
-            assert one["clamped"][0] == any(overs[:used]) == whole["clamped"][p]
-            late += any(overs[used:]) and not any(overs[:used])
+            assert used <= len(overs) <= used + _SUB_STEPS
+            flags = overs[:used]
+            if used == n:
+                flags[-1] = overs[-1]
+            assert one["clamped"][0] == any(flags) == whole["clamped"][p]
+            late += used < n and any(overs[used:]) and not any(flags)
         assert whole["clamped"].any() and not whole["clamped"].all()
         assert late  # some path was clamped only after its exit, unflagged
 
@@ -536,6 +563,23 @@ SUB_BLOCK_CASES = {
     # radius 0.2: paths cross it, then reach the radius a few steps later
     "clamp_after_exit": (_Q1, NoiseModel([[0.1]]), BoxDomain([-0.3], [0.19 + 0.19**2]),
                          np.linspace(0.1, 0.15, 24)[:, None], 0.05, 2.0, 1e-2),
+    # 46 steps, the last of 0.5 dt; the box holds f of the validity cube, so
+    # no path leaves.  From about 0.19242 the path reaches the radius 0.2
+    # on step 45: the starts below it reach it on the last step, and the
+    # lowest ones only on a full-size last step, which is not taken
+    "clamp_on_last_step": (_Q1, NoiseModel([[0.01]]), BoxDomain([-0.3], [0.3]),
+                           0.19242 + np.linspace(-2.5e-4, 0.5e-4, 24)[:, None],
+                           0.01, 0.0455, 1e-3),
+    # 46 steps, the last of 0.5 dt: rows 0 and 1 cross the radius half way
+    # through the last step, row 2 only on a full-size last step, row 3 on
+    # step 10, and rows 4 and 5 stay inside
+    "ball_last_step": (ID2, NoiseModel.state_scaled(np.eye(2), 0.5),
+                       SmoothDomain.ball(0.5), np.array([
+                           [0.5 / (1.01**45 * 1.0025), 0.0],
+                           [-0.5 / (1.01**45 * 1.0025), 0.0],
+                           [0.5 / (1.01**45 * 1.0075), 0.0],
+                           [0.5 / 1.01**9.5, 0.0], [0.1, 0.1], [-0.2, 0.05]]),
+                       1e-4, 0.455, 1e-2),
 }
 
 
@@ -568,7 +612,7 @@ class TestReferenceStepper:
         _map_every_buffer(monkeypatch, mapped)
         self._both(*SUB_BLOCK_CASES[case])
 
-    def test_cases_reach_their_branches(self):
+    def test_cases_reach_their_branches(self, monkeypatch):
         def run(case):
             return self._both(*SUB_BLOCK_CASES[case])
 
@@ -594,6 +638,33 @@ class TestReferenceStepper:
         late = res["exited"] & ~res["clamped"] & free["clamped"]
         # exits that are not on a sub-block's last step, clamped only later
         assert (late & (res["steps_used"] % _SUB_STEPS != 0)).any()
+        # each row's first clamp step, from the clamps of the per-step loop
+        model, noise, domain, X0, eps, stop, dt = SUB_BLOCK_CASES["clamp_on_last_step"]
+        res = run("clamp_on_last_step")
+        seen = []
+        real = ConjugateFieldModel.clamp
+
+        def recording(self, X):
+            seen.append(X.copy())  # every row, each step, before the clamp
+            return real(self, X)
+
+        monkeypatch.setattr(ConjugateFieldModel, "clamp", recording)
+        _euler_reference(model, noise, domain, X0, eps, stop, dt,
+                         [make_generator(23, p) for p in range(X0.shape[0])])
+        n = len(seen)
+        over = np.abs(np.array(seen)[:, :, 0]) > model.validity_radius
+        first = np.where(over.any(axis=0), over.argmax(axis=0) + 1, 0)
+        assert n == 46 and not res["exited"].any()
+        np.testing.assert_array_equal(res["clamped"], first > 0)
+        assert (first == n).any() and (first == n - 1).any()
+        # unclamped rows that a full-size last step would take past the radius
+        x = seen[n - 2]
+        full = x + dt * model.drift_batch(x)
+        assert ((full[:, 0] > 0.2 + 1e-5) & ~res["clamped"]).any()
+        res = run("ball_last_step")
+        np.testing.assert_array_equal(res["exited"], [1, 1, 0, 1, 0, 0])
+        np.testing.assert_array_equal(res["steps_used"], [46, 46, 46, 10, 46, 46])
+        assert (res["tau"][:2] == 0.455).all() and res["tau"][3] == 0.1
 
 
 class TestMappedNoiseBuffer:
@@ -943,8 +1014,10 @@ class TestSharedStreams:
 _SUB_BLOCK_SIZES = [(1, 1), (3, 3), (_SUB_STEPS, 1), (BLOCK_STEPS, 1 << 40)]
 _SUB_BLOCK_RUNS = ([("shared", case) for case in sorted(SHARED_CASES)]
                    + [("batch", case) for case in ("quadratic_clamp", "ball",
-                                                   "state_scaled")]
-                   + [("sub_block", "clamp_after_exit")])
+                                                   "state_scaled", "solved_drift")]
+                   + [("sub_block", case) for case in ("clamp_after_exit",
+                                                       "clamp_on_last_step",
+                                                       "ball_last_step")])
 
 
 def _sub_block_run(table, case):
@@ -978,15 +1051,18 @@ class TestSubBlockLength:
     def test_small_stacks_take_whole_sub_blocks(self, monkeypatch):
         # many_cells: 120 rows on 3 streams, no fold, one exit check per
         # sub-block.  The row budget gives them _SUB_STEPS steps; the
-        # per-stream budget alone gives them one step at a time.
+        # per-stream budget alone gives them one step at a time.  A
+        # sub-block checks its trajectory in place, a view of the engine's
+        # buffer; the rows whose last step falls in it are checked on their
+        # branch states, an array of their own, which is not counted.
         checks = [0]
-        real = BoxDomain.outside
+        real = sde._outside
 
-        def counted(self, Y):
-            checks[0] += 1
-            return real(self, Y)
+        def counted(model, domain, X):
+            checks[0] += X.base is not None
+            return real(model, domain, X)
 
-        monkeypatch.setattr(BoxDomain, "outside", counted)
+        monkeypatch.setattr(sde, "_outside", counted)
         _sub_block_run("shared", "many_cells")
         grid = 1100  # the longest grid, in blocks of 512, 512 and 76 steps
         assert checks[0] <= 2 * (BLOCK_STEPS // _SUB_STEPS) + math.ceil(
