@@ -555,17 +555,11 @@ def simulate_batch(model: ConjugateFieldModel, noise: NoiseModel, domain,
                 # a carrier steps on while one of its members is left
                 left = ~gone
                 mem = mem[left]
-                if mcol.size == A:
-                    # one member per carrier: mcol is the identity, and the
-                    # carriers that stay are the members left
-                    stays = left
-                    mcol = np.arange(mem.size)
-                else:
-                    mcol = mcol[left]
-                    stays = np.zeros(A, dtype=bool)
-                    stays[mcol] = True
-                    if not stays.all():
-                        mcol = (np.cumsum(stays) - 1)[mcol]
+                mcol = mcol[left]
+                stays = np.zeros(A, dtype=bool)
+                stays[mcol] = True
+                if not stays.all():
+                    mcol = (np.cumsum(stays) - 1)[mcol]
                 if stays.all():
                     X = traj[:, S - 1].copy()
                 else:

@@ -1051,18 +1051,22 @@ class TestSubBlockLength:
     def test_small_stacks_take_whole_sub_blocks(self, monkeypatch):
         # many_cells: 120 rows on 3 streams, no fold, one exit check per
         # sub-block.  The row budget gives them _SUB_STEPS steps; the
-        # per-stream budget alone gives them one step at a time.  A
-        # sub-block checks its trajectory in place, a view of the engine's
-        # buffer; the rows whose last step falls in it are checked on their
-        # branch states, an array of their own, which is not counted.
+        # per-stream budget alone gives them one step at a time.  Each
+        # branch, an Euler step of a per-row step column, is judged by one
+        # more check, so the sub-blocks' checks are the rest.
         checks = [0]
-        real = sde._outside
+        real_outside, real_euler = sde._outside, sde._euler
 
-        def counted(model, domain, X):
-            checks[0] += X.base is not None
-            return real(model, domain, X)
+        def outside(model, domain, X):
+            checks[0] += 1
+            return real_outside(model, domain, X)
 
-        monkeypatch.setattr(sde, "_outside", counted)
+        def euler(model, x, h, *args, **kwargs):
+            checks[0] -= np.ndim(h) > 0
+            return real_euler(model, x, h, *args, **kwargs)
+
+        monkeypatch.setattr(sde, "_outside", outside)
+        monkeypatch.setattr(sde, "_euler", euler)
         _sub_block_run("shared", "many_cells")
         grid = 1100  # the longest grid, in blocks of 512, 512 and 76 steps
         assert checks[0] <= 2 * (BLOCK_STEPS // _SUB_STEPS) + math.ceil(
