@@ -6,14 +6,14 @@ diagnose.  Exit codes:
 - 0: success, also when stdout is closed before everything is printed
   (``exitlab predict ... | head -1``); ``--out`` files are written before
   anything is printed, so they are complete.
-- 1: the config cannot be read, parsed or validated.  ``validate`` also
-  computes the travel-time bracket of ``domain.inner``/``domain.outer``
-  and refuses one that cannot be computed (the box boundary is not inside
-  both domains, or the flow does not leave them); ``parse_config`` leaves
-  that flow out.  A bracket with t_minus > t_plus is a config error of
-  every command that computes it, found where it is computed.
-- 2: a runtime failure (partial results still go to ``--out``) or a
-  command-line usage error.
+- 1: the config cannot be read, parsed or validated.  ``parse_config``
+  leaves out the flow of the travel-time bracket of
+  ``domain.inner``/``domain.outer``; a bracket that cannot be computed
+  (the flow does not leave the domains) or is inverted (t_minus > t_plus)
+  is a config error of every command that computes it: ``validate``,
+  ``predict``, ``estimate``/``sweep`` and ``flow``.
+- 2: a runtime failure or an unexpected exception (the finished cells of
+  a sweep still go to ``--out``), or a command-line usage error.
 """
 
 from __future__ import annotations
@@ -70,15 +70,6 @@ def _print_validate(cfg) -> None:
         print(f"warning: {warning}", file=sys.stderr)
 
 
-def _check_travel_times(cfg) -> None:
-    try:
-        _travel_times(cfg)
-    except ValidationError:
-        raise
-    except ExitlabError as exc:
-        raise ValidationError(f"domain.inner and domain.outer: {exc}") from exc
-
-
 def _print_rows(record, paths) -> None:
     for row in record.rows:
         bits = [f"eps={row.epsilon!r}", f"x={';'.join(repr(c) for c in row.x)}",
@@ -107,6 +98,7 @@ def _run(args, cfg):
     cannot lose a finished run.
     """
     if args.command == "validate":
+        _travel_times(cfg)
         return partial(_print_validate, cfg)
     if args.command in ("predict", "estimate", "sweep"):
         record = (run_predict(cfg) if args.command == "predict"
@@ -157,27 +149,18 @@ def main(argv=None) -> int:
         cfg = parse_config(text)
         if args.seed is not None or args.workers is not None:
             cfg = cfg.with_overrides(seed=args.seed, workers=args.workers)
-        if args.command == "validate":
-            _check_travel_times(cfg)
+        show = _run(args, cfg)
     except (ParseError, ValidationError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-
-    try:
-        show = _run(args, cfg)
-    except ValidationError as exc:  # an inverted travel-time bracket
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-    except ExitlabError as exc:
-        print(f"runtime error: {exc}", file=sys.stderr)
+    except Exception as exc:
+        what = "runtime" if isinstance(exc, ExitlabError) else "unexpected"
+        print(f"{what} error: {exc}", file=sys.stderr)
         partial_record = getattr(exc, "partial_record", None)
         if partial_record is not None and args.out:
             paths = emit_outputs(partial_record, args.out)
             for kind, path in sorted(paths.items()):
                 print(f"wrote partial {kind}: {path}", file=sys.stderr)
-        return 2
-    except Exception as exc:  # pragma: no cover - last resort
-        print(f"unexpected error: {exc}", file=sys.stderr)
         return 2
     try:
         show()

@@ -122,13 +122,17 @@ def _travel_times(cfg: ExperimentConfig) -> tuple[float, float]:
     """The travel-time bracket of domain.inner and domain.outer, (0, 0)
     without them.
 
-    An inverted bracket is the config's fault, so it raises
-    ValidationError, which every command reports as a config error.
+    A bracket that cannot be computed or is inverted is the config's
+    fault, so either raises ValidationError, which every command reports
+    as a config error.
     """
     if cfg.inner is None or cfg.outer is None:
         return 0.0, 0.0
-    t_minus, t_plus = travel_time_bounds(cfg.model, cfg.box, cfg.inner,
-                                         cfg.outer, dt=cfg.path.dt)
+    try:
+        t_minus, t_plus = travel_time_bounds(cfg.model, cfg.box, cfg.inner,
+                                             cfg.outer, dt=cfg.path.dt)
+    except ExitlabError as exc:
+        raise ValidationError(f"domain.inner and domain.outer: {exc}") from exc
     if t_minus > t_plus:
         raise ValidationError(
             f"domain.inner and domain.outer: the flow leaves domain.inner at "
@@ -151,8 +155,8 @@ def _sweep(cfg: ExperimentConfig, estimate: bool = False) -> RunRecord:
     estimate the Monte Carlo columns from _estimates.
 
     A row's wall_seconds is its theory time plus its estimate's seconds.
-    If _estimates raises an ExitlabError, the rows of the cells it finished
-    go on a partial record hung on the error.
+    If _estimates raises, whatever the exception, the rows of the cells it
+    finished go on a partial record hung on it.
     """
     c0 = limit_covariance(cfg.noise.sigma0, cfg.model.spectrum)
     beta = tail_exponent(cfg.model.spectrum, cfg.threshold.alpha)
@@ -183,7 +187,7 @@ def _sweep(cfg: ExperimentConfig, estimate: bool = False) -> RunRecord:
         if estimate:
             try:
                 est, est_seconds = next(results)
-            except ExitlabError as exc:
+            except Exception as exc:
                 # completed cells stay usable: hang them on the error so
                 # the caller can still emit them
                 exc.partial_record = record([

@@ -25,10 +25,10 @@ stream takes ``_SUB_STEPS`` steps, and stacked rows take fewer only once
 they pass both budgets.  One read rule: a sub-block reads the block in
 place while the alive rows are its columns in order, and otherwise takes
 its rows' columns with one ``take``.
-Constant increments are then scaled by ``eps * sqrt(dt)`` in place: rows
-stay in order, so each run of rows with one epsilon is a column range,
-scaled by its scalar.  State-dependent increments are mixed per step by
-``sigma(x)``.  One Euler update, ``_euler``, takes every step: x + b(x) h
+Every row has 0 < epsilon < 1, and its increments are scaled by its own
+``c = eps * sqrt(dt)``: constant increments in place, by one multiply of
+the slab, and state-dependent ones per step, after ``sigma(x)`` mixes
+them.  One Euler update, ``_euler``, takes every step: x + b(x) h
 plus the noise term, then the clamp to the validity radius.  The grid
 steps every row by dt, writing each state in place into slot ``s`` of a
 coordinate-major ``(d, S, A)`` trajectory, whose column ``i`` belongs to
@@ -247,19 +247,6 @@ def _families(model: ConjugateFieldModel, noise: NoiseModel, domain,
     return car, ex - ex[car]
 
 
-def _noise_scales(eps: np.ndarray, ids: np.ndarray, runs: np.ndarray,
-                  sdt: float) -> list:
-    """(columns, factor) pairs that scale the increments of the rows ids by
-    eps * sdt.
-
-    runs are the rows where epsilon changes.  Rows stay in order, so the
-    columns of one run are one range, scaled by its scalar.
-    """
-    bounds = [0, *np.searchsorted(ids, runs).tolist(), ids.size]
-    return [(slice(a, b), float(eps[ids[a]]) * sdt)
-            for a, b in zip(bounds, bounds[1:]) if b > a]
-
-
 def _outside_scaled(Y: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """(S, M) flags: column i of Y, (d, S, M), is outside [lo[:, i], hi[:, i]]."""
     out = (Y[0] < lo[0]) | (Y[0] > hi[0])
@@ -290,19 +277,18 @@ def _euler(model: ConjugateFieldModel, x: np.ndarray, h, out: np.ndarray,
     the noise term, then clamped to the validity radius.
 
     h is a float or an (m, 1) column.  The noise term is dw itself where
-    sigma is None (constant noise: the scaled increments), or c times
-    sigma(x) applied to the raw normals dw, (m, n), where sigma is the
-    state-dependent noise; dw None adds none.  Returns the clamp flags, or
-    None without clamps.  bh, an (m, d) buffer, takes the drift term.
+    sigma is None (constant noise: the scaled increments), or the (m, 1)
+    column c times sigma(x) applied to the raw normals dw, (m, n), where
+    sigma is the state-dependent noise.  Returns the clamp flags, or None
+    without clamps.  bh, an (m, d) buffer, takes the drift term.
     """
     bh = np.multiply(model.drift_batch(x), h, out=bh)
-    if sigma is not None and dw is not None:
+    if sigma is not None:
         # einsum rounds by layout, so it gets C-contiguous operands
         dw = c * np.einsum("rdn,rn->rd", sigma.sigma_batch(np.ascontiguousarray(x)),
                            np.ascontiguousarray(dw))
     np.add(x, bh, out=out)
-    if dw is not None:
-        np.add(out, dw, out=out)
+    np.add(out, dw, out=out)
     if not clamps:
         return None
     xc, over = model.clamp(out)
@@ -317,7 +303,8 @@ def simulate_batch(model: ConjugateFieldModel, noise: NoiseModel, domain,
     """Advance a batch of paths on the dt grid until exit or their stop time.
 
     X0 is (m, d).  epsilon and stop_time are one value for every row or one
-    value per row; epsilon is 0 on every row or on none.  m is a multiple
+    value per row, with 0 < epsilon < 1 on every row; a row's increments
+    are scaled by its own epsilon * sqrt(dt).  m is a multiple
     of len(gens), and row r reads the normals of gens[r % len(gens)], so
     rows that share a stream step on the same normals.  A row's stop time
     sets its own grid: ceil(stop / dt) steps, the last one of its own size.
@@ -339,11 +326,8 @@ def simulate_batch(model: ConjugateFieldModel, noise: NoiseModel, domain,
     m, d = X0.shape
     eps = np.broadcast_to(np.asarray(epsilon, dtype=float), (m,))
     stop = np.broadcast_to(np.asarray(stop_time, dtype=float), (m,))
-    if not np.all((0.0 <= eps) & (eps < 1.0)):
-        raise ValueError("epsilon must lie in [0, 1)")
-    draws = bool(eps.any())
-    if draws and not eps.all():
-        raise ValueError("epsilon must be 0 on every row or on none")
+    if not np.all((0.0 < eps) & (eps < 1.0)):
+        raise ValueError("epsilon must lie in (0, 1)")
     if not np.all((stop >= 0.0) & (stop < math.inf)):
         raise ValueError("stop_time must be finite and >= 0")
     if not 0.0 < dt < math.inf:
@@ -372,7 +356,7 @@ def simulate_batch(model: ConjugateFieldModel, noise: NoiseModel, domain,
     end_state[~alive] = X0[~alive]
     # mem: the rows not yet decided; ids: the rows that step, their carriers
     mem = np.flatnonzero(alive)
-    fams = _families(model, noise, domain, X0, eps, n_steps, G) if draws else None
+    fams = _families(model, noise, domain, X0, eps, n_steps, G)
     # without a fold each row carries itself, with k = 0
     car, kexp = fams or (np.arange(m), np.zeros(m, dtype=np.int32))
     # mcol: the column of each member's carrier.  Members stay grouped by
@@ -407,10 +391,7 @@ def simulate_batch(model: ConjugateFieldModel, noise: NoiseModel, domain,
     over_buf = np.empty(n_rows, dtype=bool) if clamps else None
     noise_buf = None
     sdt = math.sqrt(dt)
-    # the rows where epsilon changes: each run of rows between two of them
-    # scales its noise by one scalar
-    runs = np.flatnonzero(eps[1:] != eps[:-1]) + 1
-    scales = lead_lo = c = None  # set for the alive rows, again when they change
+    lead_lo = c = None  # set for the alive rows, again when they change
     k = 0
     while ids.size:
         kb = min(BLOCK_STEPS, int(n_steps[mem].max()) - k)
@@ -419,21 +400,17 @@ def simulate_batch(model: ConjugateFieldModel, noise: NoiseModel, domain,
         live, cols = np.unique(ids % G, return_inverse=True)
         if np.array_equal(cols, np.arange(cols.size)):
             cols = None
-        dW = None
-        if draws:
-            if noise_buf is None:  # the first block is the largest
-                noise_buf = _noise_buffer(kb * width * live.size)
-            dW = _step_major_noise(gens, live, kb, sig0, noise_buf[
-                :kb * width * live.size].reshape(kb, width, live.size))
+        if noise_buf is None:  # the first block is the largest
+            noise_buf = _noise_buffer(kb * width * live.size)
+        dW = _step_major_noise(gens, live, kb, sig0, noise_buf[
+            :kb * width * live.size].reshape(kb, width, live.size))
         j0 = 0
         next_end = int(n_steps[mem].min())  # the first step that ends a member
         while j0 < kb and ids.size:
             A = ids.size
             S = min(_SUB_STEPS, max(1, cap // A), kb - j0)
-            if scales is None:  # the carriers changed
-                scales = _noise_scales(eps, ids, runs, sdt)
-                if sigma is not None:  # state noise scales per step
-                    c = eps[ids][:, None] * sdt
+            if c is None:  # the carriers changed
+                c = eps[ids][:, None] * sdt  # each carrier's noise factor
             if lo_all is not None and lead_lo is None:  # the members changed
                 # the first, tightest member of each carrier's group
                 lead = np.ones(mcol.size, dtype=bool)
@@ -451,26 +428,22 @@ def simulate_batch(model: ConjugateFieldModel, noise: NoiseModel, domain,
                 brows = mem[br]
             traj = traj_buf[:d * S * A].reshape(d, S, A)
             bh = bh_buf[:d * A].reshape(d, A).T
-            ws = None  # ws[..., s], (A, width): the noise of step s
-            if dW is not None:
-                w = dW[j0:j0 + S]
-                if cols is not None:
-                    w = w.take(cols, axis=2)
-                if br is not None:
-                    braw = w[bs, :, bc]  # the branches' raw increments
-                if sigma is None:
-                    # each slab is read once, so it is scaled where it lies
-                    for cs, f in scales:
-                        np.multiply(w[:, :, cs], f, out=w[:, :, cs])
-                ws = w.T
+            w = dW[j0:j0 + S]
+            if cols is not None:
+                w = w.take(cols, axis=2)
+            if br is not None:
+                braw = w[bs, :, bc]  # the branches' raw increments
+            if sigma is None:
+                # each slab is read once, so it is scaled where it lies
+                np.multiply(w, c.T, out=w)
+            ws = w.T  # ws[..., s], (A, width): the noise of step s
             if clamps:
                 over_s = over_buf[:S * A].reshape(S, A)
             xs = traj.T  # xs[:, s], (A, d): the states after step s
             x = X.T
             for s in range(S):
                 xt = xs[:, s]
-                over = _euler(model, x, dt, xt, None if ws is None else ws[..., s],
-                              sigma, c, clamps, bh)
+                over = _euler(model, x, dt, xt, ws[..., s], sigma, c, clamps, bh)
                 if clamps:
                     over_s[s] = over
                 x = xt
@@ -481,10 +454,8 @@ def simulate_batch(model: ConjugateFieldModel, noise: NoiseModel, domain,
                 before = np.where(bs == 0, X[:, bc], traj[:, bs - 1, bc]).T
                 before = np.ldexp(before, kexp[brows][:, None])
                 hb = h_last[brows][:, None]
-                cb = dwb = None
-                if draws:
-                    cb = eps[brows][:, None] * np.sqrt(hb)
-                    dwb = cb * braw if sigma is None else braw
+                cb = eps[brows][:, None] * np.sqrt(hb)
+                dwb = cb * braw if sigma is None else braw
                 xb = np.empty_like(before)
                 over_b = _euler(model, before, hb, xb, dwb, sigma, cb, clamps)
 
@@ -567,7 +538,7 @@ def simulate_batch(model: ConjugateFieldModel, noise: NoiseModel, domain,
                     ids = ids.take(keep)
                     cols = keep if cols is None else cols.take(keep)
                     X = traj[:, S - 1].take(keep, axis=1)
-                    scales = None
+                    c = None
                 lead_lo = None
                 if mem.size:
                     next_end = int(n_steps[mem].min())

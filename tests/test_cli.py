@@ -172,15 +172,18 @@ def test_inner_domain_without_the_box_fails_validate(config_file, capsys):
     assert "not strictly inside the inner domain 'ball:0.5'" in err
 
 
-def test_travel_time_failure_fails_validate(config_file, capsys, monkeypatch):
+@pytest.mark.parametrize("command", ["validate", "predict", "estimate", "sweep",
+                                     "flow"])
+def test_travel_time_failure_fails_validate(config_file, capsys, monkeypatch,
+                                            command):
     # parse_config checks the nesting; an error that only computing the
-    # bracket finds is a config error of validate too, not a runtime error
-    def no_exit(cfg):
+    # bracket finds is a config error of every command, not a runtime error
+    def no_exit(*args, **kwargs):
         raise NoExit("a boundary sample failed to exit a comparison domain")
 
-    monkeypatch.setattr("exitlab.cli._travel_times", no_exit)
+    monkeypatch.setattr("exitlab.harness.travel_time_bounds", no_exit)
     text = GOOD + "domain.inner = ball:1.5\ndomain.outer = ball:2.0\n"
-    assert main(["validate", "--config", config_file(text)]) == 1
+    assert main([command, "--config", config_file(text)]) == 1
     assert capsys.readouterr().err == (
         "config error: domain.inner and domain.outer: a boundary sample "
         "failed to exit a comparison domain\n")
@@ -272,16 +275,19 @@ class TestEstimate:
                      "--out", str(out_dir), "--workers", "2"])
         assert code == 0
 
+    @pytest.mark.parametrize("error, words", [(NoExit, "runtime error: boom"),
+                                              (RuntimeError, "unexpected error: boom")])
     def test_partial_outputs_flushed_on_midrun_failure(
-            self, config_file, tmp_path, capsys, monkeypatch):
-        # splitting runs cell by cell, so the cells before the failure stay
+            self, config_file, tmp_path, capsys, monkeypatch, error, words):
+        # splitting runs cell by cell, so the cells before the failure stay,
+        # whatever the failure raises
         import exitlab.harness as hz
         real = hz._estimate_one
         seen = []
 
         def flaky(cfg, x_eff, epsilon):
             if len(seen) == 2:
-                raise NoExit("boom")
+                raise error("boom")
             seen.append(epsilon)
             return real(cfg, x_eff, epsilon)
 
@@ -291,7 +297,9 @@ class TestEstimate:
             GOOD + "estimator.method = splitting\nestimator.budget = 200\n"),
             "--out", str(out_dir)])
         assert code == 2
-        assert "wrote partial" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith(words + "\n")
+        assert "wrote partial" in err
         rows = (out_dir / "rows.csv").read_text().splitlines()
         assert len(rows) == 3  # header + the two finished cells
         assert json.loads((out_dir / "summary.json").read_text())["partial"]

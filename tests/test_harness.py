@@ -381,20 +381,22 @@ class TestRunEstimate:
         record = run_estimate(cfg)
         assert record.rows[0].method == "adjusted"
 
-    def test_partial_record_attached_on_cell_failure(self, monkeypatch):
-        # splitting runs cell by cell, so the cells before the failure stay
+    @pytest.mark.parametrize("error", [NoExit, RuntimeError])
+    def test_partial_record_attached_on_cell_failure(self, monkeypatch, error):
+        # splitting runs cell by cell, so the cells before the failure stay,
+        # whatever the failure raises
         import exitlab.harness as hz
         real = hz._estimate_one
         seen = []
 
         def flaky(cfg, x_eff, epsilon):
             if len(seen) == 2:
-                raise NoExit("boom")
+                raise error("boom")
             seen.append(epsilon)
             return real(cfg, x_eff, epsilon)
 
         monkeypatch.setattr(hz, "_estimate_one", flaky)
-        with pytest.raises(NoExit) as exc:
+        with pytest.raises(error) as exc:
             run_estimate(_cfg(SMALL_SPLITTING))
         partial = exc.value.partial_record
         assert partial.partial

@@ -166,7 +166,9 @@ class TestSimulatePath:
     """Outcomes of single paths, run through simulate_batch."""
 
     def test_zero_noise_exit_time(self):
-        obs = _one_path(0.5, 0.0, 5.0, 0, 0)
+        # eps * sqrt(dt) * xi is below half an ulp of every state reached,
+        # so this is the noiseless Euler path
+        obs = _one_path(0.5, 1e-300, 5.0, 0, 0)
         assert obs["exited"]
         assert obs["tau"] == pytest.approx(math.log(2.0), abs=2e-3)
 
@@ -271,8 +273,9 @@ class TestSimulateBatch:
                            [make_generator(1, p) for p in range(2)])
 
     @pytest.mark.parametrize("epsilon, stop, match", [
-        ([0.1, 1.0], 1.0, "epsilon must lie in"),
-        ([0.0, 0.1], 1.0, "epsilon must be 0 on every row or on none"),
+        ([0.1, 1.0], 1.0, r"epsilon must lie in \(0, 1\)"),
+        ([0.0, 0.1], 1.0, r"epsilon must lie in \(0, 1\)"),
+        (0.0, 1.0, r"epsilon must lie in \(0, 1\)"),
         (0.1, [1.0, -1e-3], "stop_time must be finite"),
         (0.1, [math.nan, 1.0], "stop_time must be finite"),
     ])
@@ -286,13 +289,6 @@ class TestSimulateBatch:
         with pytest.raises(ValueError, match="not a multiple of 2 generators"):
             simulate_batch(ID1, N1, BOX1, np.full((rows, 1), 0.1), 0.1, 1.0,
                            1e-3, [make_generator(1, p) for p in range(2)])
-
-    def test_epsilon_zero_no_draws(self):
-        X0 = np.full((3, 1), 0.4)
-        res = simulate_batch(ID1, N1, BOX1, X0, 0.0, 2.0, 1e-3,
-                             [make_generator(1, p) for p in range(3)])
-        assert res["exited"].all()
-        assert np.allclose(res["tau"], math.log(1.0 / 0.4), atol=2e-3)
 
 
 def _run_ids(model, noise, domain, X0, eps, stop, seed, ids):
@@ -353,8 +349,6 @@ BATCH_CASES = {
     "state_scaled_rect": (ID2, NoiseModel.state_scaled(
         [[1.0, 0.3, 0.2], [0.1, 1.0, 0.4]], 0.5), _BOX2,
         _box_starts(2, 24, _RNG), 0.3, _STOP),
-    "epsilon_zero": (ID1, N1, BOX1, np.linspace(-1.2, 0.9, 12)[:, None],
-                     0.0, 2.0),
     # as quadratic_clamp, on a grid that ends in a 0.44 dt step
     "solved_drift": (_SOLVED2, NoiseModel(np.eye(2)),
                      BoxDomain([-0.15, -0.15], [0.3, 0.3]),
@@ -395,8 +389,7 @@ class TestBatchInvariance:
             return _run_ids(model, noise, domain, X0, eps, stop, 17,
                             np.arange(X0.shape[0]))
 
-        for case in ("box", "ball", "state_scaled", "state_scaled_rect",
-                     "epsilon_zero"):
+        for case in ("box", "ball", "state_scaled", "state_scaled_rect"):
             res = run(case)
             assert (res["tau"] == 0.0).any(), case
             assert (res["tau"] > 0.0).any(), case
@@ -498,7 +491,7 @@ def _euler_reference(model, noise, domain, X0, epsilon, stop_time, dt, gens):
         if rows.size == 0:
             break
         j = (step - 1) % BLOCK_STEPS
-        if j == 0 and epsilon > 0.0:
+        if j == 0:
             kb = min(BLOCK_STEPS, n_steps - step + 1)
             for r in rows:
                 z = gens[r].standard_normal(kb * n).reshape(kb, n)
@@ -506,11 +499,10 @@ def _euler_reference(model, noise, domain, X0, epsilon, stop_time, dt, gens):
         h = stop_time - (n_steps - 1) * dt if step == n_steps else dt
         x = X[rows]
         x = x + model.drift_batch(x) * h
-        if epsilon > 0.0:
-            w = np.stack([noise_of[r][j] for r in rows])
-            if not noise.constant:
-                w = np.einsum("rdn,rn->rd", noise.sigma_batch(X[rows]), w)
-            x = x + (epsilon * math.sqrt(h)) * w
+        w = np.stack([noise_of[r][j] for r in rows])
+        if not noise.constant:
+            w = np.einsum("rdn,rn->rd", noise.sigma_batch(X[rows]), w)
+        x = x + (epsilon * math.sqrt(h)) * w
         if math.isfinite(model.validity_radius):
             x, over = model.clamp(x)
             res["clamped"][rows[over]] = True
@@ -1079,14 +1071,15 @@ class TestSubBlockLength:
 
 class TestStepBookkeeping:
     def test_deterministic_exits_outside_starts_and_survivors(self):
-        # eps = 0 with lambda = 1: x_k = x0 (1 + dt)^k.  The third start is
-        # just short of the edge after n - 1 steps and crosses it on the
-        # final half step.
+        # eps = 1e-300 with lambda = 1: the noise is below half an ulp of
+        # every state, so x_k = x0 (1 + dt)^k.  The third start is just
+        # short of the edge after n - 1 steps and crosses it on the final
+        # half step.
         dt, n = 1e-3, 600
         stop = (n - 1) * dt + 0.5 * dt
         x_last = 1.0 / ((1.0 + dt) ** (n - 1) * (1.0 + 0.25 * dt))
         X0 = np.array([[1.0], [-1.5], [x_last], [0.7], [0.1]])
-        res = simulate_batch(ID1, N1, BOX1, X0, 0.0, stop, dt,
+        res = simulate_batch(ID1, N1, BOX1, X0, 1e-300, stop, dt,
                              [make_generator(1, p) for p in range(5)])
         np.testing.assert_array_equal(
             res["exited"], [True, True, True, True, False])
