@@ -12,8 +12,9 @@ diagnose.  Exit codes:
   (the flow does not leave the domains) or is inverted (t_minus > t_plus)
   is a config error of every command that computes it: ``validate``,
   ``predict``, ``estimate``/``sweep`` and ``flow``.
-- 2: a runtime failure or an unexpected exception (the finished cells of
-  a sweep still go to ``--out``), or a command-line usage error.
+- 2: a runtime failure, including a worker process that died, or an
+  unexpected exception (the finished cells of a sweep still go to
+  ``--out``), or a command-line usage error.
 """
 
 from __future__ import annotations

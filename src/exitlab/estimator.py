@@ -1,11 +1,11 @@
 """Tail-probability estimators built on the path engine.
 
 Estimates are reproducible to the byte: paths are partitioned into batches of
-fixed contiguous path-id ranges, worker processes (fork) claim whole batches,
+fixed contiguous path-id ranges, forked worker processes run whole batches,
 and results are reduced in batch order.  Worker count therefore changes wall
-time only, never the estimate.  The workers are forked once per worker_pool
-block, which harness.run_estimate opens around a whole sweep and each
-estimator around its own call, and every batch in the block reuses them.
+time only, never the estimate.  Each fan-out (the direct cells of a sweep,
+a splitting level, an adjusted cell, a fluctuation sample) forks its own
+workers, at most one per batch, and reaps them before it returns.
 
 Every batch job runs its paths through _simulate, the one place that builds
 a batch's path generators.  The direct estimator takes all the (x, epsilon)
@@ -21,11 +21,10 @@ continuation resumes each stream where its own box exit left it.
 
 from __future__ import annotations
 
-import contextlib
-import io
 import math
-import multiprocessing
+import os
 import pickle
+import signal
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,7 +35,7 @@ from .dynamics import (
     NoiseModel,
     flow_exit_times_batch,
 )
-from .errors import DegenerateFit, NoExit
+from .errors import DegenerateFit, ExitlabError, NoExit
 from .exponents import ThresholdSpec
 from .sde import PathConfig, make_generator, simulate_batch
 
@@ -102,124 +101,73 @@ def _binomial_estimate(k: int, n: int, method: str, **counters) -> TailEstimate:
 # ---------------------------------------------------------------------------
 # batch fan-out
 
-# The pool that _map_batches fans out over while a worker_pool block is open.
-_ACTIVE_POOL: _ForkPool | None = None
-# The objects a pool passes by reference, set while it forks: each worker
-# keeps its fork-time copy, and task pickles name these objects by key.
-_SHARED: dict[int, object] = {}
-
-
-class _TaskPickler(pickle.Pickler):
-    """Pickles a task, naming every shared object by key instead of by value."""
-
-    def __init__(self, file, shared: dict[int, object]):
-        super().__init__(file, pickle.HIGHEST_PROTOCOL)
-        self.shared = shared
-
-    def persistent_id(self, obj):
-        # membership, not `shared.get(key) is obj`, which holds for obj None
-        key = id(obj)
-        return key if key in self.shared else None
-
-
-class _TaskUnpickler(pickle.Unpickler):
-    def persistent_load(self, key):
-        return _SHARED[key]
-
-
-def _run_task(payload: bytes):
-    fn, args = _TaskUnpickler(io.BytesIO(payload)).load()
-    return fn(*args)
-
-
-class _ForkPool:
-    """Up to `workers` fork workers, started by the first fan-out that has more
-    than one batch and reused by every later one."""
-
-    def __init__(self, workers: int, shared):
-        self.workers = workers
-        self.shared: dict[int, object] = {}
-        self.pool = None
-        self.share(shared)
-
-    def share(self, objs) -> bool:
-        """Pass objs by reference; False if the workers forked without one."""
-        new = {id(o): o for o in objs if o is not None and id(o) not in self.shared}
-        if new and self.pool is not None:
-            return False
-        self.shared.update(new)
-        return True
-
-    def map(self, tasks: list) -> list:
-        if self.pool is None:
-            global _SHARED
-            _SHARED = self.shared
-            try:
-                self.pool = multiprocessing.get_context("fork").Pool(
-                    min(self.workers, len(tasks)))
-            finally:
-                _SHARED = {}
-        payloads = []
-        for task in tasks:
-            buf = io.BytesIO()
-            _TaskPickler(buf, self.shared).dump(task)
-            payloads.append(buf.getvalue())
-        return self.pool.map(_run_task, payloads, chunksize=1)
-
-    def close(self) -> None:
-        if self.pool is not None:
-            self.pool.close()
-            self.pool.join()
-
-    def terminate(self) -> None:
-        if self.pool is not None:
-            self.pool.terminate()
-
-
-@contextlib.contextmanager
-def worker_pool(workers: int, *shared):
-    """Fan every batch inside the block out over one pool of fork workers.
-
-    The workers fork at the first fan-out that has more than one batch, as
-    min(workers, n_batches) processes, and never when workers is 1.  They
-    reach the `shared` objects (model, noise, domains) through the fork, so
-    these need not pickle; everything else a task carries is pickled.  An
-    enclosing block with the same worker count is reused, unless its workers
-    already forked without one of `shared`.  On leaving the block the pool
-    is closed and joined, or terminated if the block raised.
-    """
-    global _ACTIVE_POOL
-    outer = _ACTIVE_POOL
-    if outer is not None and outer.workers == workers and outer.share(shared):
-        yield
-        return
-    pool = _ACTIVE_POOL = _ForkPool(workers, shared)
-    try:
-        yield
-    except BaseException:
-        pool.terminate()
-        raise
-    else:
-        pool.close()
-    finally:
-        _ACTIVE_POOL = outer
-
 
 def _map_batches(job, n_batches: int, workers: int) -> list:
     """fn(*args) for every batch b, where job(b) = (fn, args), in batch order.
 
-    fn is a module-level function and args are its picklable arguments.
-    Batches are keyed by global index, so fanning out over any number of
-    fork workers reduces to the same ordered list a serial loop produces.
-    Several batches on several workers run on the pool of the enclosing
-    worker_pool block, which forks the workers once for every fan-out in
-    it; without one, a pool is opened for this call.
+    With one worker or one batch the batches run in-process.  Otherwise this
+    call forks k = min(workers, n_batches) children, which inherit the tasks:
+    nothing is pickled on the way in.  Child i runs batches i, i + k, ... and
+    pickles back its results or its exception, raised here.  A child that
+    dies without its results raises ExitlabError; none outlives the call.
     """
     tasks = [job(b) for b in range(n_batches)]
     if workers <= 1 or n_batches <= 1:
         return [fn(*args) for fn, args in tasks]
-    with worker_pool(workers):
-        return _ACTIVE_POOL.map(tasks)
+    k = min(workers, n_batches)
+    pipes, live = [], []
+    try:
+        for i in range(k):
+            r, w = os.pipe()
+            pipes.append(open(r, "rb"))
+            try:
+                if (pid := os.fork()) == 0:
+                    _serve(tasks[i::k], w, pipes)
+            finally:
+                os.close(w)  # before the next fork: EOF means the child is gone
+            live.append(pid)
+        results = [None] * n_batches
+        for i, pipe in enumerate(pipes):
+            data = pipe.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(live[0], 0)[1])
+            live.pop(0)  # children are reaped in order
+            if code or not data:
+                how = (f"signal {-code}, {signal.strsignal(-code)}" if code < 0
+                       else f"exit code {code}")
+                raise ExitlabError(f"the worker running batches "
+                                   f"{list(range(i, n_batches, k))} ended "
+                                   f"({how}) before it sent its results")
+            ok, value = pickle.loads(data)
+            if not ok:
+                raise value
+            results[i::k] = value
+        return results
+    finally:
+        for pid in live:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        for pipe in pipes:
+            pipe.close()
+
+
+def _serve(tasks: list, fd: int, readers: list) -> None:
+    """Run tasks in a forked child, pickle the outcome to fd and exit."""
+    try:
+        for reader in readers:  # a write fails, not blocks, without the parent
+            reader.close()
+        try:
+            out = (True, [fn(*args) for fn, args in tasks])
+        except BaseException as exc:
+            out = (False, exc)
+            try:  # an exception that cannot make the trip goes as its repr
+                pickle.loads(pickle.dumps(exc))
+            except Exception:
+                out = (False, RuntimeError(repr(exc)))
+        with open(fd, "wb") as pipe:
+            pickle.dump(out, pipe, pickle.HIGHEST_PROTOCOL)
+        os._exit(0)
+    finally:
+        os._exit(1)  # the outcome did not pickle; the parent reports the exit
 
 
 def _run_paths(task, n: int, batch_size: int, workers: int) -> list:
@@ -240,8 +188,6 @@ def _tally(res: dict) -> tuple[int, int]:
 
 
 # The batch jobs below run one batch_size slice, in a worker or in-process.
-
-
 def _simulate(model, noise, domain, starts, epsilon, stop_time, dt, seed, ids):
     """simulate_batch of rows on the streams of the paths with ids `ids`,
     and the paths' generators.  starts is one row for every path, or
@@ -306,8 +252,7 @@ def direct_tail_estimate(model: ConjugateFieldModel, noise: NoiseModel,
                                config.dt, seed, range(start, stop))
 
     batch_size = min(batch_size, max(1, _DIRECT_ROWS // len(cells)))
-    with worker_pool(workers, model, noise, domain):
-        parts = _run_paths(task, n_paths, batch_size, workers)
+    parts = _run_paths(task, n_paths, batch_size, workers)
     n_exited, steps, clamps = np.sum(parts, axis=0).tolist()
     return [_binomial_estimate(n_paths - e, n_paths, "direct",
                                path_steps=s, n_clamped=c)
@@ -352,35 +297,34 @@ def splitting_tail_estimate(model: ConjugateFieldModel, noise: NoiseModel,
     clamps = 0
     prev_t = 0.0
     n_surv = budget
-    with worker_pool(workers, model, noise, domain):
-        for level, t_level in enumerate(times, start=1):
-            duration = t_level - prev_t
-            # level ids (level << _LEVEL_SHIFT) | slot are base + slot
-            base = level << _LEVEL_SHIFT
+    for level, t_level in enumerate(times, start=1):
+        duration = t_level - prev_t
+        # level ids (level << _LEVEL_SHIFT) | slot are base + slot
+        base = level << _LEVEL_SHIFT
 
-            def task(start, stop):
-                return _level_batch, (model, noise, domain, states[start:stop],
-                                      epsilon, duration, config.dt, seed,
-                                      range(base + start, base + stop))
+        def task(start, stop):
+            return _level_batch, (model, noise, domain, states[start:stop],
+                                  epsilon, duration, config.dt, seed,
+                                  range(base + start, base + stop))
 
-            parts = _run_paths(task, budget, batch_size, workers)
-            surv_states = np.vstack([p[0] for p in parts])
-            steps += sum(p[1] for p in parts)
-            clamps += sum(p[2] for p in parts)
-            n_surv = surv_states.shape[0]
-            factors.append(n_surv / budget)
-            if n_surv == 0:
-                return TailEstimate(
-                    p_hat=0.0, stderr=0.0, n_paths=budget * m, n_survived=0,
-                    method="splitting", path_steps=steps,
-                    zero_upper_bound=1.0 - 0.05 ** (1.0 / budget),
-                    extinct_level=level, n_clamped=clamps)
-            if level < m:
-                surv_y = model.push_batch(surv_states)
-                rgen = make_generator(seed ^ _RESAMPLE_SALT, level)
-                idx = rgen.integers(0, n_surv, size=budget)
-                states = model.pull_batch(surv_y[idx])
-            prev_t = t_level
+        parts = _run_paths(task, budget, batch_size, workers)
+        surv_states = np.vstack([p[0] for p in parts])
+        steps += sum(p[1] for p in parts)
+        clamps += sum(p[2] for p in parts)
+        n_surv = surv_states.shape[0]
+        factors.append(n_surv / budget)
+        if n_surv == 0:
+            return TailEstimate(
+                p_hat=0.0, stderr=0.0, n_paths=budget * m, n_survived=0,
+                method="splitting", path_steps=steps,
+                zero_upper_bound=1.0 - 0.05 ** (1.0 / budget),
+                extinct_level=level, n_clamped=clamps)
+        if level < m:
+            surv_y = model.push_batch(surv_states)
+            rgen = make_generator(seed ^ _RESAMPLE_SALT, level)
+            idx = rgen.integers(0, n_surv, size=budget)
+            states = model.pull_batch(surv_y[idx])
+        prev_t = t_level
     p_hat = float(np.prod(factors))
     rel_var = sum((1.0 - f) / (f * budget) for f in factors)
     return TailEstimate(
@@ -470,8 +414,7 @@ def adjusted_tail_estimate(model: ConjugateFieldModel, noise: NoiseModel,
         return _adjusted_batch, (model, noise, box, big_domain, x0, epsilon,
                                  t0, t_cap, config.dt, seed, range(start, stop))
 
-    with worker_pool(workers, model, noise, box, big_domain):
-        parts = _run_paths(task, n_paths, batch_size, workers)
+    parts = _run_paths(task, n_paths, batch_size, workers)
     n_adj, n_big, steps, clamps, capped = (sum(col) for col in zip(*parts))
     counters = dict(path_steps=steps, n_clamped=clamps, n_capped=capped)
     return AdjustedTailResult(
@@ -575,8 +518,7 @@ def rescaled_fluctuation_samples(model: ConjugateFieldModel, noise: NoiseModel,
         return _fluctuation_batch, (model, noise, x0, y0, damp, epsilon, T,
                                     config.dt, seed, range(start, stop))
 
-    with worker_pool(workers, model, noise):
-        return np.vstack(_run_paths(task, n_samples, batch_size, workers))
+    return np.vstack(_run_paths(task, n_samples, batch_size, workers))
 
 
 @dataclass
@@ -603,9 +545,9 @@ def density_diagnostic(samples: np.ndarray, C_ref: np.ndarray,
     d = 2 compares the joint histogram on a grid spanning halfwidth_sigmas
     marginal standard deviations; other dimensions compare the coordinate
     marginals and report the worst coordinate, and d = 1 returns its one
-    marginal as plain 1-d arrays.  sup_diff and
-    l1_diff are the sup and integrated absolute differences; mass records the
-    sample fraction landing on the grid (should be 1 up to tail spill).
+    marginal as plain 1-d arrays.  sup_diff and l1_diff are the sup and
+    integrated absolute differences; mass records the sample fraction
+    landing on the grid (should be 1 up to tail spill).
     """
     samples = np.atleast_2d(np.asarray(samples, dtype=float))
     if samples.ndim != 2 or samples.shape[0] < MIN_DENSITY_SAMPLES:

@@ -22,7 +22,12 @@ import numpy as np
 
 from . import __version__
 from .config import ExperimentConfig, config_hash
-from .dynamics import flow_exit_times_batch, transversality_check, travel_time_bounds
+from .dynamics import (
+    _default_t_cap,
+    flow_exit_times_batch,
+    transversality_check,
+    travel_time_bounds,
+)
 from .errors import DegenerateFit, ExitlabError, NoExit, ValidationError
 from .estimator import (
     DensityDiagnostic,
@@ -35,7 +40,6 @@ from .estimator import (
     rescaled_prefactor,
     slope_regression,
     splitting_tail_estimate,
-    worker_pool,
 )
 from .exponents import tail_exponent
 from .gaussian import (
@@ -261,12 +265,10 @@ def run_estimate(cfg: ExperimentConfig) -> RunRecord:
     """Monte Carlo sweep over epsilons and start points per the config.
 
     The direct cells share one fan-out; every other cell and splitting
-    level fans out on its own.  All of them run on one pool of fork workers
-    (estimator.worker_pool), closed before this returns and terminated if
-    it raises.
+    level fans out on its own.  Each fan-out forks its own workers, at most
+    one per batch, and reaps them before it returns, also when it raises.
     """
-    with worker_pool(cfg.workers, cfg.model, cfg.noise, cfg.box, cfg.big):
-        record = _sweep(cfg, estimate=True)
+    record = _sweep(cfg, estimate=True)
     fits: list[SlopeFit | None] = []
     for pi in range(len(cfg.points)):
         pts = [(r.epsilon, r.estimate) for r in record.rows if r.point_index == pi]
@@ -420,7 +422,7 @@ def run_flow_report(cfg: ExperimentConfig) -> dict:
         taus = flow_exit_times_batch(cfg.model, cfg.box, np.vstack(starts))
         if np.isnan(taus).any():
             raise NoExit(f"no exit before t = "
-                         f"{1000.0 / cfg.model.spectrum.smallest:g}")
+                         f"{_default_t_cap(cfg.model):g}")
         for entry, tau in zip(moving, taus):
             entry["exit_time"] = float(tau)
     if cfg.inner is not None and cfg.outer is not None:

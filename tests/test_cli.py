@@ -308,8 +308,6 @@ class TestEstimate:
             self, config_file, tmp_path, capsys, monkeypatch):
         # the direct cells finish together, so a failure in their one run
         # leaves no Monte Carlo row
-        import multiprocessing
-
         import exitlab.estimator as est
         parent = os.getpid()
         real = est.simulate_batch
@@ -332,8 +330,22 @@ class TestEstimate:
         summary = json.loads((out_dir / "summary.json").read_text())
         assert summary["partial"] is True
         assert any("partial run" in w for w in summary["warnings"])
-        assert est._ACTIVE_POOL is None
-        assert multiprocessing.active_children() == []
+        with pytest.raises(ChildProcessError):  # every worker was reaped
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_killed_worker_exits_2(self, config_file, tmp_path, capsys,
+                                   worker_killed):
+        # 4 batches on 2 workers; the worker of batches 0 and 2 dies
+        code = main(["estimate", "--config", config_file(
+            GOOD.replace("n_paths = 200", "n_paths = 400")
+            + "estimator.batch_size = 100\nrun.workers = 2\n"),
+            "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("runtime error: the worker running batches "
+                              "[0, 2] ended (signal 9")
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
 
 # alpha * lambda = 1: the prefactor takes the boundary branch, whose normal

@@ -1,15 +1,23 @@
+import contextlib
 import dataclasses
 import inspect
 import math
+import os
+import signal
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.special import ndtri
 
+import exitlab.estimator as est
 from exitlab import (
     BoxDomain,
     ConjugateFieldModel,
     DegenerateFit,
+    ExitlabError,
     NoiseModel,
     PathConfig,
     SmoothDomain,
@@ -204,8 +212,8 @@ class TestSplitting:
         assert (s.p_hat, s.stderr, s.path_steps) == (
             0.554489, 0.03257568883861092, 455016)
         assert (s.n_paths, s.n_survived) == (800, 136)
-        # all 4 levels share one pool
-        assert pool_sizes == ([2] if workers == 2 else [])
+        # each of the 4 levels forks its own 2 workers
+        assert pool_sizes == ([2, 2, 2, 2] if workers == 2 else [])
 
     def test_single_level_agrees_with_direct(self):
         ts = ThresholdSpec(alpha=1.5)
@@ -322,7 +330,61 @@ LAMBDA_MODEL = ConjugateFieldModel(
 LAMBDA_BIG = SmoothDomain(lambda X: np.sum(X * X, axis=1) - 4.0, name="lambda")
 
 
+# two workers that each return 2 MB, more than a pipe holds, so both are
+# still writing when their parent is killed
+ORPHANED_FAN_OUT = r"""
+import os, time
+import numpy as np
+import exitlab.estimator as est
+
+def batch(b):
+    os.write(1, b"%d\n" % os.getpid())
+    time.sleep(0.5)
+    return np.zeros(1 << 18)
+
+est._map_batches(lambda b: (batch, (b,)), 2, 2)
+"""
+
+
 class TestWorkerPool:
+    def test_killed_worker_is_an_error(self, worker_killed):
+        # 4 batches on 2 workers; the worker of batches 0 and 2 dies
+        with pytest.raises(ExitlabError, match=r"batches \[0, 2\] ended "
+                           r"\(signal 9"):
+            direct_tail_estimate(ID1, N1, BOX1, [(np.zeros(1), 0.2)],
+                                 ThresholdSpec(alpha=1.5), n_paths=256,
+                                 config=CFG, seed=1, workers=2, batch_size=64)
+        with pytest.raises(ChildProcessError):  # every worker was reaped
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_workers_of_a_killed_parent_exit(self):
+        src = str(Path(est.__file__).resolve().parent.parent)
+        proc = subprocess.Popen([sys.executable, "-c", ORPHANED_FAN_OUT],
+                                stdout=subprocess.PIPE,
+                                env={**os.environ, "PYTHONPATH": src})
+        pids = [int(proc.stdout.readline()) for _ in range(2)]
+        proc.kill()
+        try:
+            # the workers share their parent's stdout: EOF once both exited
+            proc.communicate(timeout=10)
+        finally:
+            for pid in pids:
+                with contextlib.suppress(ProcessLookupError):
+                    os.kill(pid, signal.SIGKILL)
+
+    def test_unpicklable_worker_error_is_a_runtime_error(self, monkeypatch):
+        class Local(Exception):  # a local class does not pickle
+            pass
+
+        def fails(*args):
+            raise Local("not sent")
+
+        monkeypatch.setattr(est, "simulate_batch", fails)
+        with pytest.raises(RuntimeError, match="Local.*not sent"):
+            direct_tail_estimate(ID1, N1, BOX1, [(np.zeros(1), 0.2)],
+                                 ThresholdSpec(alpha=1.5), n_paths=256,
+                                 config=CFG, seed=1, workers=2, batch_size=64)
+
     @pytest.mark.parametrize("edit, expected", [
         (("", ""), [2]),
         (("run.workers = 2", "run.workers = 16"), [2]),
@@ -330,7 +392,7 @@ class TestWorkerPool:
         (("batch_size = 64", "batch_size = 128"), []),
     ])
     def test_sweep_forks_at_most_one_pool(self, pool_sizes, edit, expected):
-        # 9 cells of 2 batches: one pool, never larger than a cell's batches
+        # 9 cells of 2 batches in one fan-out, which forks at most 2 workers
         run_estimate(parse_config(SWEEP_2D.replace(*edit)))
         assert pool_sizes == expected
 
@@ -352,7 +414,8 @@ class TestWorkerPool:
                                        x, 0.1, ts, n_paths=192, **kw))
 
         assert estimates(2) == estimates(1)
-        assert pool_sizes == [2, 2, 2]
+        # direct, splitting's 3 levels and adjusted each fork 2 workers
+        assert pool_sizes == [2] * 5
         cfg = parse_config(SWEEP_2D.replace(
             "threshold.alpha", "estimator.method = adjusted\n"
             "domain.big = ball:2.0\nthreshold.alpha"))
@@ -363,7 +426,8 @@ class TestWorkerPool:
         serial, fanned = ([ln.rsplit(",", 1)[0] for ln in r.splitlines()]
                           for r in rows)
         assert serial == fanned
-        assert pool_sizes == [2, 2, 2, 2]
+        # and so does each of the sweep's 9 adjusted cells at run.workers 2
+        assert pool_sizes == [2] * 14
 
 
 class TestRescaledPrefactor:
