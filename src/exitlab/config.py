@@ -397,8 +397,8 @@ def build_config(raw: dict[str, object]) -> ExperimentConfig:
     if not (0.0 < diag_eps < 1.0):
         raise ValidationError("diagnostic.epsilon must lie in (0, 1)")
     diag_time = float(get("diagnostic.time"))
-    if not 0.0 <= diag_time < math.inf:
-        raise ValidationError("diagnostic.time must be finite and >= 0")
+    if not 0.0 < diag_time < math.inf:
+        raise ValidationError("diagnostic.time must be finite and positive")
     diag_n = int(get("diagnostic.n_samples"))
     if diag_n < MIN_DENSITY_SAMPLES:
         raise ValidationError(

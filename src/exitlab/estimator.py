@@ -21,6 +21,7 @@ continuation resumes each stream where its own box exit left it.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import pickle
@@ -103,17 +104,16 @@ def _binomial_estimate(k: int, n: int, method: str, **counters) -> TailEstimate:
 
 
 def _map_batches(job, n_batches: int, workers: int) -> list:
-    """fn(*args) for every batch b, where job(b) = (fn, args), in batch order.
+    """job(b) for every batch b, in batch order.
 
     With one worker or one batch the batches run in-process.  Otherwise this
-    call forks k = min(workers, n_batches) children, which inherit the tasks:
+    call forks k = min(workers, n_batches) children, which inherit the job:
     nothing is pickled on the way in.  Child i runs batches i, i + k, ... and
     pickles back its results or its exception, raised here.  A child that
     dies without its results raises ExitlabError; none outlives the call.
     """
-    tasks = [job(b) for b in range(n_batches)]
     if workers <= 1 or n_batches <= 1:
-        return [fn(*args) for fn, args in tasks]
+        return [job(b) for b in range(n_batches)]
     k = min(workers, n_batches)
     pipes, live = [], []
     try:
@@ -122,7 +122,7 @@ def _map_batches(job, n_batches: int, workers: int) -> list:
             pipes.append(open(r, "rb"))
             try:
                 if (pid := os.fork()) == 0:
-                    _serve(tasks[i::k], w, pipes)
+                    _serve(job, range(i, n_batches, k), w, pipes)
             finally:
                 os.close(w)  # before the next fork: EOF means the child is gone
             live.append(pid)
@@ -150,13 +150,14 @@ def _map_batches(job, n_batches: int, workers: int) -> list:
             pipe.close()
 
 
-def _serve(tasks: list, fd: int, readers: list) -> None:
-    """Run tasks in a forked child, pickle the outcome to fd and exit."""
+def _serve(job, batches: range, fd: int, readers: list) -> None:
+    """Run job(b) for the batches in a forked child, pickle the outcome to fd
+    and exit."""
     try:
         for reader in readers:  # a write fails, not blocks, without the parent
             reader.close()
         try:
-            out = (True, [fn(*args) for fn, args in tasks])
+            out = (True, [job(b) for b in batches])
         except BaseException as exc:
             out = (False, exc)
             try:  # an exception that cannot make the trip goes as its repr
@@ -170,16 +171,14 @@ def _serve(tasks: list, fd: int, readers: list) -> None:
         os._exit(1)  # the outcome did not pickle; the parent reports the exit
 
 
-def _run_paths(task, n: int, batch_size: int, workers: int) -> list:
-    """Run the task(start, stop) = (fn, args) of each batch_size slice of path
-    ids [0, n), in order."""
+def _run_paths(batch, n: int, batch_size: int, workers: int) -> list:
+    """batch(ids) of each batch_size slice ids of the path ids [0, n), a
+    range, in order."""
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
-
-    def job(b: int):
-        start = b * batch_size
-        return task(start, min(start + batch_size, n))
-    return _map_batches(job, -(-n // batch_size), workers)
+    return _map_batches(
+        lambda b: batch(range(b * batch_size, min((b + 1) * batch_size, n))),
+        -(-n // batch_size), workers)
 
 
 def _tally(res: dict) -> tuple[int, int]:
@@ -246,13 +245,10 @@ def direct_tail_estimate(model: ConjugateFieldModel, noise: NoiseModel,
                        for x, eps in cells])
     epsilons = np.array([eps for _, eps in cells], dtype=float)
     times = np.array([threshold_spec.time(eps) for _, eps in cells])
-
-    def task(start, stop):
-        return _direct_batch, (model, noise, domain, starts, epsilons, times,
-                               config.dt, seed, range(start, stop))
-
+    batch = functools.partial(_direct_batch, model, noise, domain, starts,
+                              epsilons, times, config.dt, seed)
     batch_size = min(batch_size, max(1, _DIRECT_ROWS // len(cells)))
-    parts = _run_paths(task, n_paths, batch_size, workers)
+    parts = _run_paths(batch, n_paths, batch_size, workers)
     n_exited, steps, clamps = np.sum(parts, axis=0).tolist()
     return [_binomial_estimate(n_paths - e, n_paths, "direct",
                                path_steps=s, n_clamped=c)
@@ -302,12 +298,12 @@ def splitting_tail_estimate(model: ConjugateFieldModel, noise: NoiseModel,
         # level ids (level << _LEVEL_SHIFT) | slot are base + slot
         base = level << _LEVEL_SHIFT
 
-        def task(start, stop):
-            return _level_batch, (model, noise, domain, states[start:stop],
-                                  epsilon, duration, config.dt, seed,
-                                  range(base + start, base + stop))
+        def batch(ids):
+            return _level_batch(model, noise, domain, states[ids.start:ids.stop],
+                                epsilon, duration, config.dt, seed,
+                                range(base + ids.start, base + ids.stop))
 
-        parts = _run_paths(task, budget, batch_size, workers)
+        parts = _run_paths(batch, budget, batch_size, workers)
         surv_states = np.vstack([p[0] for p in parts])
         steps += sum(p[1] for p in parts)
         clamps += sum(p[2] for p in parts)
@@ -409,12 +405,9 @@ def adjusted_tail_estimate(model: ConjugateFieldModel, noise: NoiseModel,
     t_cap = config.t_cap if config.t_cap > 0.0 else default_full_exit_cap(
         model, epsilon, config.dt)
     t_cap = max(t_cap, 1.5 * t0)
-
-    def task(start, stop):
-        return _adjusted_batch, (model, noise, box, big_domain, x0, epsilon,
-                                 t0, t_cap, config.dt, seed, range(start, stop))
-
-    parts = _run_paths(task, n_paths, batch_size, workers)
+    batch = functools.partial(_adjusted_batch, model, noise, box, big_domain,
+                              x0, epsilon, t0, t_cap, config.dt, seed)
+    parts = _run_paths(batch, n_paths, batch_size, workers)
     n_adj, n_big, steps, clamps, capped = (sum(col) for col in zip(*parts))
     counters = dict(path_steps=steps, n_clamped=clamps, n_capped=capped)
     return AdjustedTailResult(
@@ -513,12 +506,9 @@ def rescaled_fluctuation_samples(model: ConjugateFieldModel, noise: NoiseModel,
         return np.zeros((n_samples, d))
     x0 = model.pull_batch((epsilon * y0)[None, :])[0]
     damp = np.exp(-model.spectrum.as_array() * T)
-
-    def task(start, stop):
-        return _fluctuation_batch, (model, noise, x0, y0, damp, epsilon, T,
-                                    config.dt, seed, range(start, stop))
-
-    return np.vstack(_run_paths(task, n_samples, batch_size, workers))
+    batch = functools.partial(_fluctuation_batch, model, noise, x0, y0, damp,
+                              epsilon, T, config.dt, seed)
+    return np.vstack(_run_paths(batch, n_samples, batch_size, workers))
 
 
 @dataclass
@@ -557,6 +547,8 @@ def density_diagnostic(samples: np.ndarray, C_ref: np.ndarray,
     C_ref = np.atleast_2d(np.asarray(C_ref, dtype=float))
     if C_ref.shape != (d, d):
         raise ValueError("reference covariance does not match sample dimension")
+    if not np.all((np.diag(C_ref) > 0.0) & (np.diag(C_ref) < math.inf)):
+        raise ValueError("reference variances must be finite and positive")
     if grid_points < 8:
         raise ValueError("grid_points must be >= 8")
     if not 0.0 < halfwidth_sigmas < math.inf:
@@ -598,8 +590,9 @@ def density_diagnostic(samples: np.ndarray, C_ref: np.ndarray,
         centers = 0.5 * (edges[:-1] + edges[1:])
         ref = _normal_pdf(centers, float(C_ref[j, j]))
         diff = np.abs(emp - ref)
-        sup = max(sup, float(diff.max()))
-        l1 = max(l1, float(np.sum(diff) * dx))
+        # np.maximum keeps a nan difference, where max(0.0, nan) is 0.0
+        sup = float(np.maximum(sup, diff.max()))
+        l1 = float(np.maximum(l1, np.sum(diff) * dx))
         grids.append(centers)
         emps.append(emp)
         refs.append(ref)

@@ -53,17 +53,16 @@ its own size, branches off its carrier's state before it, on the same
 increment, in the member's own coordinates, through ``_euler`` (sigma of
 the state before it, and the clamp).  Its exit and clamp flags replace
 those of the grid's dt step in that slot, and a member that reaches its
-last step ends in its branch's state.  Members are judged on their
-carrier's states: where some row folds, member ``i`` against the box
-scaled by ``2**-k_i`` (the boxes are nested, so a sub-block judges only
-the members of carriers that left their tightest member's box, and the
-branches); elsewhere by ``domain.outside`` (``_outside``).
-Multiplying by a power of two is exact and commutes with IEEE rounding:
-each Euler step of the carrier, scaled by ``2**k``, is the member's own
-step bit for bit, and ``2**k x > b`` holds exactly when ``x > 2**-k b``.
-This holds while states stay in the normal range, which states of order
-epsilon do by hundreds of decades.  A family's result rows are therefore
-the ones its members get alone.
+last step ends in its branch's state.  One exit rule, ``_outside``, judges
+every state: member ``i`` on its carrier's states scaled by ``2**k_i``.
+Where some row folds, only the branches and the members of carriers whose
+extremes, scaled by their tightest member's ``2**k``, leave the box are
+judged (a box holds 0, so a smaller k sees a wider box).  Multiplying by a
+power of two is exact and commutes with IEEE rounding: each Euler step of
+the carrier, scaled by ``2**k``, is the member's own step bit for bit while
+states stay in the normal range, which states of order epsilon do by
+hundreds of decades.  A family's result rows are therefore the ones its
+members get alone.
 
 None of this changes an output byte.  Each row reads its stream in the same
 order, whole blocks at a time, and a block drawn longer has the shorter
@@ -191,17 +190,20 @@ def _step_major_noise(gens: list, ids: np.ndarray, kb: int,
     sig0 skips the matmul and scales coordinate j's slab by sig0[j, j] in
     place: each matmul product is that one term plus exact zeros, so the
     values are the same.  An identity sig0 therefore leaves the raw normals.
+    numpy multiplies a one-row block by gemv, which rounds otherwise than
+    the gemm of a longer one, so a one-step block gets a zero second step.
     """
     d, n = sig0.shape
     diagonal = d == n and np.array_equal(sig0, np.diag(np.diagonal(sig0)))
+    kp = kb + (kb == 1 and not diagonal)  # steps multiplied
     dW = np.empty((kb, d, ids.size)) if out is None else out
     for a in range(0, ids.size, _MIX_PATHS):
         sub = ids[a:a + _MIX_PATHS]
-        xi = np.empty((sub.size, kb * n))
+        xi = (np.empty if kp == kb else np.zeros)((sub.size, kp, n))
         for r, i in enumerate(sub):
-            gens[i].standard_normal(out=xi[r])
-        xi = xi.reshape(sub.size, kb, n)
-        dW[:, :, a:a + sub.size] = (xi if diagonal else xi @ sig0.T).transpose(1, 2, 0)
+            gens[i].standard_normal(out=xi[r, :kb])
+        dW[:, :, a:a + sub.size] = (xi if diagonal
+                                    else (xi @ sig0.T)[:, :kb]).transpose(1, 2, 0)
     if diagonal:
         for j in range(d):
             if sig0[j, j] != 1.0:
@@ -245,15 +247,6 @@ def _families(model: ConjugateFieldModel, noise: NoiseModel, domain,
     car = np.empty(m, dtype=np.int64)
     car[order] = order[np.flatnonzero(new)][np.cumsum(new) - 1]
     return car, ex - ex[car]
-
-
-def _outside_scaled(Y: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """(S, M) flags: column i of Y, (d, S, M), is outside [lo[:, i], hi[:, i]]."""
-    out = (Y[0] < lo[0]) | (Y[0] > hi[0])
-    for j in range(1, Y.shape[0]):
-        out |= Y[j] < lo[j]
-        out |= Y[j] > hi[j]
-    return out
 
 
 def _outside(model: ConjugateFieldModel, domain, X: np.ndarray) -> np.ndarray:
@@ -319,8 +312,9 @@ def simulate_batch(model: ConjugateFieldModel, noise: NoiseModel, domain,
     grid, so a continuation can resume the generators.  Both noise forms
     are drawn step-major into one buffer.  Rows whose epsilon and start are
     a power-of-two multiple of another row's on its stream step as one
-    carrier row, the others each as its own; the grid steps dt, and each
-    row's last step branches off its carrier's (see the module docstring).
+    carrier row, the others each as its own; the grid steps dt, each row's
+    last step branches off its carrier's, and every exit flag comes from
+    _outside, in the row's own coordinates (see the module docstring).
     """
     X0 = np.atleast_2d(np.asarray(X0, dtype=float))
     m, d = X0.shape
@@ -364,13 +358,6 @@ def simulate_batch(model: ConjugateFieldModel, noise: NoiseModel, domain,
     ids, mcol = np.unique(car[mem], return_inverse=True)
     order = np.lexsort((-kexp[mem], mcol))
     mem, mcol = mem[order], mcol[order]
-    lo_all = None
-    if fams is not None:
-        # some row folds, so members are judged on their boxes in carrier
-        # coordinates: a member 2**k times its carrier leaves the box when
-        # the carrier leaves the box / 2**k
-        lo_all = np.ldexp(domain.lower[:, None], -kexp)
-        hi_all = np.ldexp(domain.upper[:, None], -kexp)
     # Carriers only, coordinate-major: X[:, i] is the state of row ids[i].
     X = np.ascontiguousarray(X0[ids].T)
 
@@ -391,7 +378,7 @@ def simulate_batch(model: ConjugateFieldModel, noise: NoiseModel, domain,
     over_buf = np.empty(n_rows, dtype=bool) if clamps else None
     noise_buf = None
     sdt = math.sqrt(dt)
-    lead_lo = c = None  # set for the alive rows, again when they change
+    klead = c = None  # set for the alive rows, again when they change
     k = 0
     while ids.size:
         kb = min(BLOCK_STEPS, int(n_steps[mem].max()) - k)
@@ -411,13 +398,9 @@ def simulate_batch(model: ConjugateFieldModel, noise: NoiseModel, domain,
             S = min(_SUB_STEPS, max(1, cap // A), kb - j0)
             if c is None:  # the carriers changed
                 c = eps[ids][:, None] * sdt  # each carrier's noise factor
-            if lo_all is not None and lead_lo is None:  # the members changed
-                # the first, tightest member of each carrier's group
-                lead = np.ones(mcol.size, dtype=bool)
-                np.not_equal(mcol[1:], mcol[:-1], out=lead[1:])
-                lead = mem[lead]
-                lead_lo = lo_all.take(lead, axis=1)
-                lead_hi = hi_all.take(lead, axis=1)
+            if fams is not None and klead is None:  # the members changed
+                # the k of each carrier's first, tightest member
+                klead = kexp[mem[np.searchsorted(mcol, np.arange(A))]]
             # br: the members whose last step, at bs, falls in this sub-block
             br = None
             if k + j0 + S >= next_end:
@@ -437,8 +420,7 @@ def simulate_batch(model: ConjugateFieldModel, noise: NoiseModel, domain,
                 # each slab is read once, so it is scaled where it lies
                 np.multiply(w, c.T, out=w)
             ws = w.T  # ws[..., s], (A, width): the noise of step s
-            if clamps:
-                over_s = over_buf[:S * A].reshape(S, A)
+            over_s = over_buf[:S * A].reshape(S, A) if clamps else None
             xs = traj.T  # xs[:, s], (A, d): the states after step s
             x = X.T
             for s in range(S):
@@ -459,27 +441,28 @@ def simulate_batch(model: ConjugateFieldModel, noise: NoiseModel, domain,
                 xb = np.empty_like(before)
                 over_b = _euler(model, before, hb, xb, dwb, sigma, cb, clamps)
 
-            gone = None
-            # out: the exit flags (S, J.size) of the judged members J, or of
+            # Y: the states of the judged members J, (d, S, J.size), or of
             # every member when J is None; None when no member can leave
-            out = J = None
-            if lo_all is not None:
-                # a member can leave only where its carrier's state leaves
-                # the box of its group's tightest member
-                near = ((traj.max(axis=1) > lead_hi)
-                        | (traj.min(axis=1) < lead_lo)).any(axis=0)
+            gone = J = Y = None
+            if fams is not None:
+                # a member can leave only where its carrier's extremes,
+                # scaled by its group's tightest member's 2**k, leave the box
+                ext = np.ldexp([traj.max(axis=1), traj.min(axis=1)], klead)
+                near = _outside(model, domain, ext.transpose(0, 2, 1).reshape(2 * A, d))
+                near = near.reshape(2, A).any(axis=0)
                 if br is not None or near.any():
                     judged = near[mcol]
                     if br is not None:
                         judged[br] = True
                     J = np.flatnonzero(judged)
-                    out = _outside_scaled(traj.take(mcol[J], axis=2),
-                                          lo_all.take(mem[J], axis=1),
-                                          hi_all.take(mem[J], axis=1))
+                    # each judged member in its own coordinates
+                    Y = traj.take(mcol[J], axis=2)
+                    np.ldexp(Y, kexp[mem[J]], out=Y)
             elif detect:
-                # row s*A + i: path i at step s
-                out = _outside(model, domain, traj.reshape(d, S * A).T).reshape(S, A)
-            if out is not None:
+                Y = traj
+            if Y is not None:
+                # out[s, i]: column i of Y at step s
+                out = _outside(model, domain, Y.reshape(d, -1).T).reshape(S, -1)
                 if br is not None:
                     # a member's steps before its last count; its last step
                     # is its branch's
@@ -529,19 +512,17 @@ def simulate_batch(model: ConjugateFieldModel, noise: NoiseModel, domain,
                 mcol = mcol[left]
                 stays = np.zeros(A, dtype=bool)
                 stays[mcol] = True
-                if not stays.all():
-                    mcol = (np.cumsum(stays) - 1)[mcol]
                 if stays.all():
                     X = traj[:, S - 1].copy()
                 else:
+                    mcol = (np.cumsum(stays) - 1)[mcol]
                     keep = np.flatnonzero(stays)
                     ids = ids.take(keep)
                     cols = keep if cols is None else cols.take(keep)
                     X = traj[:, S - 1].take(keep, axis=1)
                     c = None
-                lead_lo = None
-                if mem.size:
-                    next_end = int(n_steps[mem].min())
+                klead = None
+                next_end = int(n_steps[mem].min()) if mem.size else 0
             j0 += S
         k += kb
 

@@ -88,6 +88,7 @@ REJECTED = [
     "domain.inner = ball:1.5\ndomain.outer = ball:inf",
     "initial.points = nan",
     "diagnostic.time = nan",
+    "diagnostic.time = 0",
     "threshold.r0 = -5.0",
     "diagnostic.point = 0.1; 0.7",
     "domain.big = ellipsoid:1e-300",

@@ -342,7 +342,7 @@ def batch(b):
     time.sleep(0.5)
     return np.zeros(1 << 18)
 
-est._map_batches(lambda b: (batch, (b,)), 2, 2)
+est._map_batches(batch, 2, 2)
 """
 
 
@@ -551,6 +551,18 @@ class TestDensityDiagnostic:
         with pytest.raises(ValueError):
             density_diagnostic(np.zeros((MIN_DENSITY_SAMPLES - 1, 1)),
                                np.array([[1.0]]))
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_rejects_a_variance_that_is_not_positive(self, d):
+        # the samples and reference of diagnostic.time = 0: all exact zeros
+        with pytest.raises(ValueError, match="variances"):
+            density_diagnostic(np.zeros((MIN_DENSITY_SAMPLES, d)), np.zeros((d, d)))
+
+    def test_a_nan_difference_is_not_a_fit(self, monkeypatch):
+        monkeypatch.setattr(est, "_normal_pdf", lambda z, var: np.full_like(z, np.nan))
+        samples = np.random.default_rng(3).standard_normal((MIN_DENSITY_SAMPLES, 3))
+        diag = density_diagnostic(samples, np.eye(3))
+        assert math.isnan(diag.sup_diff) and math.isnan(diag.l1_diff)
 
     @pytest.mark.parametrize("halfwidth", [math.nan, math.inf, 0.0, -6.0])
     def test_rejects_bad_halfwidth(self, halfwidth):

@@ -217,6 +217,7 @@ REJECTED = [
     ("initial.points", "initial.points = 0.5; inf\n"),
     ("diagnostic.point", "diagnostic.point = nan\n"),
     ("diagnostic.point", "diagnostic.point = 0.1; 0.7\n"),
+    ("diagnostic.time", "diagnostic.time = 0\n"),
     ("diagnostic.time", "diagnostic.time = nan\n"),
     ("diagnostic.time", "diagnostic.time = inf\n"),
     ("diagnostic.halfwidth", "diagnostic.halfwidth = nan\n"),

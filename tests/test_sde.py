@@ -3,6 +3,8 @@ import mmap
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import ndtr
 
 from exitlab import (
@@ -153,6 +155,16 @@ class TestIncrements:
         want = (xi @ sig.T).transpose(1, 2, 0)
         assert got.shape == (kb, d, ids.size)
         assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("d, n", [(1, 2), (2, 2), (3, 3), (3, 4)])
+    def test_one_step_block_is_a_prefix(self, d, n):
+        # a block drawn longer has the shorter one as its prefix, also where
+        # numpy would multiply a one-step block by another kernel
+        sig = np.random.default_rng(d * n).uniform(-1.0, 1.0, (d, n))
+        ids = np.arange(70)
+        one, two = (_step_major_noise([make_generator(8, int(p)) for p in ids],
+                                      ids, kb, sig) for kb in (1, 2))
+        assert one.tobytes() == two[:1].tobytes()
 
 
 def _one_path(x0, epsilon, stop_time, seed, pid):
@@ -931,6 +943,27 @@ class TestSharedStreams:
         assert (res["steps_used"][1] == 549).any() and (res["steps_used"][2] == 807).any()
         assert res["exited"][2].sum() > res["exited"][1].sum() > 0
 
+    @pytest.mark.parametrize("case", ["fold_chain", "fold_base_not_smallest",
+                                      "fold_mixed", "fold_d3", "fold_last_step",
+                                      "d1_identity"])
+    def test_every_exit_is_judged_by_the_domain(self, case, monkeypatch):
+        # each exit after t = 0 ends in a state that BoxDomain.outside
+        # flagged, whether its row was folded, a carrier or on its own
+        flagged = set()
+        real = BoxDomain.outside
+
+        def recording(self, Y):
+            out = real(self, Y)
+            flagged.update(row.tobytes() for row in np.asarray(Y)[out])
+            return out
+
+        monkeypatch.setattr(BoxDomain, "outside", recording)
+        res = _stacked(*SHARED_CASES[case])
+        later = res["exited"] & (res["tau"] > 0.0)
+        assert later.any()
+        unseen = [r for r in res["end_state"][later] if r.tobytes() not in flagged]
+        assert not unseen, f"{len(unseen)} of {later.sum()} exits unseen"
+
     def test_what_does_not_fold(self):
         """Folding needs the identity model with an infinite validity
         radius, constant noise, a box, and power-of-two starts."""
@@ -999,6 +1032,49 @@ class TestSharedStreams:
         want = [BLOCK_STEPS, BLOCK_STEPS, 1100 - 2 * BLOCK_STEPS]
         for g in gens:
             assert [size for who, size in drawn if who is g] == want
+
+
+_FAMILY_SETUPS = {1: (ID1, N1, BOX1),
+                  2: (ID2, NoiseModel([[1.0, 0.0], [1.0, 1.0]]), _BOX2),
+                  3: (_S3_MODEL, _S3_NOISE, _S3_BOX)}
+
+
+@st.composite
+def _power_of_two_families(draw):
+    """(model, noise, box, cells, dt, seed): 2 to 4 cells on up to 8 streams
+    whose epsilons and starts are 2**k times one base cell's, k in [-4, 6].
+    A row starts inside the box for every cell, or on or outside it for the
+    cell of one k, and each grid ends on a step of its own size."""
+    d = draw(st.integers(1, 3))
+    model, noise, box = _FAMILY_SETUPS[d]
+    ks = draw(st.lists(st.integers(-4, 6), min_size=2, max_size=4))
+    base = math.ldexp(draw(st.floats(0.05, 0.95)), -max(ks))
+    n = draw(st.integers(1, 8))
+    Z = np.empty((n, d))
+    for r in range(n):
+        u = np.array(draw(st.lists(st.floats(-0.95, 0.95), min_size=d, max_size=d)))
+        y = np.where(u < 0.0, -u * box.lower, u * box.upper)
+        on = draw(st.sampled_from([None, None, 1.0, 1.5]))  # in, on, out
+        if on is not None:
+            y[0] = on * draw(st.sampled_from([box.lower, box.upper]))[0]
+        # the box is tightest for the largest k
+        Z[r] = np.ldexp(y, -(max(ks) if on is None else draw(st.sampled_from(ks))))
+    dt = draw(st.sampled_from([1e-2, 3.1e-3]))
+    cells = []
+    for k in ks:
+        # lengths at sub-block and block edges, a one-step second block too
+        steps = draw(st.integers(0, 600) | st.sampled_from([1, 32, 33, 512, 513]))
+        last = draw(st.floats(0.05, 1.0))  # the last step, in units of dt
+        cells.append((np.ldexp(Z, k), math.ldexp(base, k),
+                      (steps - 1 + last) * dt if steps else 0.0))
+    return model, noise, box, cells, dt, draw(st.integers(0, 2**32))
+
+
+class TestPowerOfTwoFamilies:
+    @given(_power_of_two_families())
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    def test_stacked_families_match_separate_runs(self, case):
+        _stacked_and_alone(*case)
 
 
 # (_SUB_STEPS, _SUB_ROWS): one step per sub-block; 3 step-rows per stream;
