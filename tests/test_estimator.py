@@ -13,6 +13,7 @@ import pytest
 from scipy.special import ndtri
 
 import exitlab.estimator as est
+from exitlab import sde
 from exitlab import (
     BoxDomain,
     ConjugateFieldModel,
@@ -428,6 +429,38 @@ class TestWorkerPool:
         assert serial == fanned
         # and so does each of the sweep's 9 adjusted cells at run.workers 2
         assert pool_sizes == [2] * 14
+
+
+class TestDrawShare:
+    @pytest.mark.parametrize("cpus", [None, 1, 2, 3, 6])
+    def test_each_worker_of_a_fan_out_draws_on_its_part(self, cpus,
+                                                        monkeypatch):
+        monkeypatch.setattr(sde, "_draw_cpus", cpus)
+        share = sde._draw_share()
+        assert share >= 1
+
+        def job(b):
+            return sde._draw_share()
+
+        assert est._map_batches(job, 2, 2) == [max(1, share // 2)] * 2
+        assert est._map_batches(job, 2, 1) == [share] * 2  # in-process
+        assert sde._draw_share() == share
+
+    def test_direct_rows_do_not_depend_on_the_draw_share(self, monkeypatch):
+        # one in-process batch of 600 streams: 10 groups of 64, drawn on 1,
+        # 2 or 3 threads
+        cfg = parse_config(SWEEP_2D.replace("n_paths = 128", "n_paths = 600")
+                           .replace("batch_size = 64", "batch_size = 16384")
+                           .replace("run.workers = 2", "run.workers = 1"))
+        rows = {}
+        for share in (1, 2, 3):
+            monkeypatch.setattr(sde, "_draw_cpus", share)
+            text = rows_csv_text(run_estimate(cfg))
+            # every column but the last, wall_seconds
+            rows[share] = [ln.rsplit(",", 1)[0] for ln in text.splitlines()]
+        assert len(rows[1]) == 10
+        assert rows[2] == rows[1]
+        assert rows[3] == rows[1]
 
 
 class TestRescaledPrefactor:

@@ -1,5 +1,8 @@
 import math
 import mmap
+import os
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -1143,6 +1146,120 @@ class TestSubBlockLength:
         monkeypatch.setattr(sde, "_SUB_ROWS", 1)
         _sub_block_run("shared", "many_cells")
         assert checks[0] > 4 * grid // _SUB_STEPS
+
+
+class _Recorded:
+    """A path stream that records the thread of each draw, and raises
+    `fails` instead of drawing where that is given."""
+
+    def __init__(self, gen, threads, fails=None):
+        self.gen, self.threads, self.fails = gen, threads, fails
+
+    def standard_normal(self, *args, **kwargs):
+        self.threads.add(threading.current_thread())
+        if self.fails is not None:
+            raise self.fails
+        return self.gen.standard_normal(*args, **kwargs)
+
+
+class _DrawFailed(Exception):
+    pass
+
+
+# _MIX_PATHS values at which the cases' at most 24 streams span several
+# groups, so a share of 2 or 3 draws them on as many threads
+_SPLIT_MIX = [1, 4]
+_SHARE_RUNS = ([("batch", case) for case in sorted(BATCH_CASES)]
+               + [run for run in _SUB_BLOCK_RUNS if run[0] != "batch"])
+
+
+class TestDrawShare:
+    """No output depends on how many threads draw a block's noise."""
+
+    @pytest.mark.parametrize("mix", _SPLIT_MIX)
+    @pytest.mark.parametrize("share", [1, 2, 3])
+    @pytest.mark.parametrize("table, case", _SHARE_RUNS)
+    def test_outputs_do_not_depend_on_the_draw_share(self, table, case, share,
+                                                     mix, monkeypatch):
+        monkeypatch.setattr(sde, "_draw_cpus", 1)
+        want = _sub_block_run(table, case)
+        monkeypatch.setattr(sde, "_draw_cpus", share)
+        monkeypatch.setattr(sde, "_MIX_PATHS", mix)
+        got = _sub_block_run(table, case)
+        for k in RESULT_KEYS:
+            assert got[k].tobytes() == want[k].tobytes(), k
+
+    @pytest.mark.parametrize("kb", [1, 2, 70])
+    @pytest.mark.parametrize("sig", [
+        np.eye(2),
+        np.diag([0.5, -2.0]),
+        np.array([[1.0, 0.3, 0.2], [0.1, 1.0, 0.4]]),  # a threaded matmul
+        np.array([[1.0, 0.0], [1.0, 1.0]]),
+    ], ids=["identity", "diagonal", "rect", "lower"])
+    @pytest.mark.parametrize("share", [2, 3, 5])
+    def test_threaded_block_equals_the_one_thread_block(self, share, sig, kb,
+                                                        monkeypatch):
+        # 197 streams, every other one of 394: four groups of 64, the last
+        # of 5, so three threads take runs of 64, 64 and 69 streams
+        ids = np.arange(0, 394, 2)
+
+        def draw(share):
+            monkeypatch.setattr(sde, "_draw_cpus", share)
+            threads = set()
+            gens = [_Recorded(make_generator(8, p), threads) for p in range(394)]
+            return _step_major_noise(gens, ids, kb, sig), threads
+
+        want, one = draw(1)
+        got, many = draw(share)
+        assert one == {threading.current_thread()}
+        # one thread per group at most; the caller draws the first run
+        assert len(many) == min(share, 4)
+        assert threading.current_thread() in many
+        assert got.tobytes() == want.tobytes()
+
+    def test_more_threads_than_cpus_switching_every_microsecond(self,
+                                                                monkeypatch):
+        # 75 groups of 2 streams on 2 * cpus + 1 threads, which hand the
+        # interpreter lock on as often as they can
+        ids = np.arange(150)
+        sig = np.array([[1.0, 0.3, 0.2], [0.1, 1.0, 0.4]])
+        monkeypatch.setattr(sde, "_MIX_PATHS", 2)
+        blocks = []
+        for share in (1, 2 * (os.cpu_count() or 1) + 1):
+            monkeypatch.setattr(sde, "_draw_cpus", share)
+            gens = [make_generator(3, p) for p in ids]
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                blocks.append(_step_major_noise(gens, ids, 40, sig))
+            finally:
+                sys.setswitchinterval(interval)
+        assert blocks[1].tobytes() == blocks[0].tobytes()
+
+    def test_threads_are_joined_before_simulate_batch_returns(self, monkeypatch):
+        model, noise, domain, X0, eps, stop = BATCH_CASES["state_scaled"]
+        monkeypatch.setattr(sde, "_MIX_PATHS", 4)
+        before = threading.active_count()
+        for share in (2, 3):
+            monkeypatch.setattr(sde, "_draw_cpus", share)
+            _run_ids(model, noise, domain, X0, eps, stop, 17,
+                     np.arange(X0.shape[0]))
+            assert threading.active_count() == before
+
+    def test_a_helpers_exception_is_raised_by_simulate_batch(self, monkeypatch):
+        # 24 streams in 6 groups of 4 on 2 threads: the helper draws 12-23
+        model, noise, domain, X0, eps, stop = BATCH_CASES["box"]
+        monkeypatch.setattr(sde, "_MIX_PATHS", 4)
+        monkeypatch.setattr(sde, "_draw_cpus", 2)
+        threads, fails = set(), _DrawFailed("stream 20")
+        gens = [_Recorded(make_generator(17, p), threads,
+                          fails if p == 20 else None) for p in range(24)]
+        before = threading.active_count()
+        with pytest.raises(_DrawFailed) as info:
+            simulate_batch(model, noise, domain, X0, eps, stop, 1e-3, gens)
+        assert info.value is fails
+        assert threading.active_count() == before
+        assert len(threads) == 2
 
 
 class TestStepBookkeeping:
