@@ -2,12 +2,12 @@
 
 Estimates are reproducible to the byte: paths are partitioned into batches of
 fixed contiguous path-id ranges, forked worker processes run whole batches,
-and results are reduced in batch order.  Each process draws its noise on its
-share of the CPUs (sde._draw_share), which affinity narrows and a fan-out's
-workers split.  Worker count and share change wall time only, never the
-estimate.  Each fan-out (the direct cells of a sweep, a splitting level, an
-adjusted cell, a fluctuation sample) forks its own workers, at most one per
-batch, and reaps them before it returns.
+and results are reduced in batch order.  A process draws its noise on each
+CPU it may run on, a forked worker on one (sde._draw_share), so neither
+worker count nor CPUs change the estimate, only wall time.  Each fan-out
+(the direct cells of a sweep, a splitting level, an adjusted cell, a
+fluctuation sample) forks its own workers, at most one per batch, and
+reaps them before it returns.
 
 Every batch job runs its paths through _simulate, the one place that builds
 a batch's path generators.  The direct estimator takes all the (x, epsilon)
@@ -32,7 +32,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import sde
 from .dynamics import (
     BoxDomain,
     ConjugateFieldModel,
@@ -155,11 +154,10 @@ def _map_batches(job, n_batches: int, workers: int) -> list:
 
 def _serve(job, batches: range, fd: int, readers: list) -> None:
     """Run job(b) for the batches in a forked child, pickle the outcome to fd
-    and exit.  The k = batches.step children split their parent's CPUs."""
+    and exit."""
     try:
         for reader in readers:  # a write fails, not blocks, without the parent
             reader.close()
-        sde._draw_cpus = max(1, sde._draw_share() // batches.step)
         try:
             out = (True, [job(b) for b in batches])
         except BaseException as exc:

@@ -15,15 +15,14 @@ The direct estimator stacks the cells of a sweep cell-major on the streams
 of one set of path ids (common random numbers); every other caller has one
 row per stream.  A block's normals are drawn once per stream that still
 has an alive row, to the longest grid left, and stored step-major,
-``(kb, width, A)``, in one buffer per batch (``_noise_buffer``).  The
-streams are cut into at most ``_draw_share()`` runs of whole
-``_MIX_PATHS`` groups: the process's share of the CPUs is those it may run
-on, or max(1, share // k) in each of the k workers of a fan-out.  One
-thread draws each run into its own columns, the caller the first, and all
-are joined before the block is used.  Constant noise stores the increments
-``xi @ sig0.T`` (width d; a square diagonal ``sig0`` scales each
-coordinate instead); state-dependent noise stores the raw normals (width
-n).  The block is walked in sub-blocks of at most
+``(kb, width, A)``, in one buffer per batch (``_noise_buffer``), by up to
+``_draw_share()`` threads: each draws a run of whole ``_MIX_PATHS`` groups
+into its own columns, the caller the first, and all are joined before the
+block is used.  A stand-in for a numpy Generator (a tracer's counting
+proxy, say) may keep unlocked state, so it is drawn by the caller.  Constant
+noise stores the increments ``xi @ sig0.T`` (width d; a square diagonal
+``sig0`` scales each coordinate instead); state-dependent noise stores the
+raw normals (width n).  The block is walked in sub-blocks of at most
 ``_SUB_STEPS`` steps, and of at most ``_SUB_STEPS`` step-rows per stream or
 ``_SUB_ROWS`` step-rows in all, whichever is more: a batch with one row per
 stream takes ``_SUB_STEPS`` steps, and stacked rows take fewer only once
@@ -32,10 +31,9 @@ place while the alive rows are its columns in order, and otherwise takes
 its rows' columns with one ``take``.
 Every row has 0 < epsilon < 1, and its increments are scaled by its own
 ``c = eps * sqrt(dt)``: constant increments in place, by one multiply of
-the slab (by a scalar where every carrier has one epsilon), and
-state-dependent ones per step, after ``sigma(x)`` mixes them.  One Euler
-update, ``_euler``, takes every step: x + b(x) h plus the noise term, then
-the clamp to the validity radius.  The grid
+the slab, and state-dependent ones per step, after ``sigma(x)`` mixes
+them.  One Euler update, ``_euler``, takes every step: x + b(x) h
+plus the noise term, then the clamp to the validity radius.  The grid
 steps every row by dt, writing each state in place into slot ``s`` of a
 coordinate-major ``(d, S, A)`` trajectory, whose column ``i`` belongs to
 row ``ids[i]``.  Exits are checked once per sub-block, on all S steps as
@@ -72,16 +70,15 @@ members get alone.
 
 None of this changes an output byte.  Each row reads its stream in the same
 order, whole blocks at a time, and a block drawn longer has the shorter
-draw as its prefix.  One thread reads each stream, in order, and a keyed
-Philox stream's values do not depend on the thread that draws them; each
-thread writes only its own columns.  Rows with different stop times may
-read a stream past one row's grid, which that row never uses; only a batch with one stop time
-leaves each generator where a continuation resumes it.  numpy's stacked
-``matmul`` multiplies each stream's ``(kb, n)`` block on its own, so
-grouping paths differently leaves the product unchanged; with a diagonal
-``sig0`` each product is one nonzero term plus exact zeros.  Every later operation acts
-on each row on its own, in the same order on the same operands: a per-row
-epsilon or step size multiplies as the scalar would.  Model and box calls
+draw as its prefix; one thread reads a stream, and a keyed Philox stream
+reads alike on any thread.  Rows with different stop times may read a
+stream past one row's grid, which that row never uses; only a batch with
+one stop time leaves each generator where a continuation resumes it.
+numpy's stacked ``matmul`` multiplies each stream's ``(kb, n)`` block on its
+own, so grouping paths differently leaves the product unchanged; with a
+diagonal ``sig0`` each product is one nonzero term plus exact zeros.  Every
+later operation acts on each row on its own, in the same order on the same
+operands: a per-row epsilon or step size multiplies as the scalar would.  Model and box calls
 take column-major ``(m, d)`` views of the state.  ``SmoothDomain.outside``
 and a state-dependent ``sigma_batch`` get row-major copies instead: their
 built-in forms sum over the coordinates, and numpy rounds such a sum by
@@ -112,7 +109,7 @@ _SUB_ROWS = 1 << 16
 # together: the two path-major buffers of a 64-path group (1 MB at 512 steps
 # and d = n = 2) stay in L2 while they are transposed.
 _MIX_PATHS = 64
-_draw_cpus = None  # CPUs to draw noise on, set in a forked worker; None: all it may use
+_PID = os.getpid()  # a process forked after import draws on one thread
 # A batch's noise buffer of this many bytes or more gets a mapping of its own.
 _MAPPED_BYTES = 1 << 22
 _U64 = 0xFFFFFFFFFFFFFFFF
@@ -170,6 +167,13 @@ def make_generator(seed: int, path_id: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(_PhiloxKey(key)))
 
 
+def _initial_outside(model: ConjugateFieldModel, domain, X0: np.ndarray) -> np.ndarray:
+    """Starts on the boundary or outside exit immediately (tau = 0)."""
+    if isinstance(domain, BoxDomain):
+        return domain.not_strictly_inside(model.push_batch(X0))
+    return domain.outside(X0)
+
+
 def _noise_buffer(n: int) -> np.ndarray:
     """n uninitialised floats that hold every noise block of one batch.
 
@@ -186,10 +190,13 @@ def _noise_buffer(n: int) -> np.ndarray:
 
 
 def _draw_share() -> int:
-    """The CPUs this process draws its noise on: its part, or its affinity."""
-    if _draw_cpus is None and hasattr(os, "sched_getaffinity"):
+    """The threads that may draw a noise block: one per CPU the process may
+    run on, but one in a process forked after import (a fan-out's worker)."""
+    if os.getpid() != _PID:
+        return 1
+    if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
-    return _draw_cpus or os.cpu_count() or 1
+    return os.cpu_count() or 1
 
 
 def _step_major_noise(gens: list, ids: np.ndarray, kb: int,
@@ -202,44 +209,34 @@ def _step_major_noise(gens: list, ids: np.ndarray, kb: int,
     values are the same.  An identity sig0 therefore leaves the raw normals.
     numpy multiplies a one-row block by gemv, which rounds otherwise than
     the gemm of a longer one, so a one-step block gets a zero second step.
-    The draw runs on up to _draw_share() threads (see the module docstring).
     """
     d, n = sig0.shape
     diagonal = d == n and np.array_equal(sig0, np.diag(np.diagonal(sig0)))
     kp = kb + (kb == 1 and not diagonal)  # steps multiplied
-    A = ids.size
-    dW = np.empty((kb, d, A)) if out is None else out
+    dW = np.empty((kb, d, ids.size)) if out is None else out
 
-    def fill(lo, hi):  # the columns [lo, hi), group by group in one buffer
-        try:
-            xs = (np.empty if kp == kb else np.zeros)((_MIX_PATHS, kp, n))
-            rows = list(xs[:, :kb])  # a zero second step stays zero
-            for a in range(lo, hi, _MIX_PATHS):
-                sub = ids[a:a + _MIX_PATHS].tolist()
-                for i, row in zip(sub, rows):
-                    gens[i].standard_normal(out=row)
-                xi = xs[:len(sub)]
-                dW[:, :, a:a + len(sub)] = (xi if diagonal else (
-                    xi @ sig0.T)[:, :kb]).transpose(1, 2, 0)
-        except BaseException as exc:  # raised again once every run is joined
-            errors.append(exc)
+    def fill(lo, hi):  # the columns [lo, hi) of one thread, in one group buffer
+        xs = (np.empty if kp == kb else np.zeros)((_MIX_PATHS, kp, n))
+        for a in range(lo, hi, _MIX_PATHS):
+            sub = ids[a:a + _MIX_PATHS].tolist()
+            for i, row in zip(sub, xs[:, :kb]):  # a zero second step stays zero
+                gens[i].standard_normal(out=row)
+            xi = xs[:len(sub)]
+            dW[:, :, a:a + len(sub)] = (xi if diagonal
+                                        else (xi @ sig0.T)[:, :kb]).transpose(1, 2, 0)
 
-    groups = -(-A // _MIX_PATHS)
+    groups = -(-ids.size // _MIX_PATHS)
     T = min(_draw_share(), groups)
-    edges = [min(A, t * groups // T * _MIX_PATHS) for t in range(T + 1)]
-    helpers, errors = [], []
-    try:
-        for run in zip(edges[1:-1], edges[2:]):
-            import threading  # only once a run is split off
-            t = threading.Thread(target=fill, args=run)
-            t.start()
-            helpers.append(t)
-        fill(0, edges[1])
-    finally:
-        for t in helpers:
-            t.join()
-    if errors:
-        raise errors[0]
+    if T == 1 or not all(isinstance(gens[i], np.random.Generator) for i in ids):
+        fill(0, ids.size)
+    else:
+        from concurrent.futures import ThreadPoolExecutor
+        edges = [t * groups // T * _MIX_PATHS for t in range(1, T)] + [ids.size]
+        with ThreadPoolExecutor(T - 1) as pool:  # joins every helper on leaving
+            runs = [pool.submit(fill, lo, hi) for lo, hi in zip(edges, edges[1:])]
+            fill(0, edges[0])
+        for run in runs:
+            run.result()  # raises a helper's exception
     if diagonal:
         for j in range(d):
             if sig0[j, j] != 1.0:
@@ -293,6 +290,13 @@ def _outside(model: ConjugateFieldModel, domain, X: np.ndarray) -> np.ndarray:
     return domain.outside(np.ascontiguousarray(X))
 
 
+def _spread(v: np.ndarray, J: np.ndarray, M: int) -> np.ndarray:
+    """v, one value per judged member J, as M values with zeros elsewhere."""
+    full = np.zeros(M, dtype=v.dtype)
+    full[J] = v
+    return full
+
+
 def _euler(model: ConjugateFieldModel, x: np.ndarray, h, out: np.ndarray,
            dw, sigma: NoiseModel | None, c, clamps: bool, bh=None):
     """One Euler step of the states x, (m, d), into out: x + b(x) h, plus
@@ -338,8 +342,12 @@ def simulate_batch(model: ConjugateFieldModel, noise: NoiseModel, domain,
     paths that leave, and the number of grid steps for the rest.  A stream
     is drawn in whole blocks for as long as one of its rows is alive, to
     the longest grid left in the batch; with one stop time that is the
-    grid, so a continuation can resume the generators.  The module
-    docstring says how rows are drawn, folded, stepped and judged.
+    grid, so a continuation can resume the generators.  Both noise forms
+    are drawn step-major into one buffer.  Rows whose epsilon and start are
+    a power-of-two multiple of another row's on its stream step as one
+    carrier row, the others each as its own; the grid steps dt, each row's
+    last step branches off its carrier's, and every exit flag comes from
+    _outside, in the row's own coordinates (see the module docstring).
     """
     X0 = np.atleast_2d(np.asarray(X0, dtype=float))
     m, d = X0.shape
@@ -366,9 +374,8 @@ def simulate_batch(model: ConjugateFieldModel, noise: NoiseModel, domain,
 
     detect = domain is not None
     alive = n_steps > 0
-    if detect:  # starts on the boundary or outside exit at once (tau = 0)
-        out0 = (domain.not_strictly_inside(model.push_batch(X0))
-                if isinstance(domain, BoxDomain) else domain.outside(X0))
+    if detect:
+        out0 = _initial_outside(model, domain, X0)
         exited[out0] = True
         tau[out0] = 0.0
         steps_used[out0] = 0
@@ -424,7 +431,6 @@ def simulate_batch(model: ConjugateFieldModel, noise: NoiseModel, domain,
             S = min(_SUB_STEPS, max(1, cap // A), kb - j0)
             if c is None:  # the carriers changed
                 c = eps[ids][:, None] * sdt  # each carrier's noise factor
-                cw = c[0, 0] if (c == c[0, 0]).all() else c.T  # one eps: a scalar
             if fams is not None and klead is None:  # the members changed
                 # the k of each carrier's first, tightest member
                 klead = kexp[mem[np.searchsorted(mcol, np.arange(A))]]
@@ -445,7 +451,7 @@ def simulate_batch(model: ConjugateFieldModel, noise: NoiseModel, domain,
                 braw = w[bs, :, bc]  # the branches' raw increments
             if sigma is None:
                 # each slab is read once, so it is scaled where it lies
-                np.multiply(w, cw, out=w)
+                np.multiply(w, c.T, out=w)
             ws = w.T  # ws[..., s], (A, width): the noise of step s
             over_s = over_buf[:S * A].reshape(S, A) if clamps else None
             xs = traj.T  # xs[:, s], (A, d): the states after step s
@@ -497,12 +503,11 @@ def simulate_batch(model: ConjugateFieldModel, noise: NoiseModel, domain,
                     out[:, at] &= np.arange(S)[:, None] < bs
                     out[bs, at] = _outside(model, domain, xb)
                 if out.any():
-                    # every member's exit flag and first exit step in the
-                    # sub-block; a member not judged stays
-                    gone = np.zeros(mem.size, dtype=bool)
-                    first = np.zeros(mem.size, dtype=np.intp)
-                    at = slice(None) if J is None else J
-                    gone[at], first[at] = out.any(axis=0), out.argmax(axis=0)
+                    gone = out.any(axis=0)
+                    first = out.argmax(axis=0)  # first exit step in the sub-block
+                    if J is not None:  # spread over every member
+                        gone = _spread(gone, J, mem.size)
+                        first = _spread(first, J, mem.size)
                     hit = np.flatnonzero(gone)
                     sh = first[hit]
                     hit_ids = mem[hit]

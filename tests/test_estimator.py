@@ -432,17 +432,13 @@ class TestWorkerPool:
 
 
 class TestDrawShare:
-    @pytest.mark.parametrize("cpus", [None, 1, 2, 3, 6])
-    def test_each_worker_of_a_fan_out_draws_on_its_part(self, cpus,
-                                                        monkeypatch):
-        monkeypatch.setattr(sde, "_draw_cpus", cpus)
+    def test_a_forked_worker_draws_on_one_thread(self):
         share = sde._draw_share()
-        assert share >= 1
 
         def job(b):
             return sde._draw_share()
 
-        assert est._map_batches(job, 2, 2) == [max(1, share // 2)] * 2
+        assert est._map_batches(job, 2, 2) == [1, 1]
         assert est._map_batches(job, 2, 1) == [share] * 2  # in-process
         assert sde._draw_share() == share
 
@@ -454,7 +450,7 @@ class TestDrawShare:
                            .replace("run.workers = 2", "run.workers = 1"))
         rows = {}
         for share in (1, 2, 3):
-            monkeypatch.setattr(sde, "_draw_cpus", share)
+            monkeypatch.setattr(sde, "_draw_share", lambda: share)
             text = rows_csv_text(run_estimate(cfg))
             # every column but the last, wall_seconds
             rows[share] = [ln.rsplit(",", 1)[0] for ln in text.splitlines()]

@@ -1148,22 +1148,43 @@ class TestSubBlockLength:
         assert checks[0] > 4 * grid // _SUB_STEPS
 
 
-class _Recorded:
-    """A path stream that records the thread of each draw, and raises
-    `fails` instead of drawing where that is given."""
+class _Recorded(np.random.Generator):
+    """A path stream that records the thread of each draw, in its own set
+    and in a shared one, and raises `fails` instead of drawing where that
+    is given."""
 
     def __init__(self, gen, threads, fails=None):
-        self.gen, self.threads, self.fails = gen, threads, fails
+        super().__init__(gen.bit_generator)
+        self.threads, self.fails, self.drawn_by = threads, fails, set()
 
     def standard_normal(self, *args, **kwargs):
         self.threads.add(threading.current_thread())
+        self.drawn_by.add(threading.current_thread())
         if self.fails is not None:
             raise self.fails
-        return self.gen.standard_normal(*args, **kwargs)
+        return super().standard_normal(*args, **kwargs)
+
+
+class _StandIn:
+    """Not a numpy Generator: a wrapper that counts its draws in shared,
+    unlocked state, as a tracer's counting proxy does."""
+
+    def __init__(self, gen, threads, counts):
+        self.gen, self.threads, self.counts = gen, threads, counts
+
+    def standard_normal(self, *args, **kwargs):
+        self.threads.add(threading.current_thread())
+        out = self.gen.standard_normal(*args, **kwargs)
+        self.counts[0] += out.size
+        return out
 
 
 class _DrawFailed(Exception):
     pass
+
+
+def _share(monkeypatch, share):
+    monkeypatch.setattr(sde, "_draw_share", lambda: share)
 
 
 # _MIX_PATHS values at which the cases' at most 24 streams span several
@@ -1176,14 +1197,21 @@ _SHARE_RUNS = ([("batch", case) for case in sorted(BATCH_CASES)]
 class TestDrawShare:
     """No output depends on how many threads draw a block's noise."""
 
+    def test_the_share_is_the_cpus_the_process_may_run_on(self):
+        share = sde._draw_share()
+        if hasattr(os, "sched_getaffinity"):
+            assert share == len(os.sched_getaffinity(0))
+        else:
+            assert share == (os.cpu_count() or 1)
+
     @pytest.mark.parametrize("mix", _SPLIT_MIX)
     @pytest.mark.parametrize("share", [1, 2, 3])
     @pytest.mark.parametrize("table, case", _SHARE_RUNS)
     def test_outputs_do_not_depend_on_the_draw_share(self, table, case, share,
                                                      mix, monkeypatch):
-        monkeypatch.setattr(sde, "_draw_cpus", 1)
+        _share(monkeypatch, 1)
         want = _sub_block_run(table, case)
-        monkeypatch.setattr(sde, "_draw_cpus", share)
+        _share(monkeypatch, share)
         monkeypatch.setattr(sde, "_MIX_PATHS", mix)
         got = _sub_block_run(table, case)
         for k in RESULT_KEYS:
@@ -1204,17 +1232,20 @@ class TestDrawShare:
         ids = np.arange(0, 394, 2)
 
         def draw(share):
-            monkeypatch.setattr(sde, "_draw_cpus", share)
+            _share(monkeypatch, share)
             threads = set()
             gens = [_Recorded(make_generator(8, p), threads) for p in range(394)]
-            return _step_major_noise(gens, ids, kb, sig), threads
+            return _step_major_noise(gens, ids, kb, sig), threads, gens
 
-        want, one = draw(1)
-        got, many = draw(share)
+        want, one, _ = draw(1)
+        got, many, gens = draw(share)
         assert one == {threading.current_thread()}
-        # one thread per group at most; the caller draws the first run
-        assert len(many) == min(share, 4)
+        # one thread per run at most (a helper whose run is done may take
+        # the next); the caller draws the first run, and one thread each
+        # stream
+        assert 2 <= len(many) <= min(share, 4)
         assert threading.current_thread() in many
+        assert [len(gens[i].drawn_by) for i in ids] == [1] * ids.size
         assert got.tobytes() == want.tobytes()
 
     def test_more_threads_than_cpus_switching_every_microsecond(self,
@@ -1226,7 +1257,7 @@ class TestDrawShare:
         monkeypatch.setattr(sde, "_MIX_PATHS", 2)
         blocks = []
         for share in (1, 2 * (os.cpu_count() or 1) + 1):
-            monkeypatch.setattr(sde, "_draw_cpus", share)
+            _share(monkeypatch, share)
             gens = [make_generator(3, p) for p in ids]
             interval = sys.getswitchinterval()
             sys.setswitchinterval(1e-6)
@@ -1236,12 +1267,25 @@ class TestDrawShare:
                 sys.setswitchinterval(interval)
         assert blocks[1].tobytes() == blocks[0].tobytes()
 
+    def test_a_stand_in_generator_is_drawn_by_the_caller(self, monkeypatch):
+        # a wrapper's unlocked bookkeeping is never shared between threads
+        ids = np.arange(300)
+        _share(monkeypatch, 3)
+        threads, counts = set(), [0]
+        gens = [_StandIn(make_generator(8, p), threads, counts) for p in ids]
+        got = _step_major_noise(gens, ids, 40, np.eye(1))
+        want = _step_major_noise([make_generator(8, p) for p in ids], ids, 40,
+                                 np.eye(1))
+        assert threads == {threading.current_thread()}
+        assert counts == [300 * 40]
+        assert got.tobytes() == want.tobytes()
+
     def test_threads_are_joined_before_simulate_batch_returns(self, monkeypatch):
         model, noise, domain, X0, eps, stop = BATCH_CASES["state_scaled"]
         monkeypatch.setattr(sde, "_MIX_PATHS", 4)
         before = threading.active_count()
         for share in (2, 3):
-            monkeypatch.setattr(sde, "_draw_cpus", share)
+            _share(monkeypatch, share)
             _run_ids(model, noise, domain, X0, eps, stop, 17,
                      np.arange(X0.shape[0]))
             assert threading.active_count() == before
@@ -1250,7 +1294,7 @@ class TestDrawShare:
         # 24 streams in 6 groups of 4 on 2 threads: the helper draws 12-23
         model, noise, domain, X0, eps, stop = BATCH_CASES["box"]
         monkeypatch.setattr(sde, "_MIX_PATHS", 4)
-        monkeypatch.setattr(sde, "_draw_cpus", 2)
+        _share(monkeypatch, 2)
         threads, fails = set(), _DrawFailed("stream 20")
         gens = [_Recorded(make_generator(17, p), threads,
                           fails if p == 20 else None) for p in range(24)]
