@@ -5,20 +5,20 @@ fixed contiguous path-id ranges, forked worker processes run whole batches,
 and results are reduced in batch order.  A process draws its noise on each
 CPU it may run on, a forked worker on one (sde._draw_share), so neither
 worker count nor CPUs change the estimate, only wall time.  Each fan-out
-(the direct cells of a sweep, a splitting level, an adjusted cell, a
+(the direct or the adjusted cells of a sweep, a splitting level, a
 fluctuation sample) forks its own workers, at most one per batch, and
 reaps them before it returns.
 
 Every batch job runs its paths through _simulate, the one place that builds
-a batch's path generators.  The direct estimator takes all the (x, epsilon)
-cells of a sweep at once.  Path p of every cell steps on the stream of
-(seed, p), so a batch builds its generators once and simulate_batch steps
-every cell's rows on them, drawing each stream once per block (common
-random numbers across cells).  Its batches are cut smaller as the cells
-grow in number, to at most _DIRECT_ROWS rows each.  Each cell's counts
-are those it gets alone.  Splitting and the adjusted estimate run one
-cell per call: splitting resamples its start states at every level, and a
-continuation resumes each stream where its own box exit left it.
+a batch's path generators.  The direct and adjusted estimators take all
+the (x, epsilon) cells of a sweep at once, stacked cell-major, and path p
+of every cell reads the stream of (seed, p).  A direct batch builds its
+generators once and steps every cell's rows on them (common random
+numbers); an adjusted batch builds one per (cell, path), so no two cells
+share a draw and each continuation resumes its own stream.  A batch holds
+at most _DIRECT_ROWS rows (direct) or max(batch_size, DEFAULT_BATCH_SIZE)
+(adjusted).  Each cell's counts are those it gets alone.  Splitting
+resamples its start states at every level, so it runs one cell per call.
 """
 
 from __future__ import annotations
@@ -189,12 +189,13 @@ def _tally(res: dict) -> tuple[int, int]:
 
 
 # The batch jobs below run one batch_size slice, in a worker or in-process.
-def _simulate(model, noise, domain, starts, epsilon, stop_time, dt, seed, ids):
+def _simulate(model, noise, domain, starts, epsilon, stop_time, dt, seed, ids,
+              copies=1):
     """simulate_batch of rows on the streams of the paths with ids `ids`,
-    and the paths' generators.  starts is one row for every path, or
+    and the rows' generators.  starts is one row for every path, or
     k * len(ids) rows, of which row r steps on the stream of
-    ids[r % len(ids)]."""
-    gens = [make_generator(seed, pid) for pid in ids]
+    ids[r % len(ids)], on one of `copies` generators of that stream."""
+    gens = [make_generator(seed, pid) for _ in range(copies) for pid in ids]
     if starts.ndim == 1:
         starts = np.broadcast_to(starts, (len(gens), starts.size))
     return simulate_batch(model, noise, domain, starts, epsilon, stop_time, dt,
@@ -354,67 +355,84 @@ def default_full_exit_cap(model: ConjugateFieldModel, epsilon: float,
     return max(10.0 * (base + 5.0) / lam_min, 100.0 * dt)
 
 
-def _adjusted_batch(model, noise, box, big_domain, starts, epsilon, stop_time,
-                    t_cap, dt, seed, ids):
-    """(adjusted survivors, enclosing survivors, path-steps, clamped, capped):
-    paths run from starts to their box exit, then on the same streams to
-    their big_domain exit, with survival judged at stop_time."""
-    res1, gens = _simulate(model, noise, box, starts, epsilon, t_cap, dt,
-                           seed, ids)
-    steps, clamps = _tally(res1)
-    capped = int((~res1["exited"]).sum())
+def _adjusted_batch(model, noise, box, big_domain, starts, epsilons,
+                    stop_times, t_caps, dt, seed, ids):
+    """(adjusted survivors, enclosing survivors, path-steps, clamped,
+    capped) of each cell, a (5, cells) array: cell c's paths run from
+    starts[c] to their box exit, then on the same generators to their
+    big_domain exit, capped at t_caps[c], with survival judged at
+    stop_times[c].  Each row has a generator of its own."""
+    b, C = len(ids), len(starts)
+    rows = functools.partial(np.repeat, repeats=b, axis=0)
+    eps, caps, stops = rows(epsilons), rows(t_caps), rows(stop_times)
+    res1, gens = _simulate(model, noise, box, rows(starts), eps, caps, dt,
+                           seed, ids, copies=C)
+    # capped paths certainly outlast the threshold
+    out = np.array([~res1["exited"]] * 2 + [res1["steps_used"], res1["clamped"],
+                                            ~res1["exited"]], dtype=np.int64)
+    n_adj, n_big, steps, clamps, capped = out
     ex = np.flatnonzero(res1["exited"])
-    n_adj = n_big = capped  # capped paths certainly outlast the threshold
     if ex.size:
         states = res1["end_state"][ex]
         travel = flow_exit_times_batch(model, big_domain, states, dt=dt)
         if np.any(np.isnan(travel)):
             raise NoExit("a box exit state failed to leave the enclosing domain")
-        res2 = simulate_batch(model, noise, big_domain, states, epsilon,
-                              t_cap, dt, [gens[i] for i in ex])
-        steps2, clamps2 = _tally(res2)
-        steps += steps2
-        clamps += clamps2
+        res2 = simulate_batch(model, noise, big_domain, states, eps[ex],
+                              caps[ex], dt, [gens[i] for i in ex])
+        steps[ex] += res2["steps_used"]
+        clamps[ex] += res2["clamped"]
         capped2 = ~res2["exited"]
-        capped += int(capped2.sum())
+        capped[ex] += capped2
         tau_big = res1["tau"][ex] + res2["tau"]
         # capped continuations certainly outlast the threshold as well
-        n_adj += int(np.sum(capped2 | (tau_big - travel > stop_time)))
-        n_big += int(np.sum(capped2 | (tau_big > stop_time)))
-    return n_adj, n_big, steps, clamps, capped
+        n_adj[ex] = capped2 | (tau_big - travel > stops[ex])
+        n_big[ex] = capped2 | (tau_big > stops[ex])
+    return out.reshape(5, C, b).sum(axis=2)
 
 
 def adjusted_tail_estimate(model: ConjugateFieldModel, noise: NoiseModel,
-                           box: BoxDomain, big_domain, x, epsilon: float,
+                           box: BoxDomain, big_domain, cells,
                            threshold_spec: ThresholdSpec, n_paths: int,
                            config: PathConfig, seed: int, *, workers: int = 1,
                            batch_size: int = DEFAULT_BATCH_SIZE
-                           ) -> AdjustedTailResult:
+                           ) -> list[AdjustedTailResult]:
     """Estimate box survival from exits observed through an enclosing domain.
 
-    Each path runs to its box exit, the deterministic travel time from the
-    exit state to the enclosing boundary is computed by flow integration, the
-    same path (same stream) then continues to its enclosing-domain exit, and
-    survival is judged on tau_enclosing - travel > threshold.  The raw
-    enclosing-domain survival count is reported alongside for bracket checks.
-    Paths that outlast the cap are flagged and counted as survivors (the cap
-    is forced to be at least the threshold).
+    cells is a sequence of (x, epsilon) pairs, and the result holds one
+    AdjustedTailResult per cell, in order, each the one the cell gets alone.
+    Cell (x, epsilon) runs n_paths paths from epsilon * x.  Each path runs
+    to its box exit, the deterministic travel time from the exit state to
+    the enclosing boundary is computed by flow integration, the same path
+    (same stream) then continues to its enclosing-domain exit, and survival
+    is judged on tau_enclosing - travel > threshold.  The raw
+    enclosing-domain survival count is reported alongside for bracket
+    checks.  Paths that outlast the cap are flagged and counted as
+    survivors (the cap is forced to be at least 1.5 times the threshold).
     """
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
-    x0 = epsilon * np.atleast_1d(np.asarray(x, dtype=float))
-    t0 = threshold_spec.time(epsilon)
-    t_cap = config.t_cap if config.t_cap > 0.0 else default_full_exit_cap(
-        model, epsilon, config.dt)
-    t_cap = max(t_cap, 1.5 * t0)
+    cells = list(cells)
+    if not cells:
+        return []
+    starts = np.array([eps * np.atleast_1d(np.asarray(x, dtype=float))
+                       for x, eps in cells])
+    epsilons = np.array([eps for _, eps in cells], dtype=float)
+    times = np.array([threshold_spec.time(eps) for _, eps in cells])
+    caps = np.array([max(config.t_cap if config.t_cap > 0.0 else
+                         default_full_exit_cap(model, eps, config.dt), 1.5 * t0)
+                     for (_, eps), t0 in zip(cells, times)])
     batch = functools.partial(_adjusted_batch, model, noise, box, big_domain,
-                              x0, epsilon, t0, t_cap, config.dt, seed)
-    parts = _run_paths(batch, n_paths, batch_size, workers)
-    n_adj, n_big, steps, clamps, capped = (sum(col) for col in zip(*parts))
-    counters = dict(path_steps=steps, n_clamped=clamps, n_capped=capped)
-    return AdjustedTailResult(
-        adjusted=_binomial_estimate(n_adj, n_paths, "adjusted", **counters),
-        enclosing=_binomial_estimate(n_big, n_paths, "enclosing", **counters))
+                              starts, epsilons, times, caps, config.dt, seed)
+    paths = max(1, max(batch_size, DEFAULT_BATCH_SIZE) // len(cells))
+    parts = _run_paths(batch, n_paths, min(batch_size, paths), workers)
+
+    def result(n_adj, n_big, steps, clamps, capped):
+        counters = dict(path_steps=steps, n_clamped=clamps, n_capped=capped)
+        return AdjustedTailResult(
+            adjusted=_binomial_estimate(n_adj, n_paths, "adjusted", **counters),
+            enclosing=_binomial_estimate(n_big, n_paths, "enclosing", **counters))
+
+    return [result(*cell) for cell in np.sum(parts, axis=0).T.tolist()]
 
 
 # ---------------------------------------------------------------------------

@@ -222,51 +222,50 @@ def run_predict(cfg: ExperimentConfig) -> RunRecord:
 
 def _estimate_one(cfg: ExperimentConfig, x_eff: np.ndarray,
                   epsilon: float) -> TailEstimate:
-    """The splitting or adjusted estimate of one cell."""
-    if cfg.method == "splitting":
-        return splitting_tail_estimate(
-            cfg.model, cfg.noise, cfg.box, x_eff, epsilon, cfg.threshold,
-            cfg.budget, cfg.path, cfg.seed, workers=cfg.workers,
-            batch_size=cfg.batch_size, level_step=cfg.level_step)
-    result = adjusted_tail_estimate(
-        cfg.model, cfg.noise, cfg.box, cfg.big, x_eff, epsilon, cfg.threshold,
-        cfg.n_paths, cfg.path, cfg.seed, workers=cfg.workers,
-        batch_size=cfg.batch_size)
-    return result.adjusted
+    """The splitting estimate of one cell."""
+    return splitting_tail_estimate(
+        cfg.model, cfg.noise, cfg.box, x_eff, epsilon, cfg.threshold,
+        cfg.budget, cfg.path, cfg.seed, workers=cfg.workers,
+        batch_size=cfg.batch_size, level_step=cfg.level_step)
 
 
 def _estimates(cfg: ExperimentConfig, cells):
     """(estimate, seconds) of each (x_eff, epsilon) cell, in order.
 
-    The direct cells run in one call, on shared path streams, and each gets
-    the share of its wall time that its path-steps are of the total, so the
-    seconds add up to the time spent.  Path-steps count each cell's own
-    grid, so a cell whose rows fold onto another cell's is charged as if
-    stepped alone.  Other methods run cell by cell.
+    The direct or adjusted cells run in one call, and each gets the share
+    of its wall time that its path-steps are of the total, so the seconds
+    add up to the time spent.  Path-steps count each cell's own grid, so a
+    direct cell whose rows fold onto another cell's is charged as if
+    stepped alone.  Splitting runs cell by cell.
     """
+    if cfg.method == "splitting":
+        for x_eff, epsilon in cells:
+            start = time.perf_counter()
+            yield _estimate_one(cfg, x_eff, epsilon), time.perf_counter() - start
+        return
+    start = time.perf_counter()
     if cfg.method == "direct":
-        start = time.perf_counter()
         ests = direct_tail_estimate(
             cfg.model, cfg.noise, cfg.box, cells, cfg.threshold, cfg.n_paths,
             cfg.path, cfg.seed, workers=cfg.workers, batch_size=cfg.batch_size)
-        wall = time.perf_counter() - start
-        total = sum(est.path_steps for est in ests)
-        for est in ests:
-            yield est, (wall * est.path_steps / total if total
-                        else wall / len(ests))
-        return
-    for x_eff, epsilon in cells:
-        start = time.perf_counter()
-        est = _estimate_one(cfg, x_eff, epsilon)
-        yield est, time.perf_counter() - start
+    else:
+        ests = [r.adjusted for r in adjusted_tail_estimate(
+            cfg.model, cfg.noise, cfg.box, cfg.big, cells, cfg.threshold,
+            cfg.n_paths, cfg.path, cfg.seed, workers=cfg.workers,
+            batch_size=cfg.batch_size)]
+    wall = time.perf_counter() - start
+    total = sum(est.path_steps for est in ests)
+    for est in ests:
+        yield est, (wall * est.path_steps / total if total
+                    else wall / len(ests))
 
 
 def run_estimate(cfg: ExperimentConfig) -> RunRecord:
     """Monte Carlo sweep over epsilons and start points per the config.
 
-    The direct cells share one fan-out; every other cell and splitting
-    level fans out on its own.  Each fan-out forks its own workers, at most
-    one per batch, and reaps them before it returns, also when it raises.
+    A direct or adjusted sweep runs in one fan-out and finishes or fails as
+    a whole; each splitting level has its own.  A fan-out forks at most one
+    worker per batch and reaps them before it returns, also when it raises.
     """
     record = _sweep(cfg, estimate=True)
     fits: list[SlopeFit | None] = []

@@ -14,12 +14,13 @@ count is a multiple of ``G`` and rows ``r``, ``r + G``, ... share a stream.
 The direct estimator stacks the cells of a sweep cell-major on the streams
 of one set of path ids (common random numbers); every other caller has one
 row per stream.  A block's normals are drawn once per stream that still
-has an alive row, to the longest grid left, and stored step-major,
-``(kb, width, A)``, in one buffer per batch (``_noise_buffer``), by up to
-``_draw_share()`` threads: each draws a run of whole ``_MIX_PATHS`` groups
-into its own columns, the caller the first, and all are joined before the
-block is used.  A stand-in for a numpy Generator (a tracer's counting
-proxy, say) may keep unlocked state, so it is drawn by the caller.  Constant
+has an alive row, to the longest grid left among its own rows (zeros after
+it), and stored step-major, ``(kb, width, A)``, in one buffer per batch
+(``_noise_buffer``), by up to ``_draw_share()`` threads: each draws a run
+of whole ``_MIX_PATHS`` groups into its own columns, the caller the first,
+and all are joined before the block is used.  A stand-in for a numpy
+Generator (a tracer's counting proxy, say) may keep unlocked state, so it
+is drawn by the caller.  Constant
 noise stores the increments ``xi @ sig0.T`` (width d; a square diagonal
 ``sig0`` scales each coordinate instead); state-dependent noise stores the
 raw normals (width n).  The block is walked in sub-blocks of at most
@@ -71,9 +72,9 @@ members get alone.
 None of this changes an output byte.  Each row reads its stream in the same
 order, whole blocks at a time, and a block drawn longer has the shorter
 draw as its prefix; one thread reads a stream, and a keyed Philox stream
-reads alike on any thread.  Rows with different stop times may read a
-stream past one row's grid, which that row never uses; only a batch with
-one stop time leaves each generator where a continuation resumes it.
+reads alike on any thread.  A row never uses the steps it takes past its
+own grid, and no stream is drawn past its own rows' grids, so any batch
+leaves each generator where a continuation resumes it.
 numpy's stacked ``matmul`` multiplies each stream's ``(kb, n)`` block on its
 own, so grouping paths differently leaves the product unchanged; with a
 diagonal ``sig0`` each product is one nonzero term plus exact zeros.  Every
@@ -113,6 +114,8 @@ _PID = os.getpid()  # a process forked after import draws on one thread
 # A batch's noise buffer of this many bytes or more gets a mapping of its own.
 _MAPPED_BYTES = 1 << 22
 _U64 = 0xFFFFFFFFFFFFFFFF
+_COUNTER = np.zeros(4, dtype=np.uint64)  # Philox's start counter, converted once
+_COUNTER.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -164,7 +167,7 @@ def make_generator(seed: int, path_id: int) -> np.random.Generator:
     """
     key = np.array([operator.index(seed) & _U64, operator.index(path_id) & _U64],
                    dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(_PhiloxKey(key)))
+    return np.random.Generator(np.random.Philox(_PhiloxKey(key), counter=_COUNTER))
 
 
 def _initial_outside(model: ConjugateFieldModel, domain, X0: np.ndarray) -> np.ndarray:
@@ -199,11 +202,12 @@ def _draw_share() -> int:
     return os.cpu_count() or 1
 
 
-def _step_major_noise(gens: list, ids: np.ndarray, kb: int,
+def _step_major_noise(gens: list, ids: np.ndarray, steps,
                       sig0: np.ndarray, out=None) -> np.ndarray:
-    """The next kb increments xi @ sig0.T of each listed path, laid out (kb, d, A).
+    """The next increments xi @ sig0.T of each listed path, laid out (kb, d, A).
 
-    xi holds the path's next kb * n normals as kb rows.  A square diagonal
+    xi holds path ids[i]'s next steps[i] * n normals as rows (steps may be
+    one int for all), then zero rows up to kb, the most.  A square diagonal
     sig0 skips the matmul and scales coordinate j's slab by sig0[j, j] in
     place: each matmul product is that one term plus exact zeros, so the
     values are the same.  An identity sig0 therefore leaves the raw normals.
@@ -211,6 +215,8 @@ def _step_major_noise(gens: list, ids: np.ndarray, kb: int,
     the gemm of a longer one, so a one-step block gets a zero second step.
     """
     d, n = sig0.shape
+    steps = np.broadcast_to(steps, ids.shape)
+    kb = int(steps.max())
     diagonal = d == n and np.array_equal(sig0, np.diag(np.diagonal(sig0)))
     kp = kb + (kb == 1 and not diagonal)  # steps multiplied
     dW = np.empty((kb, d, ids.size)) if out is None else out
@@ -219,7 +225,10 @@ def _step_major_noise(gens: list, ids: np.ndarray, kb: int,
         xs = (np.empty if kp == kb else np.zeros)((_MIX_PATHS, kp, n))
         for a in range(lo, hi, _MIX_PATHS):
             sub = ids[a:a + _MIX_PATHS].tolist()
-            for i, row in zip(sub, xs[:, :kb]):  # a zero second step stays zero
+            for i, k, row in zip(sub, steps[a:a + _MIX_PATHS].tolist(), xs[:, :kb]):
+                if k < kb:
+                    row[k:] = 0.0
+                    row = row[:k]
                 gens[i].standard_normal(out=row)
             xi = xs[:len(sub)]
             dW[:, :, a:a + len(sub)] = (xi if diagonal
@@ -340,14 +349,14 @@ def simulate_batch(model: ConjugateFieldModel, noise: NoiseModel, domain,
     domain), or its state at its stop time if it did not exit.  steps_used
     is 0 for starts outside the domain, the 1-based step of the exit for
     paths that leave, and the number of grid steps for the rest.  A stream
-    is drawn in whole blocks for as long as one of its rows is alive, to
-    the longest grid left in the batch; with one stop time that is the
-    grid, so a continuation can resume the generators.  Both noise forms
-    are drawn step-major into one buffer.  Rows whose epsilon and start are
-    a power-of-two multiple of another row's on its stream step as one
-    carrier row, the others each as its own; the grid steps dt, each row's
-    last step branches off its carrier's, and every exit flag comes from
-    _outside, in the row's own coordinates (see the module docstring).
+    is drawn in whole blocks for as long as one of its rows is alive, each
+    to the longest grid left among its own alive rows, so it ends where its
+    rows alone leave it, and a continuation can resume it.  Both noise
+    forms are drawn step-major into one buffer.  Rows whose epsilon and
+    start are a power-of-two multiple of another row's on its stream step
+    as one carrier row, the others each as its own; the grid steps dt, each
+    row's last step branches off its carrier's, and every exit flag comes
+    from _outside, in the row's own coordinates (see the module docstring).
     """
     X0 = np.atleast_2d(np.asarray(X0, dtype=float))
     m, d = X0.shape
@@ -420,9 +429,13 @@ def simulate_batch(model: ConjugateFieldModel, noise: NoiseModel, domain,
         live, cols = np.unique(ids % G, return_inverse=True)
         if np.array_equal(cols, np.arange(cols.size)):
             cols = None
+        # each stream is drawn to the longest grid left among its own rows
+        grid = np.zeros(m, dtype=np.int64)
+        grid[mem] = n_steps[mem]
+        kl = np.minimum(grid.reshape(-1, G).max(axis=0)[live] - k, kb)
         if noise_buf is None:  # the first block is the largest
             noise_buf = _noise_buffer(kb * width * live.size)
-        dW = _step_major_noise(gens, live, kb, sig0, noise_buf[
+        dW = _step_major_noise(gens, live, kl, sig0, noise_buf[
             :kb * width * live.size].reshape(kb, width, live.size))
         j0 = 0
         next_end = int(n_steps[mem].min())  # the first step that ends a member

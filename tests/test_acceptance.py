@@ -251,8 +251,8 @@ def test_criterion_6_travel_time_adjusted_bracket():
     assert psi == pytest.approx(1.0 / math.sqrt(math.pi), rel=1e-12)
 
     config = PathConfig(dt=1e-3)
-    result = adjusted_tail_estimate(M1, N1, box, big, np.zeros(1), 0.05, TH15,
-                                    20_000, config, GLOBAL_SEED)
+    result = adjusted_tail_estimate(M1, N1, box, big, [(np.zeros(1), 0.05)],
+                                    TH15, 20_000, config, GLOBAL_SEED)[0]
     resc, se = _rescaled(result.adjusted, 0.05, 0.5)
     rel = abs(resc - psi) / psi
 

@@ -36,7 +36,7 @@ from exitlab import (
     splitting_tail_estimate,
 )
 from exitlab.estimator import MIN_DENSITY_SAMPLES
-from exitlab.harness import rows_csv_text
+from exitlab.harness import _theory_point, rows_csv_text
 
 S1 = Spectrum([1.0])
 ID1 = ConjugateFieldModel.identity(S1)
@@ -155,8 +155,8 @@ def test_batch_size_below_one_is_rejected(entry, batch_size):
             ID1, N1, box, x0, 0.1, ts, 100, CFG, seed=1,
             batch_size=batch_size),
         "adjusted": lambda: adjusted_tail_estimate(
-            ID1, N1, box, SmoothDomain.ball(2.0), x0, 0.1, ts, n_paths=100,
-            config=CFG, seed=1, batch_size=batch_size),
+            ID1, N1, box, SmoothDomain.ball(2.0), [(x0, 0.1)], ts, n_paths=100,
+            config=CFG, seed=1, batch_size=batch_size)[0],
         "fluctuation": lambda: rescaled_fluctuation_samples(
             ID1, N1, np.array([0.5]), 0.1, 1.0, CFG, seed=1, n_samples=10,
             batch_size=batch_size),
@@ -274,6 +274,49 @@ class TestSplitting:
         assert runs[0].p_hat == runs[1].p_hat
 
 
+_ADJUSTED = """\
+model.lambdas = 1.0
+domain.lower = -0.5
+domain.upper = 0.5
+domain.big = ball:1.0
+threshold.alpha = 1.5
+sweep.epsilons = 0.1, 0.05
+estimator.method = adjusted
+estimator.n_paths = 2048
+run.seed = 1
+"""
+
+# Per cell: adjusted and enclosing survivors, path-steps, clamped and capped
+# paths, recorded when every adjusted cell ran on its own.  With
+# estimator.t_cap = 0.01 each cell's cap is 1.5 times its own threshold
+# time, so the cells' grids differ and some paths reach them.  The 2-d cells
+# clamp at the validity radius, just outside the big ball.
+ADJUSTED_PINS = {
+    "adjusted": (_ADJUSTED, [[356, 716, 6719490, 0, 0],
+                             [265, 489, 8136782, 0, 0]]),
+    "adjcap": (_ADJUSTED + "estimator.t_cap = 0.01\n",
+               [[356, 716, 6597555, 0, 70], [265, 489, 8080842, 0, 29]]),
+    "quad_2d": ("""\
+model.variant = component_quadratic
+model.lambdas = 1.0, 0.5
+model.quad_coeff = 1.0, -0.5
+model.validity_radius = 0.2
+noise.form = state_scaled
+noise.gamma = 0.5
+domain.lower = -0.1, -0.1
+domain.upper = 0.1, 0.1
+domain.big = ball:0.199
+threshold.alpha = 0.6
+sweep.epsilons = 0.2, 0.1, 0.07
+initial.points = 0.05,0
+estimator.method = adjusted
+estimator.n_paths = 200
+estimator.t_cap = 0.01
+run.seed = 3
+""", [[1, 11, 83701, 44, 0], [18, 56, 224539, 19, 7], [31, 81, 304169, 9, 4]]),
+}
+
+
 class TestAdjusted:
     def test_degenerate_nesting_reduces_to_direct(self):
         # big domain equals the box: per-path travel time is 0 and the
@@ -282,8 +325,8 @@ class TestAdjusted:
         d = direct_tail_estimate(ID1, N1, BOX1, [(np.zeros(1), 0.1)], ts,
                                  n_paths=3000, config=CFG, seed=5)[0]
         res = adjusted_tail_estimate(ID1, N1, BOX1, SmoothDomain.ball(1.0),
-                                     np.zeros(1), 0.1, ts, n_paths=3000,
-                                     config=CFG, seed=5)
+                                     [(np.zeros(1), 0.1)], ts, n_paths=3000,
+                                     config=CFG, seed=5)[0]
         assert res.adjusted.n_survived == d.n_survived
         assert res.enclosing.n_survived == d.n_survived
         assert abs(res.adjusted.p_hat - d.p_hat) <= 3.0 * math.hypot(
@@ -292,8 +335,8 @@ class TestAdjusted:
     def test_methods_labeled(self):
         ts = ThresholdSpec(alpha=0.5)
         res = adjusted_tail_estimate(ID1, N1, BoxDomain([-0.5], [0.5]),
-                                     SmoothDomain.ball(1.0), np.zeros(1), 0.2,
-                                     ts, n_paths=400, config=CFG, seed=2)
+                                     SmoothDomain.ball(1.0), [(np.zeros(1), 0.2)],
+                                     ts, n_paths=400, config=CFG, seed=2)[0]
         assert res.adjusted.method == "adjusted"
         assert res.enclosing.method == "enclosing"
         assert res.adjusted.n_paths == 400
@@ -304,10 +347,55 @@ class TestAdjusted:
         ts = ThresholdSpec(alpha=0.0, r0=2.0)
         cfg = PathConfig(dt=1e-3, t_cap=3.0)
         res = adjusted_tail_estimate(ID1, N1, BoxDomain([-0.5], [0.5]),
-                                     SmoothDomain.ball(1.0), np.zeros(1), 0.05,
-                                     ts, n_paths=500, config=cfg, seed=11)
+                                     SmoothDomain.ball(1.0), [(np.zeros(1), 0.05)],
+                                     ts, n_paths=500, config=cfg, seed=11)[0]
         assert res.adjusted.n_capped > 0
         assert res.adjusted.n_survived >= res.adjusted.n_capped
+
+    @pytest.mark.parametrize("workers, batch_size", [(1, 16384), (2, 64)])
+    @pytest.mark.parametrize("case", sorted(ADJUSTED_PINS))
+    def test_stacked_cells_are_pinned(self, case, workers, batch_size,
+                                      pool_sizes):
+        # every cell of the sweep runs in one fan-out, and its counts are
+        # those each cell got when it ran on its own
+        text, pins = ADJUSTED_PINS[case]
+        cfg = parse_config(text)
+        res = adjusted_tail_estimate(
+            cfg.model, cfg.noise, cfg.box, cfg.big,
+            [(_theory_point(cfg, x, eps), eps) for eps in cfg.epsilons
+             for x in cfg.points], cfg.threshold, cfg.n_paths, cfg.path,
+            cfg.seed, workers=workers, batch_size=batch_size)
+        got = [[r.adjusted.n_survived, r.enclosing.n_survived,
+                r.adjusted.path_steps, r.adjusted.n_clamped, r.adjusted.n_capped]
+               for r in res]
+        assert got == pins
+        assert all((r.enclosing.path_steps, r.enclosing.n_clamped,
+                    r.enclosing.n_capped) == tuple(row[2:])
+                   for r, row in zip(res, pins))
+        assert pool_sizes == ([2] if workers == 2 else [])
+
+    def test_cells_run_together_as_alone(self, monkeypatch):
+        # three cells of 9 paths in batches of 4 paths, 12 rows: a stacked
+        # batch holds at most DEFAULT_BATCH_SIZE rows
+        rows = []
+        real = est.simulate_batch
+
+        def counted(model, noise, domain, X0, *args):
+            rows.append(len(X0))
+            return real(model, noise, domain, X0, *args)
+
+        monkeypatch.setattr(est, "simulate_batch", counted)
+        monkeypatch.setattr(est, "DEFAULT_BATCH_SIZE", 12)
+        ts = ThresholdSpec(alpha=1.5)
+        cells = [(np.zeros(1), 0.2), (np.array([0.5]), 0.1), (np.zeros(1), 0.05)]
+        kw = dict(config=PathConfig(dt=1e-3, t_cap=0.01), seed=4, batch_size=5)
+        box, big = BoxDomain([-0.5], [0.5]), SmoothDomain.ball(1.0)
+        together = adjusted_tail_estimate(ID1, N1, box, big, cells, ts, 9, **kw)
+        assert max(rows) == 12 and rows[0] == 12
+        alone = [adjusted_tail_estimate(ID1, N1, box, big, [cell], ts, 9, **kw)[0]
+                 for cell in cells]
+        assert together == alone
+        assert adjusted_tail_estimate(ID1, N1, box, big, [], ts, 9, **kw) == []
 
 
 SWEEP_2D = """
@@ -412,7 +500,7 @@ class TestWorkerPool:
                 splitting_tail_estimate(LAMBDA_MODEL, noise, box, x, 0.1, ts,
                                         192, **kw),
                 adjusted_tail_estimate(LAMBDA_MODEL, noise, box, LAMBDA_BIG,
-                                       x, 0.1, ts, n_paths=192, **kw))
+                                       [(x, 0.1)], ts, n_paths=192, **kw)[0])
 
         assert estimates(2) == estimates(1)
         # direct, splitting's 3 levels and adjusted each fork 2 workers
@@ -427,8 +515,9 @@ class TestWorkerPool:
         serial, fanned = ([ln.rsplit(",", 1)[0] for ln in r.splitlines()]
                           for r in rows)
         assert serial == fanned
-        # and so does each of the sweep's 9 adjusted cells at run.workers 2
-        assert pool_sizes == [2] * 14
+        # and so do the sweep's 9 adjusted cells, in one fan-out at
+        # run.workers 2
+        assert pool_sizes == [2] * 6
 
 
 class TestDrawShare:

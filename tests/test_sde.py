@@ -3,6 +3,7 @@ import mmap
 import os
 import sys
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -710,16 +711,32 @@ class TestMappedNoiseBuffer:
         assert got["exited"].any() and not got["exited"].all()
 
 
+def _stacked_rows(model, noise, domain, cells, dt):
+    """simulate_batch's arguments for every cell's rows stacked cell-major,
+    and the stream count.  A cell is (X0, epsilon, stop_time); row p of
+    each cell steps on stream p."""
+    n = cells[0][0].shape[0]
+    return (model, noise, domain, np.vstack([X0 for X0, _, _ in cells]),
+            np.repeat([eps for _, eps, _ in cells], n),
+            np.repeat([stop for _, _, stop in cells], n), dt, n)
+
+
 def _stacked(model, noise, domain, cells, dt, seed=31):
     """simulate_batch of every cell's rows stacked on one set of path
-    streams.  A cell is (X0, epsilon, stop_time); row p of each cell steps
-    on the stream of path p."""
-    n = cells[0][0].shape[0]
-    return simulate_batch(
-        model, noise, domain, np.vstack([X0 for X0, _, _ in cells]),
-        np.repeat([eps for _, eps, _ in cells], n),
-        np.repeat([stop for _, _, stop in cells], n), dt,
-        [make_generator(seed, p) for p in range(n)])
+    streams, row p of each cell on the stream of path p."""
+    *args, n = _stacked_rows(model, noise, domain, cells, dt)
+    return simulate_batch(*args, [make_generator(seed, p) for p in range(n)])
+
+
+class _Sized:
+    """A path stream that records the size of each draw."""
+
+    def __init__(self, gen):
+        self.gen, self.sizes = gen, []
+
+    def standard_normal(self, out):
+        self.sizes.append(out.size)
+        return self.gen.standard_normal(out=out)
 
 
 def _stacked_and_alone(model, noise, domain, cells, dt, seed=31):
@@ -1016,25 +1033,81 @@ class TestSharedStreams:
         assert sum(rows) < 0.5 * sum(steps)
 
     def test_each_stream_is_drawn_once_per_block(self):
-        drawn = []
-
-        class Counting:
-            def __init__(self, gen):
-                self.gen = gen
-
-            def standard_normal(self, out):
-                drawn.append((self, out.size))
-                return self.gen.standard_normal(out=out)
-
         model, noise, domain, cells, dt = SHARED_CASES["d1_identity"]
-        gens = [Counting(make_generator(31, p)) for p in range(24)]
+        gens = [_Sized(make_generator(31, p)) for p in range(24)]
         simulate_batch(model, noise, None, np.vstack([c[0] for c in cells]),
                        np.repeat([c[1] for c in cells], 24),
                        np.repeat([c[2] for c in cells], 24), dt, gens)
         # without exits every stream lives to the longest grid, 1100 steps
         want = [BLOCK_STEPS, BLOCK_STEPS, 1100 - 2 * BLOCK_STEPS]
         for g in gens:
-            assert [size for who, size in drawn if who is g] == want
+            assert g.sizes == want
+
+
+# (model, noise, domain, X0, epsilon per row, stop time per row, dt, streams)
+STREAM_END_CASES = {
+    # 4 cells on 24 shared streams: a stream's rows exit at their own steps
+    "stacked": _stacked_rows(ID1, N1, BoxDomain([-0.5], [0.5]), _cells(
+        1, 24, (0.3, 0.3, 0.25, 0.2), 15, (0.3, 0.6, 0.9, 1.2), edge=0.5), 1e-3),
+    "folded": _stacked_rows(*SHARED_CASES["fold_base_not_smallest"]),
+    # a row per stream, as the adjusted estimator stacks its cells, on grids
+    # of 21 to 1900 steps
+    "own_streams": (ID2, NoiseModel(np.diag([0.5, 2.0])), _BOX2,
+                    _box_starts(2, 24, np.random.default_rng(13)), 0.3,
+                    np.resize([0.0205, _STOP, 0.9, 1.1, 1.9, 0.5], 24), 1e-3, 24),
+    # no exits: stream 0's 513-step grid, with a 0.5 dt last step, ends one
+    # step into the second block, which the other streams draw to 1100 steps
+    "one_step_into_a_block": (ID2, NoiseModel([[1.0, 0.0], [1.0, 1.0]]), None,
+                              np.random.default_rng(14).uniform(-0.1, 0.1, (6, 2)),
+                              0.3, np.array([0.5125] + [1.1] * 5), 1e-3, 6),
+}
+
+
+class TestStreamEnds:
+    """Each stream is drawn only to the longest grid left among its own
+    alive rows, so a batch leaves every generator where that stream's rows
+    alone would leave it."""
+
+    @staticmethod
+    def _alone(model, noise, domain, X0, eps, stop, dt, G, g, seed):
+        """simulate_batch of the rows on stream g alone, and its generator."""
+        own = np.arange(g, len(X0), G)
+        gen = make_generator(seed, g)
+        eps, stop = (np.broadcast_to(v, len(X0))[own] for v in (eps, stop))
+        return own, gen, simulate_batch(model, noise, domain, X0[own], eps, stop,
+                                        dt, [gen])
+
+    @pytest.mark.parametrize("case", sorted(STREAM_END_CASES))
+    def test_each_generator_ends_as_its_rows_alone_leave_it(self, case,
+                                                           monkeypatch):
+        *args, G = STREAM_END_CASES[case]
+        # every entry of the noise buffer not written is nan, so a step that
+        # read one would leave nan in a state or a flag
+        monkeypatch.setattr(sde, "_noise_buffer", lambda n: np.full(n, np.nan))
+        gens = [make_generator(41, g) for g in range(G)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = simulate_batch(*args, gens)
+            for g in range(G):
+                own, gen, alone = self._alone(*STREAM_END_CASES[case], g, 41)
+                assert repr(gens[g].bit_generator.state) == repr(
+                    gen.bit_generator.state), g
+                for k in RESULT_KEYS:
+                    assert got[k][own].tobytes() == alone[k].tobytes(), (g, k)
+
+    @pytest.mark.parametrize("case", sorted(STREAM_END_CASES))
+    def test_cases_end_streams_early(self, case):
+        # in some block, a stream draws fewer steps than another stream
+        *args, G = STREAM_END_CASES[case]
+        gens = [_Sized(make_generator(41, g)) for g in range(G)]
+        simulate_batch(*args, gens)
+        sizes = [g.sizes for g in gens]
+        blocks = max(map(len, sizes))
+        most = [max(d[j] for d in sizes if len(d) > j) for j in range(blocks)]
+        assert any(d[j] < most[j] for d in sizes for j in range(len(d)))
+        if case == "one_step_into_a_block":
+            assert sizes[0] == [BLOCK_STEPS * 2, 2]
+            assert sizes[1] == [BLOCK_STEPS * 2] * 2 + [(1100 - 2 * BLOCK_STEPS) * 2]
 
 
 _FAMILY_SETUPS = {1: (ID1, N1, BOX1),
